@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.cli campaign [--workers N] [--max-experiments M]
-                                 [--results-dir DIR | --checkpoint FILE]
+                                 [--results-dir DIR]
                                  [--backend {local,distributed}]
                                  [--tables] [--json FILE]
     python -m repro.cli worker --results-dir DIR [--worker-id ID]
@@ -25,8 +25,7 @@ recording, generation, execution, classification) through the parallel
 ``propagation`` runs the Table VI component→Apiserver experiments.  With
 ``--results-dir`` the workers stream every finished batch into a sharded
 gzip-JSONL result store and a rerun of the same configuration resumes from
-the completed shards (use this for paper-scale campaigns; ``--checkpoint``
-is the legacy monolithic pickle).
+the completed shards (use this for paper-scale campaigns).
 
 ``campaign --backend distributed`` turns this process into the coordinator
 of a multi-host campaign: it publishes the frozen plan into the (shared)
@@ -230,7 +229,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser, with_checkpoint: bool) -> None:
+def _add_spec_arguments(parser: argparse.ArgumentParser, results_dir_required: bool = False) -> None:
     """Flags mapping 1:1 onto :class:`CampaignSpec` fields.
 
     Shared by ``campaign`` (which runs the spec locally) and ``submit``
@@ -257,26 +256,15 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, with_checkpoint: bool) 
         "same configuration resumes from the completed shards (memory "
         "stays bounded by one batch — use for paper-scale campaigns)"
     )
-    if with_checkpoint:
-        persistence = parser.add_mutually_exclusive_group()
-        persistence.add_argument(
-            "--checkpoint",
-            metavar="FILE",
-            default=None,
-            help="persist results after every batch into a monolithic pickle and "
-            "resume from FILE if it exists (legacy; prefer --results-dir)",
-        )
-        persistence.add_argument(
-            "--results-dir", metavar="DIR", default=None, help=results_dir_help
-        )
-    else:
-        parser.add_argument(
-            "--results-dir",
-            metavar="DIR",
-            required=True,
-            help=results_dir_help
-            + " (required: service campaigns live in a transport-backed store)",
-        )
+    if results_dir_required:
+        results_dir_help += " (required: service campaigns live in a transport-backed store)"
+    parser.add_argument(
+        "--results-dir",
+        metavar="DIR",
+        default=None,
+        required=results_dir_required,
+        help=results_dir_help,
+    )
     parser.add_argument(
         "--backend",
         choices=("local", "distributed"),
@@ -708,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = subparsers.add_parser(
         "campaign", help="run the injection campaign and print the paper's tables"
     )
-    _add_spec_arguments(campaign, with_checkpoint=True)
+    _add_spec_arguments(campaign)
     campaign.add_argument(
         "--tables", action="store_true", help="print Tables III-V and Figures 6-7"
     )
@@ -1042,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
         "flags as 'campaign'; the spec they build is POSTed instead of "
         "executed in this process)",
     )
-    _add_spec_arguments(submit, with_checkpoint=False)
+    _add_spec_arguments(submit, results_dir_required=True)
     submit.add_argument(
         "--server",
         metavar="URL",

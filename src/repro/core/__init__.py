@@ -5,7 +5,7 @@
   generation / execution (§IV-C).
 * :mod:`repro.core.experiment` — a single injection experiment end to end.
 * :mod:`repro.core.parallel` — process-parallel campaign execution with
-  chunked progress reporting and checkpoint/resume.
+  chunked progress reporting.
 * :mod:`repro.core.resultstore` — the streaming sharded (gzip JSONL)
   result store backing paper-scale campaigns.
 * :mod:`repro.core.classification` — orchestrator-level and client-level

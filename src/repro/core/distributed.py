@@ -701,9 +701,9 @@ class DistributedSettings:
 class DistributedCoordinator:
     """Publishes the frozen plan, watches progress, folds the merged result.
 
-    The coordinator never executes experiments itself: it opens (or
-    validates) the store, publishes the plan, then polls the shared
-    directory — folding each newly completed experiment into a streaming
+    The coordinator never executes experiments itself: it publishes the
+    plan into the store :meth:`Campaign.run` has already opened (and
+    fingerprint-checked), then polls the shared directory — folding each newly completed experiment into a streaming
     :class:`CampaignTally` exactly once — until every plan index is stored.
     The finalized result is a lazy plan-order view plus that tally, so the
     merged digest is byte-identical to the serial run's by construction.
@@ -730,9 +730,7 @@ class DistributedCoordinator:
         self.shard_batch = shard_batch
 
     def publish(self) -> DistributedPlan:
-        """Open/validate the store and publish the plan (idempotent)."""
-        store = ShardedResultStore(self.root)
-        store.open(self.fingerprint, len(self.tasks))
+        """Publish the plan into the opened store (idempotent)."""
         slice_size = self.settings.slice_size or default_slice_size(len(self.tasks))
         plan = DistributedPlan(
             fingerprint=self.fingerprint,

@@ -11,18 +11,16 @@ the results back in plan order.  Because each experiment is fully determined
 by its ``(workload, fault, seed, config)`` tuple, a parallel run produces a
 result list identical to the serial run of the same plan.
 
-The executor also provides chunked progress reporting and checkpointing:
-after every completed batch the results so far can be written to a
-checkpoint file, and a later run of the same plan resumes from it, only
-executing the experiments that are still missing.
+The executor also provides chunked progress reporting, and with a
+``results_dir`` the workers stream every finished batch into the sharded
+result store (:mod:`repro.core.resultstore`), from which a later run of the
+same plan resumes, only executing the experiments that are still missing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import os
-import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,15 +30,10 @@ from repro.core.experiment import ExperimentConfig, ExperimentResult, Experiment
 from repro.core.injector import FaultSpec
 from repro.core.resultstore import (
     BatchedShardWriter,
-    ResultStoreMismatchError,
     ShardedResultStore,
     StoredResults,
-    atomic_write_bytes,
 )
 from repro.workloads.workload import WorkloadKind
-
-#: Format version of the checkpoint files (bumped on layout changes).
-CHECKPOINT_VERSION = 1
 
 #: Historical first seed of the baseline golden runs (run ``i`` uses
 #: ``base_seed + i``), matching :meth:`ExperimentRunner.build_baseline`.
@@ -48,10 +41,6 @@ DEFAULT_BASE_SEED = 100
 
 #: ``progress(done, total)`` callback invoked as batches complete.
 ProgressCallback = Callable[[int, int], None]
-
-
-class CheckpointMismatchError(ResultStoreMismatchError):
-    """A checkpoint file does not belong to the campaign being executed."""
 
 
 @dataclass(frozen=True)
@@ -259,12 +248,12 @@ def _assemble_baseline(
 
 
 # --------------------------------------------------------------------------
-# Checkpointing
+# Fingerprints
 # --------------------------------------------------------------------------
 
 
 def tasks_fingerprint(tasks: list[ExperimentTask]) -> str:
-    """A stable digest of a plan, used to match checkpoints to campaigns."""
+    """A stable digest of a plan, used to match result stores to campaigns."""
     digest = hashlib.sha256()
     for task in tasks:
         digest.update(
@@ -283,7 +272,7 @@ def campaign_fingerprint(
     Covers the plan *and* the experiment configuration and golden baselines:
     two campaigns with the same fault plan but different baselines (e.g. a
     different ``golden_runs``) classify results differently, so their
-    checkpoints must not be mixed.
+    result stores must not be mixed.
     """
     digest = hashlib.sha256(tasks_fingerprint(tasks).encode("utf-8"))
     digest.update(repr(experiment_config).encode("utf-8"))
@@ -299,7 +288,7 @@ def prep_fingerprint(
     digest = hashlib.sha256(repr(experiment_config).encode("utf-8"))
     for prep in preps:
         # base_seed joins the digest only when it differs from the historical
-        # default, so checkpoints written before the field existed (same
+        # default, so stores written before the field existed (same
         # semantics, seeds 100+i) still resume.
         suffix = f"|{prep.base_seed}" if prep.base_seed != DEFAULT_BASE_SEED else ""
         digest.update(
@@ -307,81 +296,6 @@ def prep_fingerprint(
             f"{suffix}\n".encode("utf-8")
         )
     return digest.hexdigest()
-
-
-def load_checkpoint_prep(path: str, fingerprint: str) -> Optional[list]:
-    """Load the prepared baselines/recordings of a matching checkpoint.
-
-    Returns ``None`` (recompute) when the file is absent, unreadable, or has
-    no prep section.  A checkpoint whose prep was built under a *different*
-    configuration raises :class:`CheckpointMismatchError` right away: its
-    results could never be resumed either, and failing before the expensive
-    baseline recomputation beats failing after it.
-    """
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        prep = payload.get("prep")
-        if payload.get("version") != CHECKPOINT_VERSION or not isinstance(prep, dict):
-            return None
-        stored = prep.get("fingerprint")
-    # mutiny-lint: disable=MUT005 -- deliberate: an unreadable checkpoint degrades to recomputation; the plan-mismatch case still raises below
-    except Exception:  # noqa: BLE001 - any unreadable file just means "recompute"
-        return None
-    if stored != fingerprint:
-        raise CheckpointMismatchError(
-            f"checkpoint {path!r} was written by a different campaign plan; "
-            "delete it (or point --checkpoint elsewhere) to start fresh"
-        )
-    return prep.get("prepared")
-
-
-def load_checkpoint(path: str, fingerprint: str) -> dict[int, ExperimentResult]:
-    """Load the completed results of a matching checkpoint (empty if absent).
-
-    Raises :class:`CheckpointMismatchError` when the file belongs to a
-    different plan (or is not a readable checkpoint at all) — resuming it
-    would silently mix incompatible results.
-    """
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except Exception as error:  # noqa: BLE001 - any unreadable file is a mismatch
-        raise CheckpointMismatchError(
-            f"checkpoint {path!r} is not a readable checkpoint file ({error}); "
-            "delete it (or point --checkpoint elsewhere) to start fresh"
-        ) from error
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != CHECKPOINT_VERSION
-        or payload.get("fingerprint") != fingerprint
-    ):
-        raise CheckpointMismatchError(
-            f"checkpoint {path!r} was written by a different campaign plan; "
-            "delete it (or point --checkpoint elsewhere) to start fresh"
-        )
-    return dict(payload.get("results", {}))
-
-
-def write_checkpoint(
-    path: str,
-    fingerprint: str,
-    results: dict[int, ExperimentResult],
-    prep: Optional[dict] = None,
-) -> None:
-    """Atomically persist the results (and optionally the prep) so far."""
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "fingerprint": fingerprint,
-        "results": results,
-    }
-    if prep is not None:
-        payload["prep"] = prep
-    buffer = io.BytesIO()
-    pickle.dump(payload, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    atomic_write_bytes(path, buffer.getvalue())
 
 
 # --------------------------------------------------------------------------
@@ -409,15 +323,9 @@ class CampaignExecutor:
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         progress: Optional[ProgressCallback] = None,
-        checkpoint_path: Optional[str] = None,
         results_dir: Optional[str] = None,
         shard_batch: int = 1,
     ):
-        if checkpoint_path and results_dir:
-            raise ValueError(
-                "checkpoint_path and results_dir are alternative persistence "
-                "layouts; pass exactly one of them"
-            )
         if shard_batch < 1:
             raise ValueError(f"shard_batch must be >= 1, got {shard_batch}")
         self.experiment_config = (
@@ -426,7 +334,9 @@ class CampaignExecutor:
         self.workers = resolve_workers(workers)
         self.chunk_size = chunk_size
         self.progress = progress
-        self.checkpoint_path = checkpoint_path
+        #: Root of an *opened* result store to stream into: the caller
+        #: (:meth:`Campaign.run`) owns the store lifecycle and has already
+        #: fingerprint-checked it with ``ShardedResultStore.open``.
         self.results_dir = results_dir
         #: Finished batches coalesced per shard object (1 = one shard per
         #: batch, the historical layout).  Purely a storage-layout knob:
@@ -439,17 +349,6 @@ class CampaignExecutor:
         #: slices exactly like the pool path's per-process writers, instead
         #: of silently capping a shard group at one slice's batches.
         self._serial_writers: dict = {}
-        self._checkpoint_prep: Optional[dict] = None
-
-    def set_checkpoint_prep(self, fingerprint: str, prepared: list) -> None:
-        """Attach the prepared baselines/recordings for persistence.
-
-        Checkpoint layout: re-attached to every checkpoint write.  Store
-        layout: written once to ``prep.pkl`` after the store's fingerprint
-        check passes.  A resumed campaign then reloads them instead of
-        re-running the golden baselines and field recording.
-        """
-        self._checkpoint_prep = {"fingerprint": fingerprint, "prepared": prepared}
 
     def _get_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -477,7 +376,7 @@ class CampaignExecutor:
     def _chunks(self, tasks: list[ExperimentTask], workers: int) -> list[list[ExperimentTask]]:
         """Shard pending tasks into batches.
 
-        Batches amortize worker dispatch and checkpoint writes; four batches
+        Batches amortize worker dispatch and shard writes; four batches
         per worker keeps the tail short when experiment durations vary.
         """
         if self.chunk_size is not None and self.chunk_size > 0:
@@ -498,42 +397,27 @@ class CampaignExecutor:
         Without a ``results_dir`` this returns the familiar in-memory list.
         With one — a directory path or an ``objstore://`` URL; the store
         picks its transport from the root's shape — the workers stream every
-        finished batch into the sharded result store and a lazy
-        :class:`StoredResults` view is returned instead: peak parent memory
-        is bounded by one batch regardless of campaign size, and a rerun
-        resumes by scanning the completed shards.
+        finished batch into the (already opened) sharded result store and a
+        lazy :class:`StoredResults` view is returned instead: peak parent
+        memory is bounded by one batch regardless of campaign size, and a
+        rerun resumes by scanning the completed shards.
         """
-        total = len(tasks)
-        fingerprint = campaign_fingerprint(tasks, self.experiment_config, baselines)
         if self.results_dir:
-            return self._run_streaming(tasks, baselines, fingerprint, total)
-
+            return self._run_streaming(tasks, baselines)
         completed: dict[int, ExperimentResult] = {}
-        if self.checkpoint_path:
-            completed = load_checkpoint(self.checkpoint_path, fingerprint)
 
-        pending = [task for task in tasks if task.index not in completed]
-        if self.progress is not None and completed:
-            self.progress(len(completed), total)
+        def finish(batch_results: list[tuple[int, ExperimentResult]]) -> None:
+            completed.update(batch_results)
+            if self.progress is not None:
+                self.progress(len(completed), len(tasks))
 
-        if pending:
-            self.execute_slice(
-                pending,
-                baselines,
-                finish=lambda batch: self._finish_batch(batch, completed, fingerprint, total),
-            )
-
+        if tasks:
+            self.execute_slice(tasks, baselines, finish)
         return [completed[task.index] for task in tasks]
 
-    def _run_streaming(self, tasks, baselines, fingerprint, total) -> StoredResults:
+    def _run_streaming(self, tasks, baselines) -> StoredResults:
         store = ShardedResultStore(self.results_dir)
-        store.open(fingerprint, total)
-        # Persist the prep only now, after the manifest check above accepted
-        # the store: a mis-pointed results_dir must stay untouched.
-        if self._checkpoint_prep is not None:
-            store.save_prep(
-                self._checkpoint_prep["fingerprint"], self._checkpoint_prep["prepared"]
-            )
+        total = len(tasks)
         done = set(store.completed_indexes())
         pending = [task for task in tasks if task.index not in done]
         if self.progress is not None and done:
@@ -557,8 +441,8 @@ class CampaignExecutor:
         batches → results/shards: batches run serially in-process or across
         the pool, and ``finish`` is called with each batch's
         :func:`_run_batch` return value as it completes, so progress (and
-        checkpoints, and distributed lease heartbeats) advance even while
-        other batches are still running.  The local process-pool backend
+        distributed lease heartbeats) advance even while other batches are
+        still running.  The local process-pool backend
         hands the whole pending plan to one call; the distributed worker
         loop calls it once per leased slice.  An exception raised by
         ``finish`` aborts the remaining batches of the slice (the
@@ -590,22 +474,6 @@ class CampaignExecutor:
             completed, futures = wait(futures, return_when=FIRST_COMPLETED)
             for future in completed:
                 finish(future.result())
-
-    def _finish_batch(
-        self,
-        batch_results: list[tuple[int, ExperimentResult]],
-        completed: dict[int, ExperimentResult],
-        fingerprint: str,
-        total: int,
-    ) -> None:
-        for index, result in batch_results:
-            completed[index] = result
-        if self.checkpoint_path:
-            write_checkpoint(
-                self.checkpoint_path, fingerprint, completed, prep=self._checkpoint_prep
-            )
-        if self.progress is not None:
-            self.progress(len(completed), total)
 
     # ---------------------------------------------------------- preparation
 

@@ -1,9 +1,8 @@
 """Streaming, sharded result store for paper-scale campaigns.
 
 The paper's full campaign is ~8,800 experiments (§IV-C); materializing every
-:class:`~repro.core.experiment.ExperimentResult` in the parent process and
-rewriting a monolithic checkpoint after every batch caps campaign scale well
-below that.  This module stores results the way the executor produces them:
+:class:`~repro.core.experiment.ExperimentResult` in the parent process caps
+campaign scale well below that.  This module stores results the way the executor produces them:
 each worker serializes its finished batch straight to one compressed JSONL
 shard (written atomically, gzip with a fixed mtime so shard bytes are
 reproducible), and the parent only ever tracks *indexes*.  Peak resident
@@ -55,10 +54,6 @@ from repro.core.classification import (
 from repro.core.experiment import ExperimentResult
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
 from repro.core.transport import TransportKeyError, transport_for
-
-# Re-exported: this module was the historical home of the POSIX atomic-write
-# primitives, and the checkpoint writer and tests still import them here.
-from repro.core.transport import atomic_write_bytes, fsync_directory  # noqa: F401
 from repro.workloads.workload import WorkloadKind
 
 #: Format version of the store layout (bumped on layout changes).
@@ -70,7 +65,7 @@ _SHARD_DIR = "shards"
 
 
 class ResultStoreMismatchError(RuntimeError):
-    """A result store (or checkpoint) does not belong to this campaign."""
+    """A result store does not belong to this campaign."""
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +247,7 @@ class ShardedResultStore:
         """Create the store (or verify it belongs to this campaign).
 
         A store written by a different plan/configuration is rejected instead
-        of being silently mixed in, exactly like the pickle checkpoints.
+        of being silently mixed in.
         """
         try:
             raw = self.transport.get(_MANIFEST_NAME)
@@ -696,8 +691,3 @@ class StoredResults:
         if len(other) != len(self):
             return False
         return all(mine == theirs for mine, theirs in zip(self, other))
-
-
-# atomic_write_bytes / fsync_directory moved to repro.core.transport (the
-# POSIX transport is their natural home); re-exported above so every
-# historical `from repro.core.resultstore import atomic_write_bytes` holds.

@@ -1,10 +1,10 @@
 """Pluggable shard-store transports: the byte-level backend of a result store.
 
 The sharded result store, the slice-lease layer, and the plan publisher never
-needed a filesystem — they need exactly seven operations: atomic put,
-put-if-absent, read, list, stat, delete (optionally conditional), and a
-liveness refresh.  This module names that contract (:class:`ShardTransport`)
-and ships two implementations:
+needed a filesystem — they need the ShardTransport contract: atomic put,
+put-if-absent, read, list, stat, delete (optionally conditional), a liveness
+refresh, and a conditional append.  This module names that contract
+(:class:`ShardTransport`) and ships two implementations:
 
 * :class:`PosixTransport` — the original shared-directory backend, re-expressed
   against the interface.  Keys map onto the exact paths the store always used
@@ -120,8 +120,8 @@ def _write_all(fd: int, data: bytes) -> None:
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write-fsync-rename, then fsync the directory, so a completed write is
     both atomic (readers never observe a half-written file) and durable on
-    non-ext4 shared filesystems.  Shared by the shard store, the checkpoint
-    writer, and the distributed lease/plan files.
+    non-ext4 shared filesystems.  Shared by the shard store and the
+    distributed lease/plan files.
     """
     tmp_path = _temp_path_for(path)
     with open(tmp_path, "wb") as handle:

@@ -33,7 +33,7 @@ from repro.lint.symbols import CallSite
 
 #: The ShardTransport contract ops (each is a storage round-trip: disk
 #: fsync on POSIX, a conditional HTTP request on the object store).
-SEVEN_OPS = frozenset(
+TRANSPORT_OPS = frozenset(
     {
         "put", "put_if_absent", "get", "get_with_stat", "list", "list_iter",
         "stat", "delete", "delete_if_unchanged", "refresh", "append",
@@ -55,7 +55,7 @@ def blocking_label(call: CallSite, resolution: Resolution) -> Optional[str]:
     """A short label when the call site is a blocking primitive, else None.
 
     Two lexical heuristics ride on the chain itself (so unknown callees
-    cannot silently pass): a seven-op method call whose receiver chain
+    cannot silently pass): a contract-op method call whose receiver chain
     mentions ``transport`` (``self._transport.put(...)`` — a storage
     round-trip), and ``.join()`` on a thread-ish receiver
     (``self._thread.join()``; ``str.join``/``os.path.join`` have no
@@ -68,7 +68,7 @@ def blocking_label(call: CallSite, resolution: Resolution) -> Optional[str]:
     chain = call.chain
     if len(chain) >= 2:
         receiver = chain[:-1]
-        if chain[-1] in SEVEN_OPS and any(
+        if chain[-1] in TRANSPORT_OPS and any(
             "transport" in part.lower() for part in receiver
         ):
             return f"transport {chain[-1]}()"
@@ -90,8 +90,8 @@ class BlockingUnderLockChecker(GraphChecker):
     explanation = """\
 Contract: the service and store locks (`CampaignService._lock`,
 `BatchedShardWriter._lock`, the handle locks) serialize *state updates*,
-never I/O.  A `time.sleep`, a transport seven-op round-trip (disk fsync or
-conditional HTTP), `subprocess`, socket/HTTP traffic, or `Thread.join`
+never I/O.  A `time.sleep`, a ShardTransport contract round-trip (disk fsync
+or conditional HTTP), `subprocess`, socket/HTTP traffic, or `Thread.join`
 executed while holding `self._lock` stalls every other thread that needs
 the lock for the full duration of the slow operation — the
 latent-deadlock/latency class the Mutiny paper observed in real control

@@ -2,7 +2,7 @@
 
 The repo's contracts — informer ``copy=False`` reads being immutable, all
 storage I/O going through the :class:`~repro.core.transport.ShardTransport`
-seven ops, campaign-affecting code never touching the wall clock, lock
+contract, campaign-affecting code never touching the wall clock, lock
 discipline in the threaded service classes, no swallowed exceptions in
 daemon-thread bodies — were enforced only by review and docstring.  The
 Mutiny paper's core observation is that exactly such implicit cross-layer

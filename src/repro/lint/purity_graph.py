@@ -103,7 +103,7 @@ class InterproceduralPurityChecker(GraphChecker):
     explanation = """\
 Contract (PR 4/5, extended by PR 10): every byte the shard store, leases,
 federation, or campaign service touches travels through the ShardTransport
-seven ops — and that must hold *transitively*.  MUT002 bans the direct
+contract — and that must hold *transitively*.  MUT002 bans the direct
 `open()`/`os.remove`/raw-HTTP call inside `core/resultstore.py`,
 `core/distributed.py`, `core/federate.py`, and `service/`; MUT006 closes
 the hole MUT002 documented: a helper function — same file or any other
@@ -123,8 +123,8 @@ reported (inside scope the primitive itself is already a MUT002 finding),
 and chains are never followed into `core/transport.py` / `core/objstore.py`
 — the implementations are the contract's sanctioned floor.
 
-Correct pattern: express the helper's operation in the seven ops and pass
-it a transport (or extend the contract in `core/transport.py`, where both
+Correct pattern: express the helper's operation in the ShardTransport
+contract and pass it a transport (or extend the contract in `core/transport.py`, where both
 backends and the fault-injection proxy implement it once).
 """
 

@@ -1,6 +1,6 @@
 """MUT002 — transport-purity checker.
 
-PR 4 extracted the :class:`~repro.core.transport.ShardTransport` seven-op
+PR 4 extracted the :class:`~repro.core.transport.ShardTransport`
 contract (put, put_if_absent, get/get_with_stat, list/list_iter, stat,
 delete/delete_if_unchanged, refresh, plus the PR 5 append) precisely so the
 store, lease, federation, and service layers never touch bytes directly:
@@ -61,7 +61,7 @@ class TransportPurityChecker(Checker):
     explanation = """\
 Contract (PR 4/5): every byte the shard store, the slice leases, the
 federation merge, or the campaign service persists or reads travels through
-the `ShardTransport` seven-op contract (`put`, `put_if_absent`,
+the `ShardTransport` contract (`put`, `put_if_absent`,
 `get`/`get_with_stat`, `list`/`list_iter`, `stat` with generation tokens,
 `delete`/`delete_if_unchanged`, `refresh`, `append`).  The transports own
 atomicity (fsync'd temp-file renames on POSIX, conditional HTTP on the
@@ -78,7 +78,7 @@ object-store backend, and exempt from the ambiguity rules.  Such code
 works on a developer laptop and corrupts stores on NFS or under retry.
 
 Correct pattern: take a `transport_for(root)` (or the store's
-`.transport`) and express the operation in the seven ops; if an operation
+`.transport`) and express the operation in the contract; if an operation
 genuinely cannot be expressed, extend the transport contract — in
 `core/transport.py`, where both backends and the fault-injection proxy
 implement it once.
@@ -103,7 +103,7 @@ justified inline suppression.
                 self.report(
                     node,
                     f"import of {alias.name!r} in a transport-pure module; "
-                    "storage I/O must go through the ShardTransport seven ops",
+                    "storage I/O must go through the ShardTransport contract",
                 )
         self.generic_visit(node)
 
@@ -113,13 +113,13 @@ justified inline suppression.
             self.report(
                 node,
                 f"import from {module!r} in a transport-pure module; "
-                "storage I/O must go through the ShardTransport seven ops",
+                "storage I/O must go through the ShardTransport contract",
             )
         if module == "http" and any(alias.name == "client" for alias in node.names):
             self.report(
                 node,
                 "import of 'http.client' in a transport-pure module; "
-                "storage I/O must go through the ShardTransport seven ops",
+                "storage I/O must go through the ShardTransport contract",
             )
         if module == "os":
             for alias in node.names:
@@ -127,7 +127,7 @@ justified inline suppression.
                     self.report(
                         node,
                         f"import of 'os.{alias.name}' in a transport-pure module; "
-                        "storage I/O must go through the ShardTransport seven ops",
+                        "storage I/O must go through the ShardTransport contract",
                     )
         self.generic_visit(node)
 
@@ -138,7 +138,7 @@ justified inline suppression.
             self.report(
                 node,
                 "direct open() in a transport-pure module; read/write through "
-                "the ShardTransport seven ops instead",
+                "the ShardTransport contract instead",
             )
         dotted = dotted_name(node.func)
         if dotted is not None:

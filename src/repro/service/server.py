@@ -16,8 +16,8 @@ Statelessness is by construction, not by discipline: a campaign's identity
 is its spec fingerprint (which includes the store URL), every result byte
 lives in the transport-backed shard store, and the only thing the service
 persists is a tiny ``campaigns/<id>.json`` index record written through the
-same :class:`~repro.core.transport.ShardTransport` seven-op contract the
-stores use.  A restarted — or replicated — service lists that index,
+same :class:`~repro.core.transport.ShardTransport` contract the stores
+use.  A restarted — or replicated — service lists that index,
 rebuilds its registry, and resumes any campaign whose store is incomplete;
 the resume replays zero experiments because that is the store's guarantee,
 so the final digest is byte-identical to an uninterrupted run.
@@ -156,7 +156,16 @@ class CampaignService:
                 continue
             try:
                 record = json.loads(self.transport.get(key))
-                spec = CampaignSpec.from_dict(record["spec"])
+                spec_data = record["spec"]
+                # Records persisted before the `checkpoint` spec field was
+                # removed carry `"checkpoint": null`; tolerate exactly that.
+                if (
+                    isinstance(spec_data, dict)
+                    and "checkpoint" in spec_data
+                    and spec_data["checkpoint"] is None
+                ):
+                    del spec_data["checkpoint"]
+                spec = CampaignSpec.from_dict(spec_data)
             except (TransportKeyError, SpecError, KeyError, ValueError):
                 continue  # a torn or foreign record must not block startup
             campaign_id = record.get("id") or spec.campaign_id()
@@ -189,8 +198,6 @@ class CampaignService:
                 "service campaigns require store_url — the service is stateless "
                 "and a campaign's results must live in a transport-backed store"
             )
-        if spec.checkpoint:
-            raise SpecError("service campaigns cannot use checkpoint persistence")
         campaign_id = spec.campaign_id()
         # Admission, registry mutation, and the (cheap) handle start happen
         # under the lock so quota accounting and idempotency stay atomic;

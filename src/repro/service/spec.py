@@ -70,7 +70,6 @@ class CampaignSpec:
     shard_batch: int = 1
     backend: str = "local"
     store_url: Optional[str] = None
-    checkpoint: Optional[str] = None
     slice_size: Optional[int] = None
     poll_interval: float = 0.5
     timeout: Optional[float] = None
@@ -117,19 +116,11 @@ class CampaignSpec:
                 )
             except StoreURLError as error:
                 raise SpecError(str(error)) from None
-        if self.checkpoint is not None and not (
-            isinstance(self.checkpoint, str) and self.checkpoint.strip()
-        ):
-            raise SpecError(f"checkpoint must be a file path, got {self.checkpoint!r}")
-        if self.checkpoint and self.store_url:
-            raise SpecError("checkpoint and store_url are mutually exclusive")
         if self.backend == "distributed" and not self.store_url:
             raise SpecError(
                 "backend 'distributed' requires store_url — pass --results-dir "
                 "(a directory or objstore:// URL shared with the worker processes)"
             )
-        if self.backend == "distributed" and self.checkpoint:
-            raise SpecError("backend 'distributed' cannot use checkpoint persistence")
 
     # ------------------------------------------------------------ round-trip
 
@@ -182,7 +173,6 @@ class CampaignSpec:
             shard_batch=args.shard_batch,
             backend=args.backend,
             store_url=args.results_dir,
-            checkpoint=getattr(args, "checkpoint", None),
             slice_size=args.slice_size,
             poll_interval=args.poll_interval,
             timeout=args.coordinator_timeout,

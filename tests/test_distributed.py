@@ -37,11 +37,8 @@ from repro.core.distributed import (
 )
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import ExperimentTask
-from repro.core.resultstore import (
-    ResultStoreMismatchError,
-    ShardedResultStore,
-    atomic_write_bytes,
-)
+from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
+from repro.core.transport import atomic_write_bytes
 from repro.workloads.workload import WorkloadKind
 
 #: src/ directory, for PYTHONPATH of spawned worker processes.

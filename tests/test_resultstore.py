@@ -430,20 +430,28 @@ def test_streaming_campaign_rejects_changed_configuration(tmp_path):
         Campaign(_tiny_config(workers=1, golden_runs=2)).run(results_dir=root)
 
 
-def test_mispointed_results_dir_is_left_untouched(tmp_path):
+@pytest.mark.parametrize("backend", ["local", "distributed"])
+def test_mispointed_results_dir_is_left_untouched(tmp_path, backend):
     # A foreign store whose prep.pkl is missing cannot be recognized as
     # foreign until the campaign fingerprint is computed; the run must still
-    # be rejected *before* anything is written into the foreign store.
+    # be rejected *before* anything is written into the foreign store — no
+    # prep, no shard and (distributed coordinator) no published plan.
     import os
+
+    def tree():
+        return {
+            path: path.read_bytes()
+            for path in (tmp_path / "results").rglob("*")
+            if path.is_file()
+        }
 
     root = str(tmp_path / "results")
     Campaign(_tiny_config(workers=1)).run(results_dir=root)
     os.remove(os.path.join(root, "prep.pkl"))
-    shards_before = set(ShardedResultStore(root).shard_paths())
+    before = tree()
     with pytest.raises(ResultStoreMismatchError):
-        Campaign(_tiny_config(workers=1, golden_runs=2)).run(results_dir=root)
-    assert not os.path.exists(os.path.join(root, "prep.pkl"))
-    assert set(ShardedResultStore(root).shard_paths()) == shards_before
+        Campaign(_tiny_config(workers=1, golden_runs=2)).run(results_dir=root, backend=backend)
+    assert tree() == before
 
 
 def test_streaming_campaign_skips_prep_on_resume(tmp_path, monkeypatch):
@@ -510,20 +518,14 @@ def test_cli_inspect_rejects_non_store_directory(tmp_path, capsys):
     assert "not a result store" in capsys.readouterr().err
 
 
-def test_cli_rejects_conflicting_persistence_flags(tmp_path, capsys):
+def test_cli_rejects_removed_checkpoint_flag(tmp_path, capsys):
+    # The pickle checkpoint is gone; --results-dir is the one persistence path.
     from repro.cli import main
 
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "campaign",
-                "--checkpoint",
-                str(tmp_path / "x.ckpt"),
-                "--results-dir",
-                str(tmp_path / "store"),
-            ]
-        )
-    assert "not allowed with argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "--checkpoint", str(tmp_path / "x.ckpt")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
 
 
 def test_cli_names_bad_count_values(capsys):

@@ -100,6 +100,9 @@ class TestCampaignSpec:
     def test_unknown_fields_rejected_by_name(self):
         with pytest.raises(SpecError, match="max_expermnts"):
             CampaignSpec.from_dict({"max_expermnts": 60})
+        # The removed pickle-checkpoint field is unknown like any other.
+        with pytest.raises(SpecError, match="checkpoint"):
+            CampaignSpec.from_dict({"checkpoint": "x"})
 
     def test_not_an_object_rejected(self):
         with pytest.raises(SpecError, match="JSON object"):
@@ -121,7 +124,6 @@ class TestCampaignSpec:
             (dict(timeout=-1), "timeout"),
             (dict(store_url="s3://bucket/x"), "s3://bucket/x"),
             (dict(backend="distributed"), "store_url"),
-            (dict(store_url="/tmp/x", checkpoint="/tmp/c.pkl"), "mutually exclusive"),
         ],
     )
     def test_invalid_fields_rejected_by_name(self, kwargs, named):
@@ -190,14 +192,6 @@ class TestCampaignSpec:
         assert CampaignSpec.from_cli_args(campaign_args) == CampaignSpec.from_cli_args(
             submit_args
         )
-
-    def test_checkpoint_only_on_campaign(self, tmp_path):
-        args = build_parser().parse_args(
-            ["campaign", "--checkpoint", str(tmp_path / "c.pkl")]
-        )
-        spec = CampaignSpec.from_cli_args(args)
-        assert spec.checkpoint == str(tmp_path / "c.pkl")
-        assert spec.store_url is None
 
 
 # --------------------------------------------------------------------------
@@ -323,6 +317,36 @@ class TestServiceAPI:
         assert rehydrated.list_campaigns()["campaigns"][0]["state"] == "complete"
         assert rehydrated.document_bytes(response["id"]) == cli_bytes
 
+    def test_rehydrates_parent_format_record_with_null_checkpoint(self, tmp_path):
+        # Index records persisted before the `checkpoint` spec field was
+        # removed carry `"checkpoint": null`; a restarted service must still
+        # re-adopt (and resume) those campaigns under their recorded ids.
+        service = CampaignService(str(tmp_path / "state"))
+        spec = _tiny_spec(str(tmp_path / "store"), max_experiments=2)
+
+        def persist(campaign_id, checkpoint):
+            record = {
+                "id": campaign_id,
+                "fingerprint": "f" * 64,
+                "spec": {**spec.to_dict(), "checkpoint": checkpoint},
+                "submitted_at": 1.0,
+                "cancelled": False,
+            }
+            service.transport.put(
+                f"campaigns/{campaign_id}.json", json.dumps(record).encode("utf-8")
+            )
+
+        persist("0123456789abcdef", None)
+        persist("fedcba9876543210", "/tmp/c.pkl")  # non-null: still foreign
+        assert service.rehydrate() == 1
+        (summary,) = service.list_campaigns()["campaigns"]
+        assert summary["id"] == "0123456789abcdef" != spec.campaign_id()
+        assert service.describe("0123456789abcdef")["spec"] == spec.to_dict()
+        # In flight when the old process died: the new one resumes it.
+        handle = service._get("0123456789abcdef").handle
+        assert handle is not None and handle.wait(timeout=300)
+        assert handle.state == "complete"
+
     def test_unknown_campaign_is_404(self, service_server):
         _, client = service_server
         with pytest.raises(ServiceError) as excinfo:
@@ -336,6 +360,11 @@ class TestServiceAPI:
         )
         assert status == 400
         assert "max_expermnts" in json.loads(raw)["error"]
+        status, raw, _ = client._request(
+            "POST", "/v1/campaigns", {"workloads": ["deploy"], "checkpoint": "x"}
+        )
+        assert status == 400
+        assert "checkpoint" in json.loads(raw)["error"]
 
     def test_store_url_required_for_service_campaigns(self, service_server):
         _, client = service_server
