@@ -151,10 +151,6 @@ class DistributedPlan:
         return self.tasks[plan_slice.start : plan_slice.stop]
 
 
-def plan_path(root: str) -> str:
-    return transport_for(root).locate(_PLAN_NAME)
-
-
 def load_plan(root: str, transport=None) -> Optional[DistributedPlan]:
     """The published plan, or ``None`` when no coordinator has published yet.
 
@@ -303,9 +299,6 @@ class SliceLeases:
 
     def _lease_path(self, slice_id: int) -> str:
         return self.transport.locate(self._lease_key(slice_id))
-
-    def _done_path(self, slice_id: int) -> str:
-        return self.transport.locate(self._done_key(slice_id))
 
     def _read_lease(self, slice_id: int) -> Optional[tuple[LeaseInfo, str]]:
         """The outstanding lease plus its generation token, or ``None``.

@@ -10,7 +10,7 @@ runs are the same flow without arming the injector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core.classification import (
@@ -89,6 +89,26 @@ class ExperimentResult:
         return self.user_error_count > 0
 
 
+@dataclass(frozen=True)
+class GoldenRunStats:
+    """The per-run observables a golden baseline is assembled from (small
+    and picklable: what a pool worker ships back instead of the result)."""
+
+    latency_series: tuple
+    pods_created: int
+    settle_time: Optional[float]
+    client_errors: int
+
+    @classmethod
+    def of(cls, result: ExperimentResult) -> "GoldenRunStats":
+        return cls(
+            latency_series=tuple(result.latency_series),
+            pods_created=result.pods_created,
+            settle_time=result.orchestrator_observations.settle_time,
+            client_errors=result.client_observations.error_count,
+        )
+
+
 class ExperimentRunner:
     """Runs golden runs and injection experiments."""
 
@@ -125,21 +145,30 @@ class ExperimentRunner:
         self, workload: WorkloadKind, runs: int = 3, base_seed: int = 100
     ) -> GoldenBaseline:
         """Run ``runs`` golden runs and build the classification baseline."""
-        results = [self.run_golden(workload, seed=base_seed + index) for index in range(runs)]
+        return self.fold_baseline(
+            workload,
+            [
+                GoldenRunStats.of(self.run_golden(workload, seed=base_seed + index))
+                for index in range(runs)
+            ],
+        )
+
+    def fold_baseline(
+        self, workload: WorkloadKind, stats: Sequence[GoldenRunStats]
+    ) -> GoldenBaseline:
+        """The one fold from golden-run observables to the baseline, shared
+        by the serial path above and the fanned-out campaign preparation
+        (so fanning the golden runs out changes nothing about it)."""
         expected = self._expected_replicas(workload)
-        settle_times = [
-            result.orchestrator_observations.settle_time
-            for result in results
-            if result.orchestrator_observations.settle_time is not None
-        ]
+        settle_times = [s.settle_time for s in stats if s.settle_time is not None]
         return GoldenBaseline.from_golden_runs(
             workload=workload.value,
-            series=[result.latency_series for result in results],
+            series=[list(s.latency_series) for s in stats],
             expected_replicas=expected,
             expected_endpoints=expected,
-            pods_created=[result.pods_created for result in results],
+            pods_created=[s.pods_created for s in stats],
             settle_times=settle_times if settle_times else [self.config.run_seconds],
-            client_errors=[result.client_observations.error_count for result in results],
+            client_errors=[s.client_errors for s in stats],
         )
 
     @staticmethod

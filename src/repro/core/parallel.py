@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.classification import GoldenBaseline
-from repro.core.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner
+from repro.core.experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    ExperimentRunner,
+    GoldenRunStats,
+)
 from repro.core.injector import FaultSpec
 from repro.core.resultstore import (
     BatchedShardWriter,
@@ -86,16 +91,6 @@ class GoldenRunJob:
     #: Record the fields written to etcd during this run (the extra run the
     #: campaign uses for fault generation).
     record_fields: bool = False
-
-
-@dataclass(frozen=True)
-class GoldenRunStats:
-    """The per-run observables a golden baseline is assembled from."""
-
-    latency_series: tuple
-    pods_created: int
-    settle_time: Optional[float]
-    client_errors: int
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -215,35 +210,8 @@ def _run_golden_job(
     runner = _worker_runner(experiment_config)
     recorder = FieldRecorder() if job.record_fields else None
     result = runner.run_golden(job.workload, seed=job.seed, etcd_observer=recorder)
-    stats = GoldenRunStats(
-        latency_series=tuple(result.latency_series),
-        pods_created=result.pods_created,
-        settle_time=result.orchestrator_observations.settle_time,
-        client_errors=result.client_observations.error_count,
-    )
-    return stats, (recorder.recorded() if recorder is not None else None)
-
-
-def _assemble_baseline(
-    experiment_config: ExperimentConfig,
-    prep: WorkloadPrep,
-    stats: list[GoldenRunStats],
-) -> GoldenBaseline:
-    """Fold per-run golden stats into the workload's classification baseline.
-
-    Mirrors :meth:`ExperimentRunner.build_baseline` exactly, so fanning the
-    golden runs out across workers changes nothing about the baseline.
-    """
-    expected = ExperimentRunner._expected_replicas(prep.workload)
-    settle_times = [s.settle_time for s in stats if s.settle_time is not None]
-    return GoldenBaseline.from_golden_runs(
-        workload=prep.workload.value,
-        series=[list(s.latency_series) for s in stats],
-        expected_replicas=expected,
-        expected_endpoints=expected,
-        pods_created=[s.pods_created for s in stats],
-        settle_times=settle_times if settle_times else [experiment_config.run_seconds],
-        client_errors=[s.client_errors for s in stats],
+    return GoldenRunStats.of(result), (
+        recorder.recorded() if recorder is not None else None
     )
 
 
@@ -528,7 +496,9 @@ class CampaignExecutor:
                 if job_slot == slot and job.record_fields
             )
             baseline = (
-                _assemble_baseline(self.experiment_config, prep, stats)
+                ExperimentRunner(self.experiment_config).fold_baseline(
+                    prep.workload, stats
+                )
                 if prep.golden_runs > 0
                 else None
             )

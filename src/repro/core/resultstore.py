@@ -236,9 +236,6 @@ class ShardedResultStore:
 
     # ------------------------------------------------------------- manifest
 
-    def _manifest_path(self) -> str:
-        return self.transport.locate(_MANIFEST_NAME)
-
     def has_manifest(self) -> bool:
         """Whether this root holds a result store at all (for the CLI)."""
         return self.transport.stat(_MANIFEST_NAME) is not None

@@ -2,16 +2,36 @@
 
 Nine codes (``MUT001``–``MUT009``) mechanize conventions that previous PRs
 established in docstrings and review — informer ``copy=False`` immutability
-(intraprocedural *and* through the call graph), ShardTransport purity
+(within a function *and* through the call graph), ShardTransport purity
 (direct and transitive), digest determinism (ambient entropy and unsorted
 set/listing iteration), lock discipline, blocking-under-lock, lock-order
 cycles, no swallowed exceptions — plus a hygiene code (``MUT000``) for the
-lint machinery itself.  Since PR 10 a run has two phases: per-file checkers
-over each parsed module (cached incrementally under ``.mutiny-lint-cache/``),
-then whole-program checkers over a conservative project call graph.  A
-findings baseline (``lint-baseline.json``) ratchets adoption: default runs
-fail only on findings not recorded there, and stale entries must be
-removed.  Stdlib-only by design; run via ``repro.cli lint``.
+lint machinery itself.
+
+The design is **one lexical walk**.  Per file (cached incrementally under
+``.mutiny-lint-cache/``), :mod:`~repro.lint.symbols` walks every function
+body exactly once and records, in picklable summaries, everything about
+taint, lock containment, ``self.<attr>`` accesses, imports and call
+targets; nothing else in the package walks a body for those.  The codes
+then fall in two groups:
+
+* **syntactic visitors** — ``MUT003`` (determinism), ``MUT005`` (swallowed
+  exceptions), ``MUT009`` (iteration order): one ``ast.NodeVisitor`` per
+  file, sharing nothing with the walk;
+* **summary consumers** — ``MUT001`` (informer mutation, direct and
+  escaping), ``MUT002`` + ``MUT006`` (one purity checker: zero hops is
+  ``MUT002`` at the primitive, one or more is ``MUT006`` at the call site
+  with the chain), ``MUT004`` (lock discipline), ``MUT007``, ``MUT008``:
+  they run over the project call graph built from the summaries and never
+  see an AST.
+
+A nested ``def`` is a function of its own (``outer.<locals>.inner``) with a
+fresh taint environment and an empty lock context; lambdas and
+comprehensions are skipped as functions — what they contain is attributed
+inline to the function they are written in.  A findings baseline
+(``lint-baseline.json``) ratchets adoption: default runs fail only on
+findings not recorded there, and stale entries must be removed.
+Stdlib-only by design; run via ``repro.cli lint``.
 """
 
 from repro.lint.baseline import BaselineError, BaselineResult

@@ -1,6 +1,6 @@
 """Per-file incremental cache for the lint pipeline.
 
-Phase A of a lint run — parse, per-file checkers, suppression parsing,
+Phase A of a lint run — parse, syntactic checkers, suppression parsing,
 and the :class:`~repro.lint.symbols.ModuleSummary` distillation — is pure
 per file: its outputs depend only on that file's bytes (and the checker
 code itself).  This cache persists exactly those outputs under
@@ -19,9 +19,10 @@ version mismatch is a miss, never an error.
 
 Cached per file: the **raw** (pre-suppression) diagnostics of every file
 checker plus hygiene findings, the parsed suppressions, and the module
-summary.  Suppression filtering and graph checkers run fresh every time —
-they are cheap, and caching post-filter results would couple entries to
-the run's checker selection.
+summary.  Suppression filtering and the summary consumers (MUT001, MUT002,
+MUT004, MUT006–MUT008 — their findings derive from the cached summaries)
+run fresh every time — they are cheap, and caching post-filter results
+would couple entries to the run's checker selection.
 
 Failure policy: the cache is an optimization, never a correctness
 dependency.  Any load problem (corrupt pickle, truncated file, foreign
@@ -42,7 +43,7 @@ from repro.lint.symbols import ModuleSummary
 
 #: Bump on any change to checker behavior, Diagnostic/Suppression/
 #: ModuleSummary shapes, or message wording — stale entries must miss.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Default cache location, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".mutiny-lint-cache"

@@ -5,7 +5,8 @@ in a lint run, the graph answers one question for every recorded call site:
 *which function, if any, does this call enter?*  Resolution is deliberately
 conservative — an edge exists only when the target is unambiguous:
 
-* a bare name that is a function/class of the same module, or an imported
+* a bare name that is a ``def`` nested in the caller or in a scope
+  enclosing it, a function/class of the same module, or an imported
   project symbol (``from repro.core.transport import transport_for``);
 * a dotted path rooted in an imported module that lands on a project
   function or class (``resultstore.result_to_dict(...)``);
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.lint.symbols import (
+    LOCALS,
     OPAQUE_ROOT,
     CallSite,
     ClassSummary,
@@ -142,13 +144,6 @@ class ProjectGraph:
                     queue.append((base_owner, base_class.name))
         return None
 
-    def lock_guarded_of(self, module: str, class_name: str) -> Optional[tuple[str, ...]]:
-        summary = self.modules.get(module)
-        if summary is None:
-            return None
-        klass = summary.classes.get(class_name)
-        return klass.lock_guarded if klass is not None else None
-
     # ------------------------------------------------------- call resolution
 
     def _resolve_dotted(self, dotted: str) -> Resolution:
@@ -206,6 +201,14 @@ class ProjectGraph:
         if call.dotted is not None:
             return self._resolve_dotted(call.dotted)
         if len(chain) == 1:
+            # Innermost scope outward: a ``def`` local to the caller, then
+            # to each function enclosing it, then the module's own.
+            scope = caller.qualname
+            while scope:
+                local = f"{scope}{LOCALS}{root}"
+                if local in module.functions:
+                    return Resolution(PROJECT, f"{module.module}:{local}")
+                scope = scope.rpartition(LOCALS)[0]
             if root in module.functions:
                 return Resolution(PROJECT, f"{module.module}:{root}")
             if root in module.classes:

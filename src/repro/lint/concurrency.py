@@ -1,17 +1,25 @@
-"""Graph checkers: MUT007 blocking-under-lock and MUT008 lock-order.
+"""Lock-family summary consumers: MUT004 lock discipline, MUT007
+blocking-under-lock and MUT008 lock-order.
 
-Both checkers consume the lock facts pass 1 records on every
-:class:`~repro.lint.symbols.FunctionSummary` — which locks are lexically
-held at each call site, and where locks are acquired while others are held
-— and extend them across function boundaries through the call graph.
+All three consume the lock facts pass 1 records on every
+:class:`~repro.lint.symbols.FunctionSummary` — every ``self.<attr>`` access
+with whether ``self._lock`` is held, which locks are lexically held at each
+call site, and where locks are acquired while others are held — and
+MUT007/MUT008 extend them across function boundaries through the call graph.
 
-The lock model is the lexical one the repo already standardizes on
-(MUT004, the ``*_locked`` naming convention): ``with self.<attr>:`` where
-the attribute names a lock, module-level ``with LOCK_NAME:``, and the
-``*_locked`` suffix meaning "caller holds ``self._lock``".  Locks acquired
+The lock model is the lexical one the repo standardizes on:
+``with self.<attr>:`` where the attribute names a lock, module-level
+``with LOCK_NAME:``, and the ``*_locked`` suffix meaning "caller holds
+``self._lock``".  A ``def`` nested in a method runs later, on whichever
+thread calls it, so it starts with an empty lock context.  Locks acquired
 through other receivers are out of the model and out of scope — the point
 is to guard the handful of service/store classes the ROADMAP grows, not to
 be a general race detector.
+
+MUT004 turns the ``self._lock`` convention of the threaded classes into a
+*declaration* the linter enforces: a class opts in with
+``_lock_guarded = ("_campaigns",)`` (or ``()`` for frozen-after-init), and
+every recorded ``self.<attr>`` access of its methods is held to it.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from repro.lint.callgraph import (
 from repro.lint.dataflow import Reachability, call_chain_message, site_suppressed
 from repro.lint.framework import Diagnostic
 from repro.lint.purity_graph import GraphChecker, SuppressionMap
-from repro.lint.symbols import CallSite
+from repro.lint.symbols import SELF_LOCK, CallSite
 
 #: The ShardTransport contract ops (each is a storage round-trip: disk
 #: fsync on POSIX, a conditional HTTP request on the object store).
@@ -83,11 +91,96 @@ def _display_lock(token: str) -> str:
     return token[2:] if token.startswith("G:") else token
 
 
+class LockDisciplineChecker(GraphChecker):
+    docs = {
+        "MUT004": (
+            "Registered lock-guarded attribute accessed off the lock",
+            """\
+Contract (PR 5/7): the threaded classes — `CampaignService` (one registry
+mutated by every concurrent HTTP handler thread plus the rehydration
+thread), `CampaignHandle` (state shared between the caller and a background
+campaign thread), `BatchedShardWriter` (a worker loop's open shard group),
+`SliceLeases` (shared with the heartbeat thread) — keep their mutable state
+consistent by taking `self._lock` around every access.  PR 5 fixed exactly
+this bug class in the heartbeat path; this checker keeps it fixed.
+
+A class registers its guarded attributes:
+
+    class CampaignHandle:
+        _lock_guarded = ("_state", "_result", "_error", "_thread")
+
+and the checker then enforces, in every method:
+
+  * registered attributes are read/written only inside `with self._lock:`
+    (lexically; `__init__` and `*_locked`-suffixed methods are exempt —
+    the former runs before the object is shared, the latter documents
+    caller-holds-the-lock);
+  * no unregistered `self.<attr>` is *assigned* outside `__init__` —
+    threaded-class state is registered and guarded, or it is immutable;
+  * `_lock_guarded = ()` declares a frozen-after-init class (the contract
+    that lets `SliceLeases` be shared lock-free with the heartbeat
+    thread).
+
+Correct pattern for publishing state computed outside the lock:
+
+    thread = threading.Thread(target=..., daemon=True)
+    with self._lock:
+        if self._thread is not None:
+            return self
+        self._thread = thread
+    thread.start()      # local name: no off-lock attribute read
+
+The check is lexical containment, not an escape analysis: a closure built
+under the lock but called later still passes.  Thread-safe primitives
+(`threading.Event`, queues) need no registration — their methods are their
+lock.
+""",
+        ),
+    }
+
+    def run(
+        self, graph: ProjectGraph, suppressions: SuppressionMap
+    ) -> list[Diagnostic]:
+        findings: list[Diagnostic] = []
+        for ref in graph.all_functions():
+            summary = ref.summary
+            if summary.class_name is None:
+                continue
+            klass = graph.modules[ref.module].classes[summary.class_name]
+            guarded = klass.lock_guarded
+            if guarded is None:
+                continue
+            # A def nested in __init__ keeps its right to assign but not
+            # its exemption from the lock — it may run on any thread.
+            in_init = summary.method_name == "__init__"
+            unshared = in_init and summary.is_method
+            for access in summary.self_accesses:
+                if access.attr in guarded:
+                    if access.locked or unshared:
+                        continue
+                    message = (
+                        f"{'write to' if access.write else 'read of'} lock-guarded "
+                        f"attribute 'self.{access.attr}' outside 'with {SELF_LOCK}'"
+                    )
+                elif access.write and not in_init and access.attr != "_lock":
+                    message = (
+                        f"assignment to unregistered attribute 'self.{access.attr}' "
+                        "outside __init__ in a lock-disciplined class; register it "
+                        "in _lock_guarded (and guard it) or set it in __init__ only"
+                    )
+                else:
+                    continue
+                findings.append(
+                    Diagnostic(ref.path, access.line, access.col, "MUT004", message)
+                )
+        return findings
+
+
 class BlockingUnderLockChecker(GraphChecker):
-    code = "MUT007"
-    name = "blocking-under-lock"
-    title = "Blocking call while holding a lock"
-    explanation = """\
+    docs = {
+        "MUT007": (
+            "Blocking call while holding a lock",
+            """\
 Contract: the service and store locks (`CampaignService._lock`,
 `BatchedShardWriter._lock`, the handle locks) serialize *state updates*,
 never I/O.  A `time.sleep`, a ShardTransport contract round-trip (disk fsync
@@ -110,7 +203,9 @@ re-acquire to publish the outcome (re-validating anything that may have
 changed).  Where a design genuinely serializes round-trips under its lock
 (the batched writer's generation chaining), say so with a justified
 inline suppression — that is a recorded decision, not a silent one.
-"""
+""",
+        ),
+    }
 
     def run(
         self, graph: ProjectGraph, suppressions: SuppressionMap
@@ -120,7 +215,7 @@ inline suppression — that is a recorded decision, not a silent one.
         def banned(ref, call, resolution):
             label = blocking_label(call, resolution)
             if label is not None and site_suppressed(
-                suppressions, ref.path, call.line, frozenset({self.code})
+                suppressions, ref.path, call.line, frozenset({"MUT007"})
             ):
                 # A justified suppression at the blocking site is a
                 # recorded design decision; chains reaching it inherit it.
@@ -149,7 +244,7 @@ inline suppression — that is a recorded decision, not a silent one.
                             path=ref.path,
                             line=call.line,
                             column=call.col,
-                            code=self.code,
+                            code="MUT007",
                             message=(
                                 f"blocking {label} while holding {held}; "
                                 "compute under the lock, do I/O outside it"
@@ -173,7 +268,7 @@ inline suppression — that is a recorded decision, not a silent one.
                         path=ref.path,
                         line=call.line,
                         column=call.col,
-                        code=self.code,
+                        code="MUT007",
                         message=(
                             f"call into {callee.summary.qualname!r} while "
                             f"holding {held} reaches blocking "
@@ -250,10 +345,10 @@ class _AcquiredLocks:
 
 
 class LockOrderChecker(GraphChecker):
-    code = "MUT008"
-    name = "lock-order"
-    title = "Two locks acquired in both orders (deadlock-capable cycle)"
-    explanation = """\
+    docs = {
+        "MUT008": (
+            "Two locks acquired in both orders (deadlock-capable cycle)",
+            """\
 Contract: whenever two locks are ever held together, every code path
 acquires them in one global order.  Two threads taking lock A then B and
 B then A respectively can each grab their first lock and wait forever on
@@ -275,7 +370,9 @@ Correct pattern: pick the order (document it on the outer lock's owner),
 or collapse to one lock, or restructure so the second acquisition happens
 after the first lock is released — holding two locks at once is almost
 always a design smell in this codebase's size of critical sections.
-"""
+""",
+        ),
+    }
 
     def run(
         self, graph: ProjectGraph, suppressions: SuppressionMap
@@ -320,7 +417,7 @@ always a design smell in this codebase's size of critical sections.
                     path=edge.path,
                     line=edge.line,
                     column=edge.col,
-                    code=self.code,
+                    code="MUT008",
                     message=(
                         f"lock-order cycle: {_pretty(second)} is acquired "
                         f"while holding {_pretty(first)} here, but "

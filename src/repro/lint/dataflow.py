@@ -166,20 +166,21 @@ def call_chain_message(
 # ---------------------------------------------------------------------------
 
 
-def _callee_param_for_arg(
+def callee_param_for_arg(
     graph: ProjectGraph, resolution: Resolution, arg_position: int
 ) -> Optional[tuple[str, int]]:
     """Map a positional argument to the callee's parameter index.
 
     Bound-method and constructor calls consume the implicit ``self``
-    parameter, so argument *i* lands on parameter *i + 1* there.
+    parameter, so argument *i* lands on parameter *i + 1* there (a closure
+    nested in a method sees ``self`` but does not bind it).
     """
     if resolution.kind != PROJECT:
         return None
     callee = graph.functions.get(resolution.target)
     if callee is None:
         return None
-    offset = 1 if callee.summary.class_name is not None else 0
+    offset = 1 if callee.summary.is_method else 0
     index = arg_position + offset
     if index >= len(callee.summary.params):
         return None  # *args and arity mismatches: conservative no-map
@@ -203,7 +204,7 @@ def mutated_param_set(graph: ProjectGraph) -> dict[tuple[str, int], int]:
                     continue
                 resolution = graph.resolve(module, ref.summary, call)
                 for arg_position, caller_param in call.param_args:
-                    mapped = _callee_param_for_arg(graph, resolution, arg_position)
+                    mapped = callee_param_for_arg(graph, resolution, arg_position)
                     if mapped is None or mapped not in mutated:
                         continue
                     key = (ref.fid, caller_param)

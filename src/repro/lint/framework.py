@@ -16,10 +16,12 @@ the dependency-free CI packaging check.
 Design notes
 ------------
 
-* A **checker** is an :class:`ast.NodeVisitor` subclass with a ``code``
-  (``MUT001`` …), a human ``title``, a long-form ``explanation`` (served by
-  ``repro.cli lint --explain``), and a path scope.  Checkers receive one
-  parsed :class:`LintFile` at a time and return :class:`Diagnostic` items.
+* A syntactic **checker** (MUT003, MUT005, MUT009) is an
+  :class:`ast.NodeVisitor` subclass with a ``code``, a human ``title``, a
+  long-form ``explanation`` (served by ``repro.cli lint --explain``), and
+  a path scope.  Checkers receive one parsed :class:`LintFile` at a time
+  and return :class:`Diagnostic` items.  (The other codes consume the
+  summaries of :mod:`repro.lint.symbols` and never see an AST.)
 * **Suppressions** are inline comments of the form::
 
       # mutiny-lint: disable=MUT003 -- lease liveness is wall-clock by design
@@ -43,7 +45,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Optional
+from typing import ClassVar, Iterable, Optional
 
 #: Code reserved for lint hygiene itself: malformed/unjustified suppressions,
 #: unknown codes in a disable comment, and files the parser cannot read.
@@ -303,21 +305,8 @@ def load_lint_file(
 
 
 # --------------------------------------------------------------------------
-# Shared AST helpers (used by several checkers)
+# Shared AST helper (used by several checkers)
 # --------------------------------------------------------------------------
-
-
-def root_name(node: ast.AST) -> Optional[str]:
-    """The base :class:`ast.Name` id of an attribute/subscript chain.
-
-    ``pod["metadata"]["ownerReferences"].append`` → ``pod``;
-    ``self.x`` → ``self``; a chain rooted in a call returns ``None``.
-    """
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -331,9 +320,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         return ".".join(reversed(parts))
     return None
 
-
-def walk_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    """Every function/async-function definition in the tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

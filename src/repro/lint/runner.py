@@ -3,15 +3,16 @@
 The runner is what ``repro.cli lint`` (and the tests) drive.  Since PR 10
 a run has two phases:
 
-* **Phase A (per file, cacheable)** — parse, run every in-scope *file*
-  checker (MUT001–MUT005, MUT009), parse suppressions, and distill the
-  module into a :class:`~repro.lint.symbols.ModuleSummary`.  All of it
-  depends only on the file's bytes, so results persist in the incremental
-  cache (:mod:`repro.lint.cache`) and a warm run skips parsing entirely.
+* **Phase A (per file, cacheable)** — parse, run every in-scope
+  *syntactic* checker (MUT003, MUT005, MUT009), parse suppressions, and
+  distill the module into a :class:`~repro.lint.symbols.ModuleSummary`
+  (the one lexical walk).  All of it depends only on the file's bytes, so
+  results persist in the incremental cache (:mod:`repro.lint.cache`) and
+  a warm run skips parsing entirely.
 
 * **Phase B (whole program)** — build the project call graph from the
-  summaries and run the *graph* checkers (MUT006–MUT008 plus MUT001's
-  interprocedural escape analysis).  Cheap relative to parsing, and
+  summaries and run the *summary consumers* (MUT001, MUT002, MUT004,
+  MUT006–MUT008).  Cheap relative to parsing, and for most of them
   inherently cross-file, so it runs fresh every time.
 
 Inline suppressions apply to both phases (a graph finding lands on a
@@ -29,7 +30,11 @@ from typing import Iterable, Optional, Sequence, Type
 from repro.lint import baseline as baseline_mod
 from repro.lint.cache import LintCache
 from repro.lint.callgraph import build_graph
-from repro.lint.concurrency import BlockingUnderLockChecker, LockOrderChecker
+from repro.lint.concurrency import (
+    BlockingUnderLockChecker,
+    LockDisciplineChecker,
+    LockOrderChecker,
+)
 from repro.lint.determinism import DeterminismChecker
 from repro.lint.exceptions import SwallowedExceptionChecker
 from repro.lint.framework import (
@@ -40,36 +45,32 @@ from repro.lint.framework import (
     is_suppressed,
     load_lint_file,
 )
-from repro.lint.informer import InformerMutationChecker
 from repro.lint.iteration import NondeterministicIterationChecker
-from repro.lint.locks import LockDisciplineChecker
 from repro.lint.purity_graph import (
     GraphChecker,
-    InformerEscapeChecker,
-    InterproceduralPurityChecker,
-)
-from repro.lint.symbols import ModuleSummary, index_module
-from repro.lint.transport_purity import TransportPurityChecker
-
-#: Every per-file checker, in code order.  MUT000 is not a checker — it is
-#: the hygiene code emitted by the framework itself (unparseable files, bad
-#: suppression comments) and is documented via :data:`EXPLANATIONS`.
-ALL_CHECKERS: tuple[Type[Checker], ...] = (
     InformerMutationChecker,
     TransportPurityChecker,
+)
+from repro.lint.symbols import ModuleSummary, index_module
+
+#: Every per-file syntactic checker, in code order.  MUT000 is not a
+#: checker — it is the hygiene code emitted by the framework itself
+#: (unparseable files, bad suppression comments) and is documented via
+#: :data:`EXPLANATIONS`.
+ALL_CHECKERS: tuple[Type[Checker], ...] = (
     DeterminismChecker,
-    LockDisciplineChecker,
     SwallowedExceptionChecker,
     NondeterministicIterationChecker,
 )
 
-#: Every whole-program checker (phase B).  InformerEscapeChecker shares
-#: MUT001 with the file checker — same contract, interprocedural lens.
+#: Every summary consumer (phase B).  TransportPurityChecker emits two
+#: codes: MUT002 at zero hops, MUT006 through the call graph.
 GRAPH_CHECKERS: tuple[Type[GraphChecker], ...] = (
-    InterproceduralPurityChecker,
+    InformerMutationChecker,
+    TransportPurityChecker,
+    LockDisciplineChecker,
     BlockingUnderLockChecker,
     LockOrderChecker,
-    InformerEscapeChecker,
 )
 
 HYGIENE_EXPLANATION = """\
@@ -98,10 +99,13 @@ the comment or the file.
 EXPLANATIONS: dict[str, str] = {HYGIENE_CODE: HYGIENE_EXPLANATION}
 #: code -> one-line title (for listings).
 TITLES: dict[str, str] = {HYGIENE_CODE: "Lint hygiene (bad suppression / unreadable file)"}
-for _checker in (*ALL_CHECKERS, *GRAPH_CHECKERS):
-    if _checker.title:  # InformerEscapeChecker defers MUT001's docs
-        EXPLANATIONS[_checker.code] = _checker.explanation
-        TITLES[_checker.code] = _checker.title
+for _checker in ALL_CHECKERS:
+    EXPLANATIONS[_checker.code] = _checker.explanation
+    TITLES[_checker.code] = _checker.title
+for _graph_checker in GRAPH_CHECKERS:
+    for _code, (_title, _explanation) in _graph_checker.docs.items():
+        EXPLANATIONS[_code] = _explanation
+        TITLES[_code] = _title
 
 KNOWN_CODES: tuple[str, ...] = tuple(sorted(TITLES))
 
@@ -228,7 +232,7 @@ def _phase_a(
     relparts: tuple[str, ...],
     cache: Optional[LintCache],
 ) -> tuple[list[Diagnostic], list[Suppression], Optional[ModuleSummary]]:
-    """Parse + file checkers + summary for one file, cache-aware.
+    """Parse + syntactic checkers + summary for one file, cache-aware.
 
     Raw (pre-suppression) diagnostics of *every* in-scope file checker are
     produced regardless of the run's ``--codes`` selection, so one cache
@@ -288,13 +292,15 @@ def lint_paths(
                 continue
             collected.append(diagnostic)
     graph_checkers = [
-        checker for checker in GRAPH_CHECKERS if checker.code in selected
+        checker
+        for checker in GRAPH_CHECKERS
+        if any(code in selected for code in checker.docs)
     ]
     if graph_checkers and summaries:
         graph = build_graph(summaries)
         for graph_checker in graph_checkers:
             for diagnostic in graph_checker().run(graph, suppressions_by_path):
-                if not is_suppressed(
+                if diagnostic.code in selected and not is_suppressed(
                     suppressions_by_path.get(diagnostic.path, []), diagnostic
                 ):
                     collected.append(diagnostic)

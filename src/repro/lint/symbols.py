@@ -1,40 +1,52 @@
-"""Whole-program pass 1: per-module symbol tables and function summaries.
+"""Whole-program pass 1: the one lexical walk over every function body.
 
-PR 8's checkers were strictly intraprocedural — one ``ast.NodeVisitor`` per
-file, no knowledge of what a called helper does.  That is exactly the hole
-the Mutiny paper warns about: failures propagate through *chains* of
-components, and a contract checker that cannot see chains misses the
+The Mutiny paper's warning is that failures propagate through *chains* of
+components, so a contract checker that cannot see chains misses the
 defects that matter (a helper doing raw I/O on behalf of
 ``resultstore.py``, a blocking call three frames below a ``with
-self._lock:``).
+self._lock:``).  This module is the only code in the package that walks a
+function body for taint, lock containment or call targets; every checker
+that needs those facts (MUT001, MUT002, MUT004, MUT006–MUT008) is a
+*consumer* of the summaries produced here.
 
-This module is the first of the two whole-program passes: it distills each
-parsed module into a :class:`ModuleSummary` — classes, bases, methods,
-module-level functions, import aliases, and a per-function
-:class:`FunctionSummary` of everything the interprocedural checkers need:
+Each parsed module is distilled into a :class:`ModuleSummary` — classes,
+bases, the ``_lock_guarded`` declaration, import aliases and the site of
+every import at any nesting depth — plus one :class:`FunctionSummary` per
+function, recording:
 
 * every call site, with its attribute chain, its import-resolved dotted
-  target when the root is an imported name, the lock(s) lexically held at
-  the call, which positional arguments carry MUT001 ``copy=False`` taint,
-  and which arguments are the caller's own parameters (for transitive
-  parameter-mutation analysis);
+  target when the root is an imported name (module-level *or*
+  function-local import), the lock(s) lexically held at the call, which
+  positional arguments carry ``copy=False`` taint, and which are the
+  caller's own parameters;
 * every lock acquisition (``with self._lock:`` / ``with GLOBAL_LOCK:``)
-  with the locks already held at that point — the edges of the per-class
-  lock-order graph (MUT008);
-* which of the function's parameters the body mutates in place, so the
-  call graph can answer "does passing a tainted reference here mutate it?"
-  (the MUT001 interprocedural hole).
+  with the locks already held at that point;
+* which parameters the body mutates in place, and every in-place mutation
+  through a ``copy=False``-tainted name (the events MUT001 reports);
+* every ``self.<attr>`` read and write with whether ``self._lock`` is held
+  (what MUT004 checks against the class's declaration).
+
+What counts as a function:
+
+* module-level statements (and class bodies, which run at import) form the
+  ``<module>`` pseudo-function of their file;
+* a nested ``def`` is a function of its own, ``outer.<locals>.inner``,
+  with a **fresh taint environment and an empty lock context** (it runs
+  later, on whichever thread calls it) but its enclosing scope's imports
+  and — inside a method — its class, so ``self.m()`` in a closure resolves;
+* lambdas and comprehensions are *not* functions: they get no summary and
+  no call-graph node, and what is written inside them is attributed inline
+  to the enclosing function, under its lock context.
 
 Summaries are plain picklable data — no AST nodes — so the incremental
 cache (:mod:`repro.lint.cache`) can persist them per file and a warm run
-skips parsing entirely; only the cheap cross-file graph analysis re-runs.
+skips parsing entirely; only the cheap cross-file consumers re-run.
 
 Documented approximations (conservative by design):
 
-* nested function and lambda bodies are *not* summarized — they execute
-  later, on an unknown thread, so attributing their calls to the enclosing
-  function's lock context would be wrong more often than right;
 * only positional arguments participate in taint/parameter mapping;
+* a function sees every import of its enclosing scopes regardless of
+  statement order;
 * a method called as ``self.m(...)`` / ``cls.m(...)`` is resolvable; a
   call through any other receiver (``obj.m(...)``) is an *unknown callee*
   — the graph records the chain for heuristics but follows no edge.
@@ -44,11 +56,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, TypeGuard, Union
 
 from repro.lint.framework import LintFile
 
-#: Methods whose call mutates their receiver in place (mirrors MUT001).
+#: Methods whose call mutates their receiver in place.
 MUTATING_METHODS = frozenset(
     {
         "append", "extend", "insert", "remove", "pop", "popitem", "clear",
@@ -62,6 +74,18 @@ CACHE_READERS = frozenset({"get", "list"})
 #: Placeholder root for a call/attribute chain rooted in a non-Name
 #: expression (a call result, a subscript, ...).
 OPAQUE_ROOT = "<expr>"
+
+#: Name and qualname of the pseudo-function holding module-level statements.
+MODULE_SCOPE = "<module>"
+
+#: Qualname separator between a function and the ``def``s nested in it.
+LOCALS = ".<locals>."
+
+#: The lock token MUT004's discipline (and the ``*_locked`` caller-holds-
+#: the-lock naming convention) is defined against.
+SELF_LOCK = "self._lock"
+
+_FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def is_lock_name(name: str) -> bool:
@@ -110,11 +134,53 @@ class LockAcquire:
 
 
 @dataclass(frozen=True)
+class TaintMutation:
+    """One in-place mutation through a ``copy=False``-tainted name."""
+
+    line: int
+    col: int
+    #: ``"item/attribute assignment"``, ``"del"``, ``"augmented
+    #: assignment"`` or ``"mutating call .<method>()"``.
+    action: str
+    name: str
+    read_line: int  # line of the ``copy=False`` read the taint came from
+    #: ``False`` for ``name += ...`` on the tainted name itself, ``True``
+    #: for a mutation through an attribute/item/method of it.
+    through: bool = True
+
+
+@dataclass(frozen=True)
+class SelfAccess:
+    """One ``self.<attr>`` read or write inside a method (or a ``def``
+    nested in one)."""
+
+    line: int
+    col: int
+    attr: str
+    write: bool
+    locked: bool  # lexically inside ``with self._lock:`` (or ``*_locked``)
+
+
+@dataclass(frozen=True)
+class ImportSite:
+    """One ``import`` / ``from ... import`` statement, at any depth."""
+
+    line: int
+    col: int
+    #: The ``from`` module as written (``""`` when absent); ``None`` for a
+    #: plain ``import a, b``, whose module names are then in :attr:`names`.
+    module: Optional[str]
+    names: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class FunctionSummary:
-    """Everything the interprocedural checkers need about one function."""
+    """Everything the summary consumers need about one function."""
 
     name: str
-    qualname: str  # "Class.method" or "function"
+    #: ``function``, ``Class.method``, ``outer.<locals>.inner`` or
+    #: :data:`MODULE_SCOPE`.
+    qualname: str
     line: int
     col: int
     params: tuple[str, ...]  # positional parameters, in order (incl. self)
@@ -122,12 +188,30 @@ class FunctionSummary:
     lock_acquires: tuple[LockAcquire, ...] = ()
     #: ``(parameter_index, line)`` for parameters the body mutates in place.
     mutated_params: tuple[tuple[int, int], ...] = ()
+    taint_mutations: tuple[TaintMutation, ...] = ()
+    self_accesses: tuple[SelfAccess, ...] = ()
+    #: The class whose ``self`` the body sees: a method's own class, and
+    #: the enclosing method's class for a ``def`` nested in a method.
     class_name: Optional[str] = None
+
+    @property
+    def method_name(self) -> Optional[str]:
+        """The method of :attr:`class_name` the body is written in: its own
+        name, or the enclosing method's for a ``def`` nested in one."""
+        if self.class_name is None:
+            return None
+        return self.qualname[len(self.class_name) + 1 :].partition(LOCALS)[0]
+
+    @property
+    def is_method(self) -> bool:
+        """A direct method of :attr:`class_name` (calls bind ``self``), as
+        opposed to a closure that merely captures it."""
+        return self.qualname == f"{self.class_name}.{self.name}"
 
 
 @dataclass
 class ClassSummary:
-    name: str
+    name: str  # qualname: ``Class``, ``Outer.Inner``, ``f.<locals>.Class``
     line: int
     #: Base-class references: plain names (same module) or import-resolved
     #: dotted paths; unresolvable bases are kept verbatim and simply fail
@@ -145,7 +229,11 @@ class ModuleSummary:
     module: str  # dotted module name, e.g. "repro.core.resultstore"
     path: str
     relparts: tuple[str, ...]
-    imports: dict[str, str] = field(default_factory=dict)
+    imports: dict[str, str] = field(default_factory=dict)  # module level
+    import_sites: list[ImportSite] = field(default_factory=list)
+    #: Keyed by qualname: module-level functions under their plain name,
+    #: nested ``def``s as ``outer.<locals>.inner``, module-level statements
+    #: as :data:`MODULE_SCOPE`.
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
 
@@ -203,11 +291,12 @@ def attribute_chain(node: ast.AST) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Function-body indexing
+# The walk
 # ---------------------------------------------------------------------------
 
 
 def _is_copy_false_read(node: ast.AST) -> bool:
+    """``<obj>.get(..., copy=False)`` or ``<obj>.list(..., copy=False)``."""
     if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
         return False
     if node.func.attr not in CACHE_READERS:
@@ -219,13 +308,16 @@ def _is_copy_false_read(node: ast.AST) -> bool:
 
 
 def _is_deep_copy_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    if isinstance(node.func, ast.Name):
-        return node.func.id == "deep_copy"
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr == "deep_copy"
-    return False
+    """``deep_copy(...)`` or ``<anything>.deep_copy(...)``."""
+    return isinstance(node, ast.Call) and attribute_chain(node.func)[-1] == "deep_copy"
+
+
+def _is_self_attribute(node: ast.AST) -> TypeGuard[ast.Attribute]:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
 
 
 def _lock_token(expr: ast.expr) -> Optional[str]:
@@ -234,247 +326,11 @@ def _lock_token(expr: ast.expr) -> Optional[str]:
     Recognized: ``self.<attr>`` where the attr names a lock, and a bare
     module-level ``NAME`` that names a lock.
     """
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-        and is_lock_name(expr.attr)
-    ):
+    if _is_self_attribute(expr) and is_lock_name(expr.attr):
         return f"self.{expr.attr}"
     if isinstance(expr, ast.Name) and is_lock_name(expr.id):
         return f"G:{expr.id}"
     return None
-
-
-class _FunctionIndexer:
-    """Walks one function body collecting calls, locks, taint, mutations.
-
-    The walk is sequential and lexical: statements in source order, one
-    taint environment per function, ``with``-lock containment tracked as a
-    stack.  Nested function/lambda bodies are skipped entirely (deferred
-    execution — see the module docstring).
-    """
-
-    def __init__(self, imports: dict[str, str], params: tuple[str, ...]):
-        self.imports = imports
-        self.params = params
-        self.param_index = {name: index for index, name in enumerate(params)}
-        self.calls: list[CallSite] = []
-        self.acquires: list[LockAcquire] = []
-        self.mutated: dict[int, int] = {}  # param index -> first mutation line
-        self._tainted: set[str] = set()  # names carrying "ref" taint
-        self._element_tainted: set[str] = set()  # fresh containers of refs
-
-    # -------------------------------------------------------------- statements
-
-    def walk(self, statements: list[ast.stmt], held: tuple[str, ...]) -> None:
-        for statement in statements:
-            self._statement(statement, held)
-
-    def _statement(self, node: ast.stmt, held: tuple[str, ...]) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # deferred execution / separate scope
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            inner = held
-            for item in node.items:
-                self._expression(item.context_expr, inner)
-                token = _lock_token(item.context_expr)
-                if token is not None:
-                    self.acquires.append(
-                        LockAcquire(
-                            line=item.context_expr.lineno,
-                            col=item.context_expr.col_offset + 1,
-                            lock=token,
-                            held=inner,
-                        )
-                    )
-                    inner = (*inner, token)
-            self.walk(node.body, inner)
-            return
-        if isinstance(node, ast.Assign):
-            self._expression(node.value, held)
-            taint = self._taint_of(node.value)
-            for target in node.targets:
-                self._assign_target(target, taint, held)
-            return
-        if isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                self._expression(node.value, held)
-                self._assign_target(node.target, self._taint_of(node.value), held)
-            return
-        if isinstance(node, ast.AugAssign):
-            self._expression(node.value, held)
-            self._mutation_target(node.target)
-            return
-        if isinstance(node, ast.Delete):
-            for target in node.targets:
-                self._mutation_target(target)
-            return
-        if isinstance(node, ast.For):
-            self._expression(node.iter, held)
-            iter_taint = self._taint_of(node.iter)
-            # Iterating either taint kind yields cache references.
-            self._assign_target(node.target, "ref" if iter_taint else None, held)
-            self.walk(node.body, held)
-            self.walk(node.orelse, held)
-            return
-        if isinstance(node, ast.Try):
-            self.walk(node.body, held)
-            for handler in node.handlers:
-                self.walk(handler.body, held)
-            self.walk(node.orelse, held)
-            self.walk(node.finalbody, held)
-            return
-        # Generic compound statements (If, While, Match, Expr, Return, ...):
-        # recurse into nested statement lists, scan expressions for calls.
-        for _field, value in ast.iter_fields(node):
-            if isinstance(value, list):
-                statements = [item for item in value if isinstance(item, ast.stmt)]
-                if statements:
-                    self.walk(statements, held)
-                for item in value:
-                    if isinstance(item, ast.expr):
-                        self._expression(item, held)
-            elif isinstance(value, ast.expr):
-                self._expression(value, held)
-            elif isinstance(value, ast.stmt):
-                self._statement(value, held)
-
-    # ------------------------------------------------------------------ taint
-
-    def _taint_of(self, value: ast.expr) -> Optional[str]:
-        """``"ref"``/``"elements"`` taint carried by a value, or ``None``."""
-        if _is_deep_copy_call(value):
-            return None
-        if _is_copy_false_read(value):
-            return "ref"
-        if isinstance(value, ast.Name):
-            if value.id in self._tainted:
-                return "ref"
-            if value.id in self._element_tainted:
-                return "elements"
-        if isinstance(value, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            if _is_deep_copy_call(value.elt):
-                return None
-            for generator in value.generators:
-                if self._taint_of(generator.iter) is not None:
-                    return "elements"
-        return None
-
-    def _assign_target(
-        self, target: ast.expr, taint: Optional[str], held: tuple[str, ...]
-    ) -> None:
-        if isinstance(target, ast.Name):
-            self._tainted.discard(target.id)
-            self._element_tainted.discard(target.id)
-            # A rebound parameter name no longer aliases the caller's
-            # object (``p = deep_copy(p)`` is the sanctioned pattern):
-            # later mutations through it are not parameter mutations.
-            self.param_index.pop(target.id, None)
-            if taint == "ref":
-                self._tainted.add(target.id)
-            elif taint == "elements":
-                self._element_tainted.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._assign_target(element, taint, held)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            self._mutation_target(target)
-            self._expression(target, held)
-
-    def _mutation_target(self, target: ast.expr) -> None:
-        """Record in-place mutation of a parameter through attr/item access."""
-        node: ast.AST = target
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        if isinstance(node, ast.Name):
-            index = self.param_index.get(node.id)
-            # A bare rebind (``p = ...``) is not a mutation; only attribute
-            # or item access through the parameter is.
-            if index is not None and node is not target:
-                self.mutated.setdefault(index, target.lineno)
-
-    # ------------------------------------------------------------ expressions
-
-    def _expression(self, node: ast.expr, held: tuple[str, ...]) -> None:
-        """Collect every call in an expression tree (skipping deferred defs)."""
-        for child in ast.walk(node):
-            if isinstance(child, ast.Lambda):
-                continue
-            if isinstance(child, ast.Call):
-                self._record_call(child, held)
-
-    def _record_call(self, node: ast.Call, held: tuple[str, ...]) -> None:
-        chain = attribute_chain(node.func)
-        dotted: Optional[str] = None
-        root = chain[0]
-        if root != OPAQUE_ROOT and root in self.imports and len(chain) >= 1:
-            dotted = ".".join((self.imports[root], *chain[1:]))
-        tainted: list[int] = []
-        param_args: list[tuple[int, int]] = []
-        for position, argument in enumerate(node.args):
-            if isinstance(argument, ast.Name):
-                if argument.id in self._tainted:
-                    tainted.append(position)
-                param = self.param_index.get(argument.id)
-                if param is not None:
-                    param_args.append((position, param))
-        # A mutating method call through a parameter is a direct mutation.
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in MUTATING_METHODS
-        ):
-            self._mutation_target(node.func)
-        self.calls.append(
-            CallSite(
-                line=node.lineno,
-                col=node.col_offset + 1,
-                chain=chain,
-                dotted=dotted,
-                tainted_args=tuple(tainted),
-                param_args=tuple(param_args),
-                held_locks=held,
-            )
-        )
-
-
-# ---------------------------------------------------------------------------
-# Module indexing
-# ---------------------------------------------------------------------------
-
-
-def _positional_params(
-    node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
-) -> tuple[str, ...]:
-    arguments = node.args
-    return tuple(a.arg for a in (*arguments.posonlyargs, *arguments.args))
-
-
-def _summarize_function(
-    node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
-    imports: dict[str, str],
-    class_name: Optional[str],
-) -> FunctionSummary:
-    params = _positional_params(node)
-    indexer = _FunctionIndexer(imports, params)
-    # The *_locked suffix is the repo's caller-holds-the-lock convention
-    # (see MUT004): treat the whole body as holding self._lock.
-    initial: tuple[str, ...] = ()
-    if class_name is not None and node.name.endswith("_locked"):
-        initial = ("self._lock",)
-    indexer.walk(node.body, initial)
-    qualname = f"{class_name}.{node.name}" if class_name else node.name
-    return FunctionSummary(
-        name=node.name,
-        qualname=qualname,
-        line=node.lineno,
-        col=node.col_offset + 1,
-        params=params,
-        calls=tuple(indexer.calls),
-        lock_acquires=tuple(indexer.acquires),
-        mutated_params=tuple(sorted(indexer.mutated.items())),
-        class_name=class_name,
-    )
 
 
 def _lock_guarded_declaration(node: ast.ClassDef) -> Optional[tuple[str, ...]]:
@@ -506,58 +362,389 @@ def _base_reference(expr: ast.expr, imports: dict[str, str]) -> Optional[str]:
     return ".".join(chain)
 
 
-def index_module(lint_file: LintFile) -> ModuleSummary:
-    """Distill one parsed file into its :class:`ModuleSummary`."""
-    module = module_name_for(lint_file.relparts)
-    summary = ModuleSummary(
-        module=module, path=lint_file.path, relparts=lint_file.relparts
-    )
-    for node in lint_file.tree.body:
-        _index_statement(node, summary)
-    return summary
+#: ``(line_of_the_copy_false_read, kind)``.  Kind ``"ref"``: the name is
+#: (or may be) a cache reference — any in-place mutation is a MUT001 event.
+#: Kind ``"elements"``: the name is a fresh container whose *elements* are
+#: cache refs — mutating the container is fine, but iterating it yields
+#: ``"ref"``-tainted names.
+_Taint = tuple[int, str]
 
 
-def _index_statement(node: ast.stmt, summary: ModuleSummary) -> None:
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            target = alias.name if alias.asname else alias.name.split(".")[0]
-            summary.imports[bound] = target
-    elif isinstance(node, ast.ImportFrom):
-        base = (
-            _resolve_relative(summary.module, node.level, node.module)
-            if node.level
-            else (node.module or "")
-        )
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            bound = alias.asname or alias.name
-            summary.imports[bound] = f"{base}.{alias.name}" if base else alias.name
-    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        summary.functions[node.name] = _summarize_function(
-            node, summary.imports, class_name=None
-        )
-    elif isinstance(node, ast.ClassDef):
+class _ScopeIndexer:
+    """Walks one function body (or a module's top level) into a
+    :class:`FunctionSummary`.
+
+    The walk is sequential and lexical: statements in source order, one
+    taint environment per function, ``with``-lock containment tracked as a
+    stack.  ``def``s met on the way are queued and indexed as functions of
+    their own once the enclosing body is done (so they see all of its
+    imports); class bodies are walked inline — they execute with the
+    enclosing scope — and only their methods are queued.
+    """
+
+    def __init__(
+        self,
+        module: ModuleSummary,
+        imports: dict[str, str],
+        qualname: str,
+        params: tuple[str, ...],
+        class_name: Optional[str],
+    ):
+        self.module = module
+        self.qualname = qualname
+        self.params = params
+        #: Shared with the enclosing scope until this scope imports
+        #: something itself (copy-on-write); the module scope owns its dict.
+        self.imports = imports
+        self._owns_imports = qualname == MODULE_SCOPE
+        self.class_name = class_name
+        self.param_index = {name: index for index, name in enumerate(params)}
+        self.calls: list[CallSite] = []
+        self.acquires: list[LockAcquire] = []
+        self.mutated: dict[int, int] = {}  # param index -> first mutation line
+        self.taint_mutations: list[TaintMutation] = []
+        self.accesses: list[SelfAccess] = []
+        self._taint: dict[str, _Taint] = {}
+        #: Qualname prefix of definitions nested directly in this scope.
+        self._prefix = "" if qualname == MODULE_SCOPE else f"{qualname}{LOCALS}"
+        #: The class whose body is being walked inline, if any.
+        self._owner: Optional[ClassSummary] = None
+        self._deferred: list[tuple[_FunctionNode, Optional[ClassSummary]]] = []
+
+    # -------------------------------------------------------------- statements
+
+    def walk(self, statements: list[ast.stmt], held: tuple[str, ...]) -> None:
+        for statement in statements:
+            self._statement(statement, held)
+
+    def _statement(self, node: ast.stmt, held: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # Decorators and defaults run now, in this scope; the body
+            # runs later, as a function of its own.
+            arguments = node.args
+            for expr in (
+                *node.decorator_list, *arguments.defaults, *arguments.kw_defaults
+            ):
+                if expr is not None:
+                    self._expression(expr, held)
+            self._deferred.append((node, self._owner))
+        elif isinstance(node, ast.ClassDef):
+            self._class(node, held)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            self._import(node)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            inner = held
+            for item in node.items:
+                self._expression(item.context_expr, inner)
+                token = _lock_token(item.context_expr)
+                if token is not None:
+                    self.acquires.append(
+                        LockAcquire(
+                            line=item.context_expr.lineno,
+                            col=item.context_expr.col_offset + 1,
+                            lock=token,
+                            held=inner,
+                        )
+                    )
+                    inner = (*inner, token)
+                if item.optional_vars is not None:
+                    self._assign_target(item.optional_vars, None, inner)
+            self.walk(node.body, inner)
+        elif isinstance(node, ast.Assign):
+            self._expression(node.value, held)
+            taint = self._taint_of(node.value)
+            for target in node.targets:
+                self._assign_target(target, taint, held)
+        elif isinstance(node, ast.AnnAssign):
+            if node.value is not None:
+                self._expression(node.value, held)
+                self._assign_target(node.target, self._taint_of(node.value), held)
+        elif isinstance(node, ast.AugAssign):
+            self._expression(node.value, held)
+            self._store(node.target, held, "augmented assignment")
+        elif isinstance(node, ast.Delete):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self._taint.pop(target.id, None)
+                else:
+                    self._mutation(target, "del")
+                    self._expression(target, held)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            self._expression(node.iter, held)
+            taint = self._taint_of(node.iter)
+            # Iterating either taint kind yields cache references: items of
+            # a copy=False list are refs, and so are items of a fresh
+            # container built from one.
+            self._assign_target(
+                node.target, (taint[0], "ref") if taint is not None else None, held
+            )
+            self.walk(node.body, held)
+            self.walk(node.orelse, held)
+        else:
+            self._compound(node, held)
+
+    def _compound(self, node: ast.AST, held: tuple[str, ...]) -> None:
+        """Every other statement (If, While, Try, Match, Expr, Return, ...)
+        and its handler/case clauses: nested statements are walked, their
+        expressions scanned, in field order."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                self._statement(child, held)
+            elif isinstance(child, ast.expr):
+                self._expression(child, held)
+            elif isinstance(child, (ast.excepthandler, ast.match_case)):
+                self._compound(child, held)
+
+    def _class(self, node: ast.ClassDef, held: tuple[str, ...]) -> None:
+        for expr in (
+            *node.decorator_list, *node.bases, *(k.value for k in node.keywords)
+        ):
+            self._expression(expr, held)
         klass = ClassSummary(
-            name=node.name,
+            name=self._qualname_of(node.name, self._owner),
             line=node.lineno,
             bases=tuple(
                 reference
                 for base in node.bases
-                if (reference := _base_reference(base, summary.imports)) is not None
+                if (reference := _base_reference(base, self.imports)) is not None
             ),
             lock_guarded=_lock_guarded_declaration(node),
         )
-        for statement in node.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                klass.methods[statement.name] = _summarize_function(
-                    statement, summary.imports, class_name=node.name
+        self.module.classes[klass.name] = klass
+        outer, self._owner = self._owner, klass
+        self.walk(node.body, held)
+        self._owner = outer
+
+    def _import(self, node: Union[ast.Import, ast.ImportFrom]) -> None:
+        if not self._owns_imports:
+            self.imports = dict(self.imports)
+            self._owns_imports = True
+        names = tuple(alias.name for alias in node.names)
+        if isinstance(node, ast.Import):
+            module = None
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                self.imports[bound] = target
+        else:
+            module = node.module or ""
+            base = (
+                _resolve_relative(self.module.module, node.level, node.module)
+                if node.level
+                else module
+            )
+            for alias in node.names:
+                if alias.name != "*":
+                    self.imports[alias.asname or alias.name] = (
+                        f"{base}.{alias.name}" if base else alias.name
+                    )
+        self.module.import_sites.append(
+            ImportSite(node.lineno, node.col_offset + 1, module, names)
+        )
+
+    # ------------------------------------------------------------------ taint
+
+    def _taint_of(self, value: ast.expr) -> Optional[_Taint]:
+        """The taint a value expression carries, or ``None``."""
+        if _is_deep_copy_call(value):
+            return None
+        if _is_copy_false_read(value):
+            return (value.lineno, "ref")
+        if isinstance(value, ast.Name):
+            return self._taint.get(value.id)
+        if isinstance(value, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            # A comprehension over a tainted iterable builds a *fresh*
+            # container whose items are cache refs — unless every element
+            # is routed through deep_copy.
+            if _is_deep_copy_call(value.elt):
+                return None
+            for generator in value.generators:
+                taint = self._taint_of(generator.iter)
+                if taint is not None:
+                    return (taint[0], "elements")
+        return None
+
+    def _assign_target(
+        self, target: ast.expr, taint: Optional[_Taint], held: tuple[str, ...]
+    ) -> None:
+        if isinstance(target, ast.Name):
+            # A rebound parameter name no longer aliases the caller's
+            # object (``p = deep_copy(p)`` is the sanctioned pattern):
+            # later mutations through it are not parameter mutations.
+            self.param_index.pop(target.id, None)
+            if taint is None:
+                self._taint.pop(target.id, None)
+            else:
+                self._taint[target.id] = taint
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._assign_target(element, taint, held)
+        elif isinstance(target, (ast.Attribute, ast.Subscript)):
+            self._store(target, held, "item/attribute assignment")
+
+    def _store(self, target: ast.expr, held: tuple[str, ...], action: str) -> None:
+        """An in-place write (``x.a = v``, ``x[k] += v``, ``x += v``): a
+        mutation of whatever name roots the target, and a write of
+        ``self.<attr>`` when that is what (possibly under subscripts,
+        ``self.d[k] = v``) is assigned."""
+        self._mutation(target, action)
+        attribute = target
+        while isinstance(attribute, ast.Subscript):
+            attribute = attribute.value
+        written = None
+        if self.class_name is not None and _is_self_attribute(attribute):
+            written = attribute
+            self.accesses.append(
+                SelfAccess(
+                    target.lineno, target.col_offset + 1, attribute.attr,
+                    write=True, locked=SELF_LOCK in held,
                 )
-        summary.classes[node.name] = klass
-    elif isinstance(node, (ast.If, ast.Try)):
-        # Conditional imports / definitions at module level (the common
-        # ``try: import x`` pattern) still contribute symbols.
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt):
-                _index_statement(child, summary)
+            )
+        self._expression(target, held, skip=written)
+
+    def _mutation(self, target: ast.expr, action: str) -> None:
+        """Record an in-place mutation through ``target`` against the name
+        that roots it: a parameter (for the interprocedural fixpoint)
+        and/or a ``copy=False`` reference (a MUT001 event)."""
+        root: ast.AST = target
+        while isinstance(root, (ast.Attribute, ast.Subscript)):
+            root = root.value
+        if not isinstance(root, ast.Name):
+            return
+        through = root is not target  # False only for ``name += ...``
+        index = self.param_index.get(root.id)
+        if index is not None and through:
+            self.mutated.setdefault(index, target.lineno)
+        taint = self._taint.get(root.id)
+        if taint is not None and taint[1] == "ref":
+            self.taint_mutations.append(
+                TaintMutation(
+                    target.lineno, target.col_offset + 1, action, root.id,
+                    read_line=taint[0], through=through,
+                )
+            )
+
+    # ------------------------------------------------------------ expressions
+
+    def _expression(
+        self,
+        node: ast.expr,
+        held: tuple[str, ...],
+        skip: Optional[ast.AST] = None,
+    ) -> None:
+        """Collect every call and ``self.<attr>`` read in an expression
+        tree, lambda and comprehension bodies included (``skip`` is the
+        attribute node the caller already recorded as a write)."""
+        in_class = self.class_name is not None
+        for child in ast.walk(node):
+            if isinstance(child, ast.Call):
+                self._record_call(child, held)
+            elif in_class and child is not skip and _is_self_attribute(child):
+                self.accesses.append(
+                    SelfAccess(
+                        child.lineno, child.col_offset + 1, child.attr,
+                        write=False, locked=SELF_LOCK in held,
+                    )
+                )
+
+    def _record_call(self, node: ast.Call, held: tuple[str, ...]) -> None:
+        chain = attribute_chain(node.func)
+        dotted: Optional[str] = None
+        root = chain[0]
+        if root != OPAQUE_ROOT and root in self.imports:
+            dotted = ".".join((self.imports[root], *chain[1:]))
+        tainted: list[int] = []
+        param_args: list[tuple[int, int]] = []
+        for position, argument in enumerate(node.args):
+            if isinstance(argument, ast.Name):
+                taint = self._taint.get(argument.id)
+                if taint is not None and taint[1] == "ref":
+                    tainted.append(position)
+                param = self.param_index.get(argument.id)
+                if param is not None:
+                    param_args.append((position, param))
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATING_METHODS
+        ):
+            self._mutation(node.func, f"mutating call .{node.func.attr}()")
+        self.calls.append(
+            CallSite(
+                line=node.lineno,
+                col=node.col_offset + 1,
+                chain=chain,
+                dotted=dotted,
+                tainted_args=tuple(tainted),
+                param_args=tuple(param_args),
+                held_locks=held,
+            )
+        )
+
+    # ------------------------------------------------------------- definitions
+
+    def _qualname_of(self, name: str, owner: Optional[ClassSummary]) -> str:
+        """Qualname of a definition in this scope (in ``owner``'s body)."""
+        if owner is not None:
+            return f"{owner.name}.{name}"
+        return f"{self._prefix}{name}"
+
+    def summarize(self, name: str, line: int, col: int) -> FunctionSummary:
+        """The walked scope's summary; indexes the queued ``def``s first."""
+        for node, owner in self._deferred:
+            child_qualname = self._qualname_of(node.name, owner)
+            child = _index_function(
+                self.module,
+                self.imports,
+                node,
+                child_qualname,
+                owner.name if owner is not None else self.class_name,
+                is_method=owner is not None,
+            )
+            if owner is not None:
+                owner.methods[node.name] = child
+            else:
+                self.module.functions[child_qualname] = child
+        return FunctionSummary(
+            name=name,
+            qualname=self.qualname,
+            line=line,
+            col=col,
+            params=self.params,
+            calls=tuple(self.calls),
+            lock_acquires=tuple(self.acquires),
+            mutated_params=tuple(sorted(self.mutated.items())),
+            taint_mutations=tuple(self.taint_mutations),
+            self_accesses=tuple(self.accesses),
+            class_name=self.class_name,
+        )
+
+
+def _index_function(
+    module: ModuleSummary,
+    imports: dict[str, str],
+    node: _FunctionNode,
+    qualname: str,
+    class_name: Optional[str],
+    is_method: bool,
+) -> FunctionSummary:
+    arguments = node.args
+    params = tuple(a.arg for a in (*arguments.posonlyargs, *arguments.args))
+    indexer = _ScopeIndexer(module, imports, qualname, params, class_name)
+    # The *_locked suffix is the repo's caller-holds-the-lock convention
+    # (see MUT004): treat the whole method body as holding self._lock.
+    held = (SELF_LOCK,) if is_method and node.name.endswith("_locked") else ()
+    indexer.walk(node.body, held)
+    return indexer.summarize(node.name, node.lineno, node.col_offset + 1)
+
+
+def index_module(lint_file: LintFile) -> ModuleSummary:
+    """Distill one parsed file into its :class:`ModuleSummary`."""
+    summary = ModuleSummary(
+        module=module_name_for(lint_file.relparts),
+        path=lint_file.path,
+        relparts=lint_file.relparts,
+    )
+    indexer = _ScopeIndexer(summary, summary.imports, MODULE_SCOPE, (), None)
+    indexer.walk(lint_file.tree.body, ())
+    summary.functions[MODULE_SCOPE] = indexer.summarize(MODULE_SCOPE, 1, 1)
+    return summary

@@ -256,13 +256,6 @@ def _encode_value_into(value: Any, out: bytearray) -> None:
     raise EncodeError(f"cannot encode value of type {type(value).__name__}")
 
 
-def _encode_value(value: Any) -> bytes:
-    """Encode a single value with its type tag."""
-    out = bytearray()
-    _encode_value_into(value, out)
-    return bytes(out)
-
-
 def _decode_value(data: bytes, offset: int) -> tuple[Any, int]:
     """Decode a single tagged value at ``offset``."""
     if offset >= len(data):

@@ -350,6 +350,57 @@ class TestIncrementalCache:
         assert report.cache_misses == 1
         assert [d.code for d in report.diagnostics] == ["MUT003"]
 
+    def test_entry_of_an_older_cache_version_is_a_miss(self, tmp_path, monkeypatch):
+        """Summary shapes change between versions: an old entry must miss,
+        never be unpickled into (and trusted as) the current shape."""
+        from repro.lint import cache as lint_cache
+
+        path = self.seed(tmp_path)
+        cache_dir = str(tmp_path / "cache")
+        assert lint_cache.CACHE_VERSION > 1
+        with monkeypatch.context() as patch:
+            patch.setattr(lint_cache, "CACHE_VERSION", 1)
+            # A version-1 entry claiming the file is clean and summary-less.
+            lint_cache.LintCache(cache_dir).store(str(path), [], [], None)
+            stale = lint_paths([str(path)], cache_dir=cache_dir)
+            assert stale.cache_hits == 1 and stale.ok  # v1 code trusts it
+        report = lint_paths([str(path)], cache_dir=cache_dir)
+        assert report.cache_hits == 0 and report.cache_misses == 1
+        assert [d.code for d in report.diagnostics] == ["MUT003"]
+        assert lint_paths([str(path)], cache_dir=cache_dir).cache_hits == 1
+
+    def test_summary_derived_findings_survive_the_cache(self, tmp_path):
+        """MUT001/MUT002/MUT004/MUT006 are computed from the cached
+        summaries, not cached themselves: a warm run must reproduce the
+        cold run's document exactly."""
+        files = {
+            "core/util.py": "def dump(path):\n    open(path)\n",
+            "service/mixed.py": """\
+            from repro.core.util import dump
+
+            class Svc:
+                _lock_guarded = ("_state",)
+
+                def peek(self, client, path):
+                    pod = client.get("Pod", "a", copy=False)
+                    pod["seen"] = self._state
+                    open(path)
+                    dump(path)
+            """,
+        }
+        for relpath, source in files.items():
+            path = tmp_path / "repro" / relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source))
+        cache_dir = str(tmp_path / "cache")
+        cold = lint_paths([str(tmp_path / "repro")], cache_dir=cache_dir)
+        warm = lint_paths([str(tmp_path / "repro")], cache_dir=cache_dir)
+        assert cold.cache_hits == 0 and warm.cache_misses == 0
+        assert sorted(d.code for d in cold.diagnostics) == [
+            "MUT001", "MUT002", "MUT004", "MUT006",
+        ]
+        assert warm.to_document() == cold.to_document()
+
     def test_warm_run_is_measurably_faster_on_the_full_tree(self, tmp_path):
         """The acceptance criterion: a warm ``.mutiny-lint-cache/`` run
         beats cold on the shipped tree.  Phase A (parse + file checkers)

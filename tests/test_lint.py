@@ -799,6 +799,77 @@ class TestInterproceduralPurity:
         )
         assert report.ok
 
+    LAZY_HELPER = """\
+    def wipe(p):
+        import shutil
+        shutil.rmtree(p)
+    """
+
+    def test_function_local_import_resolves_in_its_function(self, tmp_path):
+        # Regression: only module-level imports were indexed, so a call
+        # through a lazily imported name never resolved and this chain was
+        # silently clean (moving the import to module level found it).
+        report = lint_tree(
+            tmp_path,
+            {
+                "core/helpers.py": self.LAZY_HELPER,
+                "core/resultstore.py": """\
+                from repro.core.helpers import wipe
+                def drop(r):
+                    wipe(r)
+                """,
+            },
+        )
+        assert codes_of(report) == ["MUT006"]
+        diagnostic = report.diagnostics[0]
+        assert "resultstore.py" in diagnostic.path
+        assert diagnostic.line == 3
+        assert "helpers.wipe (core/resultstore.py:3)" in diagnostic.message
+        assert "shutil.rmtree() (core/helpers.py:3)" in diagnostic.message
+
+    def test_nested_closures_are_functions_of_their_own(self, tmp_path):
+        # Regression: nested def bodies were skipped by pass 1, so a chain
+        # through a closure was invisible while an open() written directly
+        # inside the same closure was MUT002.
+        report = lint_tree(
+            tmp_path,
+            {
+                "core/helpers.py": self.LAZY_HELPER,
+                "core/resultstore.py": """\
+                from repro.core.helpers import wipe
+
+                def outer(r):
+                    def inner():
+                        wipe(r)
+                    inner()
+                """,
+            },
+        )
+        assert codes_of(report) == ["MUT006", "MUT006"]
+        in_closure, at_outer = report.diagnostics
+        assert in_closure.line == 5  # the closure is itself in scope
+        assert at_outer.line == 6
+        assert (
+            "resultstore.outer.<locals>.inner (core/resultstore.py:6) -> "
+            "helpers.wipe (core/resultstore.py:5) -> "
+            "shutil.rmtree() (core/helpers.py:3)"
+        ) in at_outer.message
+
+    def test_each_code_of_the_one_purity_checker_selects_alone(self, tmp_path):
+        files = {
+            "core/util.py": "def dump(path):\n    open(path)\n",
+            "service/both.py": """\
+            from repro.core.util import dump
+
+            def persist(path):
+                open(path)
+                dump(path)
+            """,
+        }
+        assert codes_of(lint_tree(tmp_path, files)) == ["MUT002", "MUT006"]
+        for code in ("MUT002", "MUT006"):
+            assert codes_of(lint_tree(tmp_path, files, codes=[code])) == [code]
+
 
 # ---------------------------------------------------------------------------
 # MUT001 (interprocedural) — tainted reference escaping into a helper
