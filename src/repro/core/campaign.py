@@ -22,20 +22,30 @@ Execution is plan-then-execute: the campaign first plans every experiment
 (including its seed), then hands the task list to the
 :class:`repro.core.parallel.CampaignExecutor`, which shards it across worker
 processes (``CampaignConfig.workers``) and merges the results back in plan
-order.  A parallel run is therefore result-identical to a serial run of the
-same configuration.
+order — or, with the distributed backend, publishes the plan and waits for
+worker processes that run the same executor routine one leased slice at a
+time.  Any of these runs is therefore result-identical to a serial run of
+the same configuration.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.classification import (
     CampaignTally,
     ClientFailure,
     GoldenBaseline,
     OrchestratorFailure,
+)
+from repro.core.distributed import (
+    DistributedPlan,
+    DistributedSettings,
+    default_slice_size,
+    publish_plan,
+    wait_for_completion,
 )
 from repro.core.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
@@ -47,28 +57,26 @@ from repro.core.parallel import (
     campaign_fingerprint,
     prep_fingerprint,
 )
-from repro.core.resultstore import ShardedResultStore
+from repro.core.resultstore import StoredResults
 from repro.serialization import iter_field_paths
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.workload import WorkloadKind
 
-if TYPE_CHECKING:  # circular at runtime: distributed imports this module
-    import threading
-
-    from repro.core.distributed import DistributedSettings
 
 class CampaignCancelledError(RuntimeError):
     """Raised out of :meth:`Campaign.run` when its ``cancel`` event is set.
 
-    Cancellation is cooperative: the local backend checks at every finished
-    batch, the distributed coordinator at every poll round, so completed
-    shards stay durable and a later run (or service restart) of the same
+    Cancellation is cooperative: the local backend observes it at every
+    finished batch, the distributed coordinator at every poll round.  No
+    batch that has not started when the cancel is observed will start;
+    batches already running in pool workers finish, and every completed
+    shard stays durable, so a later run (or service restart) of the same
     spec resumes instead of replaying.
     """
 
 
 def _cancellable_progress(
-    progress: Optional[ProgressCallback], cancel: Optional["threading.Event"]
+    progress: Optional[ProgressCallback], cancel: Optional[threading.Event]
 ) -> Optional[ProgressCallback]:
     """Wrap ``progress`` so a set ``cancel`` event aborts at the next batch."""
     if cancel is None:
@@ -463,8 +471,8 @@ class Campaign:
         progress: Optional[ProgressCallback] = None,
         results_dir: Optional[str] = None,
         backend: str = "local",
-        distributed: Optional["DistributedSettings"] = None,
-        cancel: Optional["threading.Event"] = None,
+        distributed: Optional[DistributedSettings] = None,
+        cancel: Optional[threading.Event] = None,
     ) -> CampaignResult:
         """Run the whole campaign and return its results.
 
@@ -485,38 +493,44 @@ class Campaign:
 
         Two execution backends are supported:
 
-        * ``backend="local"`` — the process-pool
-          :class:`~repro.core.parallel.CampaignExecutor` (the default).
+        * ``backend="local"`` — this process executes the plan through
+          :meth:`~repro.core.parallel.CampaignExecutor.run_experiments`,
+          in-process or across its process pool (the default).
         * ``backend="distributed"`` — this process becomes the
           *coordinator*: it prepares the baselines, publishes the frozen
           plan into ``results_dir`` (which is required and must be a store
           the workers can reach — a shared directory or an object-store
-          URL), and watches/folds worker shards until the campaign
-          completes.  Experiments execute in
-          separate ``python -m repro.cli worker --results-dir ...``
-          processes on any number of hosts; ``distributed`` tunes slice
-          size, poll interval, and the overall deadline.  The merged result
-          (and its store digest) is identical to a local run of the same
-          configuration.
+          URL), and waits until the store holds every plan index.
+          Experiments execute in separate
+          ``python -m repro.cli worker --results-dir ...`` processes on any
+          number of hosts, each running the same executor routine one leased
+          slice at a time; ``distributed`` tunes slice size, poll interval,
+          and the overall deadline.  The merged result (and its store
+          digest) is identical to a local run of the same configuration.
 
         Both backends share one store lifecycle, driven here: load the prep,
         plan, fingerprint-check the store, save freshly computed prep.  A
         mis-pointed ``results_dir`` is therefore rejected with
         :class:`~repro.core.resultstore.ResultStoreMismatchError` before
-        anything inside the foreign store is touched.
+        anything inside the foreign store is touched.  Both return the same
+        lazy view of the store, so every aggregate is the one streaming fold
+        of :meth:`CampaignResult.tally`.
 
-        ``cancel`` is an optional :class:`threading.Event`: once set, the
-        run raises :class:`CampaignCancelledError` at the next batch (local)
-        or poll round (distributed).  Completed shards survive, so a rerun
-        of the same configuration resumes.
+        ``cancel`` is an optional :class:`threading.Event`.  Once it is set,
+        the run raises :class:`CampaignCancelledError` when it next observes
+        it — at the next finished batch (local) or poll round (distributed).
+        No batch that has not started by then will start; batches already
+        running in pool workers finish before the error surfaces; completed
+        shards stay, so a rerun of the same configuration resumes with only
+        the missing experiments.
         """
         if backend not in ("local", "distributed"):
             raise ValueError(f"unknown campaign backend {backend!r}")
         if backend == "distributed" and not results_dir:
             raise ValueError("the distributed backend requires results_dir")
         progress = _cancellable_progress(progress, cancel)
-        store = ShardedResultStore(results_dir) if results_dir else None
         with self._executor(progress=progress, results_dir=results_dir) as executor:
+            store = executor.store
             prep_digest = prep_fingerprint(self.config.experiment, self._preps())
             prepared = store.load_prep(prep_digest) if store is not None else None
             tasks, baselines, recorded_fields = self.plan_campaign(executor, prepared=prepared)
@@ -531,53 +545,28 @@ class Campaign:
                             for workload in self.config.workloads
                         ],
                     )
-            tally: Optional[CampaignTally] = None
-            if backend == "distributed":
-                results, tally = self._run_distributed(
-                    results_dir, tasks, baselines, fingerprint, distributed, progress, cancel
+            if backend == "distributed" and store is not None:  # (results_dir was required above)
+                settings = distributed if distributed is not None else DistributedSettings()
+                publish_plan(
+                    store.root,
+                    DistributedPlan(
+                        fingerprint=fingerprint,
+                        experiment_config=self.config.experiment,
+                        tasks=tasks,
+                        baselines=baselines,
+                        slice_size=settings.slice_size or default_slice_size(len(tasks)),
+                        # Published with the plan so every worker inherits
+                        # the coalescing factor (its own --shard-batch wins).
+                        shard_batch=self.config.shard_batch,
+                    ),
                 )
+                wait_for_completion(store, len(tasks), settings, progress, cancel)
+                results = StoredResults(store, [task.index for task in tasks])
             else:
                 results = executor.run_experiments(tasks, baselines=baselines)
         return CampaignResult(
-            results=results,
-            baselines=baselines,
-            recorded_fields=recorded_fields,
-            _tally=tally,
+            results=results, baselines=baselines, recorded_fields=recorded_fields
         )
-
-    def _run_distributed(
-        self,
-        results_dir: str,
-        tasks: list[ExperimentTask],
-        baselines: dict[str, GoldenBaseline],
-        fingerprint: str,
-        settings: Optional["DistributedSettings"],
-        progress: Optional[ProgressCallback],
-        cancel: Optional["threading.Event"],
-    ) -> tuple[Sequence[ExperimentResult], CampaignTally]:
-        """The coordinator side of a distributed campaign.
-
-        Publishes the frozen plan into the store :meth:`run` has already
-        opened (idempotent on resume), then watches the shared store and
-        folds worker shards into the streaming tally until every plan index
-        is stored.
-        """
-        from repro.core.distributed import DistributedCoordinator
-
-        coordinator = DistributedCoordinator(
-            results_dir,
-            tasks,
-            baselines,
-            self.config.experiment,
-            fingerprint=fingerprint,
-            settings=settings,
-            progress=progress,
-            # Published with the plan so every worker inherits the
-            # coalescing factor (a worker's own --shard-batch overrides).
-            shard_batch=self.config.shard_batch,
-        )
-        coordinator.publish()
-        return coordinator.watch(cancel=cancel)
 
     # ---------------------------------------------------- propagation (VI-C4)
 

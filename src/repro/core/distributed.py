@@ -19,9 +19,10 @@ Protocol, in full:
   atomic lease object (``leases/slice-<id>.lease``, created with the
   transport's put-if-absent — an ``O_EXCL`` file on POSIX, a conditional PUT
   on an object store).  A claimed slice is executed through the same
-  :meth:`~repro.core.parallel.CampaignExecutor.execute_slice` core the local
-  pool backend uses — slice → batches → shards — and a heartbeat thread
-  refreshes the lease's mtime/generation while batches run.
+  :meth:`~repro.core.parallel.CampaignExecutor.run_experiments` routine the
+  local backend hands its whole plan — scan → pending → batches → shards —
+  and a heartbeat thread refreshes the lease's mtime/generation while
+  batches run.
 * A lease whose mtime is older than its **TTL** is expired: any worker may
   reclaim it (conditional delete of the exact generation it judged expired,
   then a new put-if-absent).  A crashed or SIGKILLed worker therefore loses
@@ -34,10 +35,10 @@ Protocol, in full:
 * A finished slice is recorded as ``leases/slice-<id>.done`` (worker
   provenance for ``repro.cli inspect``) and its lease is released.  The
   ground truth of completion is always the store itself: the coordinator
-  watches ``completed_indexes()``, folds newly finished experiments into a
-  streaming :class:`~repro.core.classification.CampaignTally`, and finalizes
-  once every plan index is stored — producing a merged digest identical to a
-  serial run of the same configuration.
+  only waits (:func:`wait_for_completion`) until ``completed_indexes()``
+  covers the plan, then reads the store exactly like a local run does —
+  producing a merged digest identical to a serial run of the same
+  configuration.
 
 Lease mtimes are wall-clock: hosts sharing a store should run NTP, and the
 TTL should dwarf any plausible clock skew (the default is 30 s).
@@ -53,16 +54,12 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from repro.core.classification import CampaignTally, GoldenBaseline
+from repro.core.classification import GoldenBaseline
 from repro.core.experiment import ExperimentConfig
-from repro.core.parallel import CampaignExecutor, ExperimentTask
-from repro.core.resultstore import (
-    ResultStoreMismatchError,
-    ShardedResultStore,
-    StoredResults,
-)
+from repro.core.parallel import CampaignExecutor, ExperimentTask, ProgressCallback
+from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
 from repro.core.transport import TransportError, TransportKeyError, transport_for
 
 #: Format version of the published plan (bumped on layout changes).
@@ -368,6 +365,14 @@ class SliceLeases:
         ).encode("utf-8")
         return self.transport.put_if_absent(key, payload)
 
+    def claim_first(self, slice_ids: Iterable[int], worker: str) -> Optional[int]:
+        """One claim round: the first of ``slice_ids`` this worker could
+        claim, or ``None`` when every slice is done or freshly held."""
+        for slice_id in slice_ids:
+            if self.try_claim(slice_id, worker):
+                return slice_id
+        return None
+
     def heartbeat(self, slice_id: int, worker: str) -> bool:
         """Refresh the lease's liveness; ``False`` means the lease was lost.
 
@@ -492,12 +497,14 @@ class DistributedWorker:
     """The claim-execute-heartbeat loop behind ``repro.cli worker``.
 
     Waits for the published plan, then claims slices until every plan index
-    is in the store (or ``max_slices`` is reached).  Slices execute through
-    the shared :meth:`CampaignExecutor.execute_slice` core — with
-    ``workers > 1`` a single worker process additionally fans its slice out
-    over a local process pool, so a big host can serve as N workers with one
-    lease.  Already-stored indexes (a crashed predecessor's surviving
-    shards) are never re-run.  ``shard_batch`` coalesces N finished batches
+    is in the store (or ``max_slices`` is reached).  Each slice goes through
+    :meth:`CampaignExecutor.run_experiments` — the routine that also runs a
+    local campaign — so already-stored indexes (a crashed predecessor's
+    surviving shards) are never re-run, and with ``workers > 1`` a single
+    worker process additionally fans its slice out over a local process
+    pool, so a big host can serve as N workers with one lease.  All this
+    class adds around that call is the lease: claim, heartbeat, and the
+    ``.done`` marker.  ``shard_batch`` coalesces N finished batches
     into one shard object via generation-conditional appends
     (:class:`~repro.core.resultstore.BatchedShardWriter`): each batch is
     durable the moment it completes, but a very large campaign stores — and
@@ -548,7 +555,6 @@ class DistributedWorker:
     def run(self) -> WorkerReport:
         """Claim and execute slices until the campaign is complete."""
         plan = wait_for_plan(self.root, self.wait_timeout)
-        store = ShardedResultStore(self.root)
         leases = SliceLeases(self.root, ttl=self.lease_ttl)
         slices = plan.slices()
         report = WorkerReport(self.worker_id, slices_completed=0, experiments_run=0)
@@ -560,17 +566,17 @@ class DistributedWorker:
             plan.experiment_config,
             workers=self.workers,
             chunk_size=self.chunk_size,
+            results_dir=self.root,
             shard_batch=shard_batch,
         ) as executor:
             while self.max_slices is None or report.slices_completed < self.max_slices:
-                store.refresh()
-                if len(store.completed_indexes()) >= plan.total:
+                if not executor.pending(plan.tasks):
                     break
-                claimed = self._claim_next(slices, leases, store)
+                claimed = leases.claim_first(range(len(slices)), self.worker_id)
                 if claimed is None:
                     time.sleep(self.poll_interval)
                     continue
-                ran, completed = self._execute_slice(executor, plan, store, leases, claimed)
+                ran, completed = self._run_slice(executor, plan, leases, slices[claimed])
                 report.experiments_run += ran
                 if completed:
                     report.slices_completed += 1
@@ -580,32 +586,17 @@ class DistributedWorker:
         )
         return report
 
-    def _claim_next(
-        self, slices: list[PlanSlice], leases: SliceLeases, store: ShardedResultStore
-    ) -> Optional[PlanSlice]:
-        for plan_slice in slices:
-            if leases.is_done(plan_slice.slice_id):
-                continue
-            if leases.try_claim(plan_slice.slice_id, self.worker_id):
-                return plan_slice
-        return None
-
-    def _execute_slice(
+    def _run_slice(
         self,
         executor: CampaignExecutor,
         plan: DistributedPlan,
-        store: ShardedResultStore,
         leases: SliceLeases,
         plan_slice: PlanSlice,
     ) -> tuple[int, bool]:
         """Run one leased slice; returns (experiments run, slice completed)."""
         tasks = plan.slice_tasks(plan_slice)
-        store.refresh()
-        done = store.completed_indexes()
-        pending = [task for task in tasks if task.index not in done]
         self._log(
-            f"claimed slice {plan_slice.slice_id} "
-            f"[{plan_slice.start}..{plan_slice.stop - 1}] ({len(pending)} pending)"
+            f"claimed slice {plan_slice.slice_id} [{plan_slice.start}..{plan_slice.stop - 1}]"
         )
 
         stop_beat = threading.Event()
@@ -635,8 +626,7 @@ class DistributedWorker:
                 raise _StallRequested()
 
         try:
-            if pending:
-                executor.execute_slice(pending, plan.baselines, finish, store_root=self.root)
+            executor.run_experiments(tasks, plan.baselines, on_batch=finish)
         except _StallRequested:
             stop_beat.set()
             heartbeat_thread.join()
@@ -647,21 +637,16 @@ class DistributedWorker:
             while True:  # hold the lease until SIGKILLed; expiry frees the slice
                 time.sleep(3600)
         except LeaseLostError as error:
-            stop_beat.set()
-            heartbeat_thread.join()
             self._log(f"{error}; {ran} completed experiment(s) stay in the store")
             return ran, False
         finally:
             stop_beat.set()
             heartbeat_thread.join()
 
-        store.refresh()
-        missing = [task.index for task in tasks if task.index not in store.completed_indexes()]
+        missing = len(executor.pending(tasks))
         if missing or lease_lost.is_set():
             leases.release(plan_slice.slice_id, self.worker_id)
-            self._log(
-                f"slice {plan_slice.slice_id} incomplete ({len(missing)} missing); released"
-            )
+            self._log(f"slice {plan_slice.slice_id} incomplete ({missing} missing); released")
             return ran, False
         leases.mark_done(
             plan_slice.slice_id,
@@ -691,105 +676,49 @@ class DistributedSettings:
     timeout: Optional[float] = None
 
 
-class DistributedCoordinator:
-    """Publishes the frozen plan, watches progress, folds the merged result.
+def wait_for_completion(
+    store: ShardedResultStore,
+    total: int,
+    settings: DistributedSettings,
+    progress: Optional[ProgressCallback] = None,
+    cancel: Optional[threading.Event] = None,
+) -> None:
+    """Block until the workers have stored all ``total`` plan indexes.
 
-    The coordinator never executes experiments itself: it publishes the
-    plan into the store :meth:`Campaign.run` has already opened (and
-    fingerprint-checked), then polls the shared directory — folding each newly completed experiment into a streaming
-    :class:`CampaignTally` exactly once — until every plan index is stored.
-    The finalized result is a lazy plan-order view plus that tally, so the
-    merged digest is byte-identical to the serial run's by construction.
+    All the coordinator does after publishing: it never executes or folds
+    anything, it polls the (already opened, fingerprint-checked) store.
+    ``progress(done, total)`` fires whenever a poll finds more stored than
+    the last one did; ``cancel`` is checked once per poll round and raises
+    :class:`~repro.core.campaign.CampaignCancelledError` without waiting for
+    the workers (their completed shards stay durable for a resume).
     """
+    from repro.core.campaign import CampaignCancelledError  # circular at import time
 
-    def __init__(
-        self,
-        root: str,
-        tasks: list[ExperimentTask],
-        baselines: dict[str, GoldenBaseline],
-        experiment_config: ExperimentConfig,
-        fingerprint: str,
-        settings: Optional[DistributedSettings] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        shard_batch: int = 1,
-    ):
-        self.root = root
-        self.tasks = tasks
-        self.baselines = baselines
-        self.experiment_config = experiment_config
-        self.fingerprint = fingerprint
-        self.settings = settings if settings is not None else DistributedSettings()
-        self.progress = progress
-        self.shard_batch = shard_batch
-
-    def publish(self) -> DistributedPlan:
-        """Publish the plan into the opened store (idempotent)."""
-        slice_size = self.settings.slice_size or default_slice_size(len(self.tasks))
-        plan = DistributedPlan(
-            fingerprint=self.fingerprint,
-            experiment_config=self.experiment_config,
-            tasks=self.tasks,
-            baselines=self.baselines,
-            slice_size=slice_size,
-            shard_batch=self.shard_batch,
-        )
-        publish_plan(self.root, plan)
-        return plan
-
-    def watch(self, cancel=None) -> tuple[StoredResults, CampaignTally]:
-        """Poll the store until the campaign completes; fold streaming-wise.
-
-        Each poll folds only the *newly* completed experiments into the
-        tally (one shard in memory at a time), so coordinator memory stays
-        bounded no matter how many workers stream shards in, and the final
-        tally needs no second pass over the store.
-
-        ``cancel`` is an optional :class:`threading.Event` checked once per
-        poll round: once set, the watch raises
-        :class:`~repro.core.campaign.CampaignCancelledError` without waiting
-        for workers (their completed shards stay durable for a resume).
-        """
-        from repro.core.campaign import (  # circular at import time
-            CampaignCancelledError,
-            CampaignResult,
-        )
-
-        store = ShardedResultStore(self.root)
-        tally = CampaignTally()
-        folded: set[int] = set()
-        total = len(self.tasks)
-        deadline = (
-            None
-            if self.settings.timeout is None
-            else time.monotonic() + self.settings.timeout
-        )
-        while True:
-            if cancel is not None and cancel.is_set():
-                raise CampaignCancelledError("distributed campaign watch cancelled")
-            store.refresh()
-            completed = store.completed_indexes()
-            fresh = sorted(index for index in completed if index not in folded)
-            for index in fresh:
-                result = store.load_result(index)
-                tally.update(result, CampaignResult.injection_family(result.fault))
-                folded.add(index)
-            if fresh and self.progress is not None:
-                self.progress(len(folded), total)
-            if len(folded) >= total:
-                return StoredResults(store, [task.index for task in self.tasks]), tally
-            if deadline is not None and time.monotonic() > deadline:
-                leases = SliceLeases(self.root)
-                held = ", ".join(
-                    f"slice {info.slice_id} by {info.worker} "
-                    f"({'expired' if info.expired else 'fresh'}, age {info.age:.1f}s)"
-                    for info in leases.outstanding()
-                ) or "none"
-                raise DistributedTimeoutError(
-                    f"campaign incomplete after {self.settings.timeout:.0f}s: "
-                    f"{total - len(folded)} of {total} experiments outstanding; "
-                    f"leases: {held}"
-                )
-            time.sleep(self.settings.poll_interval)
+    deadline = None if settings.timeout is None else time.monotonic() + settings.timeout
+    reported = 0
+    while True:
+        if cancel is not None and cancel.is_set():
+            raise CampaignCancelledError("distributed campaign watch cancelled")
+        store.refresh()
+        done = len(store.completed_indexes())
+        if done > reported:
+            reported = done
+            if progress is not None:
+                progress(done, total)
+        if done >= total:
+            return
+        if deadline is not None and time.monotonic() > deadline:
+            held = ", ".join(
+                f"slice {info.slice_id} by {info.worker} "
+                f"({'expired' if info.expired else 'fresh'}, age {info.age:.1f}s)"
+                for info in SliceLeases(store.root).outstanding()
+            ) or "none"
+            raise DistributedTimeoutError(
+                f"campaign incomplete after {settings.timeout:.0f}s: "
+                f"{total - done} of {total} experiments outstanding; "
+                f"leases: {held}"
+            )
+        time.sleep(settings.poll_interval)
 
 
 # --------------------------------------------------------------------------

@@ -1,29 +1,30 @@
-"""Process-parallel campaign execution.
+"""The campaign executor: one routine behind every execution path.
 
 Every injection experiment is an independent, deterministically-seeded
 simulation, which makes a campaign embarrassingly parallel: the paper's full
 campaign is ~8,800 experiments (§IV-C) and nothing about one experiment
-depends on another.  The :class:`CampaignExecutor` shards a planned task
-list across a :class:`concurrent.futures.ProcessPoolExecutor`; every worker
-process rebuilds its own :class:`ExperimentRunner` from the picklable
-experiment configuration and runs batches of tasks, and the parent merges
-the results back in plan order.  Because each experiment is fully determined
-by its ``(workload, fault, seed, config)`` tuple, a parallel run produces a
-result list identical to the serial run of the same plan.
+depends on another.  Because each experiment is fully determined by its
+``(workload, fault, seed, config)`` tuple, any sharding of a plan produces
+the results of its serial run.
 
-The executor also provides chunked progress reporting, and with a
-``results_dir`` the workers stream every finished batch into the sharded
-result store (:mod:`repro.core.resultstore`), from which a later run of the
-same plan resumes, only executing the experiments that are still missing.
+:meth:`CampaignExecutor.run_experiments` is the one execution routine —
+scan the store, drop the completed indexes, dispatch the rest in batches,
+write shards, re-scan — and every path calls it: the local backend with the
+whole plan as one slice, a distributed worker once per leased slice; a run
+without a store is the same loop collecting results in memory.  Inside it,
+:meth:`CampaignExecutor._dispatch` is the only place that chooses between
+in-process and process-pool execution (golden-run preparation goes through
+it too), and a batch is a pure function of its arguments
+(:func:`_run_batch`), so resume, progress and cancellation exist once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.classification import GoldenBaseline
 from repro.core.experiment import (
@@ -101,49 +102,37 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 # --------------------------------------------------------------------------
-# Worker-process functions (module-level so they pickle by reference under
-# both fork and spawn start methods).
+# Batch functions (module-level so they pickle by reference under both fork
+# and spawn start methods).
 # --------------------------------------------------------------------------
 
-_WORKER_STATE: dict = {}
+#: Where a finished batch goes: ``None`` returns its results to the caller
+#: in memory, ``(store root, batches per shard)`` writes it to that store.
+BatchSink = Optional[tuple[str, int]]
+
+#: The one per-process home of state that outlives a batch: the open
+#: :class:`BatchedShardWriter` group of each sink, so a shard group spans
+#: batches and slices in the calling process and in every pool worker alike.
+#: No flush is ever needed — appends are durable as they happen, and a group
+#: cut short by shutdown is simply a shard with fewer members.
+_OPEN_WRITERS: dict[tuple[str, int], BatchedShardWriter] = {}
 
 
-def _init_worker(experiment_config: ExperimentConfig) -> None:
-    """Build the per-process runner once instead of once per task."""
-    _WORKER_STATE["runner"] = ExperimentRunner(experiment_config)
-
-
-def _worker_runner(experiment_config: ExperimentConfig) -> ExperimentRunner:
-    """The pool-initialized runner, or a fresh one on the serial path."""
-    runner = _WORKER_STATE.get("runner")
-    if runner is None:
-        runner = ExperimentRunner(experiment_config)
-    return runner
-
-
-def _run_batch_local(
-    runner: ExperimentRunner,
+def _run_batch(
+    experiment_config: ExperimentConfig,
     tasks: list[ExperimentTask],
     baselines: dict[str, GoldenBaseline],
-    store_root: Optional[str] = None,
-    shard_writer: Optional[BatchedShardWriter] = None,
+    sink: BatchSink,
 ):
-    """Run one batch of tasks against an explicit runner.
+    """Run one batch of tasks: a pure function of its arguments.
 
-    Without a store the batch results travel back to the caller in memory
-    (the original behaviour).  With ``store_root`` the batch is serialized
-    to one compressed shard and only the completed plan indexes travel back,
-    so the parent's memory stays bounded by its own bookkeeping no matter
-    how large the campaign is.  With a ``shard_writer`` the batch still
-    becomes durable immediately but is appended into the writer's open
-    shard group instead of creating a new object (``--shard-batch``).
-
-    This is the slice-execution core both backends share: process-pool
-    workers reach it through :func:`_run_batch` (pool-initialized runner),
-    while the serial path and the distributed ``repro.cli worker`` loop call
-    it with their own runner — no process-global state, so several worker
-    loops may run inside one process (e.g. threads in tests).
+    Without a sink the ``(index, result)`` pairs travel back to the caller.
+    With one the batch is durable in the store on return — one new shard, or
+    (``batches per shard > 1``) one member appended to the sink's open shard
+    group — and only the completed plan indexes travel back, so the caller's
+    memory stays bounded by its own bookkeeping however large the campaign.
     """
+    runner = ExperimentRunner(experiment_config)
     results = [
         (
             task.index,
@@ -156,48 +145,19 @@ def _run_batch_local(
         )
         for task in tasks
     ]
-    if shard_writer is not None:
-        shard_writer.write(results)
-    elif store_root is None:
+    if sink is None:
         return results
+    root, shard_batch = sink
+    if shard_batch <= 1:
+        ShardedResultStore(root).write_shard(results)
     else:
-        ShardedResultStore(store_root).write_shard(results)
+        writer = _OPEN_WRITERS.get(sink)
+        if writer is None:
+            writer = _OPEN_WRITERS.setdefault(
+                sink, ShardedResultStore(root).batched_writer(shard_batch)
+            )
+        writer.write(results)
     return [index for index, _ in results]
-
-
-def _cached_shard_writer(
-    cache: dict, store_root: Optional[str], shard_batch: int
-) -> Optional[BatchedShardWriter]:
-    """Get-or-create the persistent batched writer for one store root.
-
-    One memoization for both execution paths: pool workers cache in the
-    process-global ``_WORKER_STATE``, the serial path caches on its
-    executor — either way the writer (and with it the open shard group)
-    carries across batches and slices.  No flush is ever needed: appends
-    are durable as they happen, and a group cut short by shutdown is simply
-    a shard with fewer members.
-    """
-    if store_root is None or shard_batch <= 1:
-        return None
-    key = ("shard_writer", store_root, shard_batch)
-    writer = cache.get(key)
-    if writer is None:
-        writer = ShardedResultStore(store_root).batched_writer(shard_batch)
-        cache[key] = writer
-    return writer
-
-
-def _run_batch(
-    tasks: list[ExperimentTask],
-    baselines: dict[str, GoldenBaseline],
-    store_root: Optional[str] = None,
-    shard_batch: int = 1,
-):
-    """Run one batch of tasks in a pool worker process."""
-    shard_writer = _cached_shard_writer(_WORKER_STATE, store_root, shard_batch)
-    return _run_batch_local(
-        _WORKER_STATE["runner"], tasks, baselines, store_root, shard_writer
-    )
 
 
 def _run_golden_job(
@@ -207,9 +167,10 @@ def _run_golden_job(
     # Imported lazily: campaign.py imports this module for the executor.
     from repro.core.campaign import FieldRecorder
 
-    runner = _worker_runner(experiment_config)
     recorder = FieldRecorder() if job.record_fields else None
-    result = runner.run_golden(job.workload, seed=job.seed, etcd_observer=recorder)
+    result = ExperimentRunner(experiment_config).run_golden(
+        job.workload, seed=job.seed, etcd_observer=recorder
+    )
     return GoldenRunStats.of(result), (
         recorder.recorded() if recorder is not None else None
     )
@@ -274,10 +235,12 @@ def prep_fingerprint(
 class CampaignExecutor:
     """Runs planned experiments, in-process or across a process pool.
 
-    With ``workers <= 1`` (or a single pending task) everything runs in the
-    calling process through exactly the same task functions, so the serial
-    path is the degenerate case of the parallel one rather than a separate
-    code path with separate behaviour.
+    With ``workers <= 1`` (or a single batch) everything runs in the calling
+    process through exactly the same batch functions, so the serial path is
+    the degenerate case of the parallel one rather than a separate code path
+    with separate behaviour.  Batches share no state but the sink's open
+    shard group, so several executors may run slices concurrently inside one
+    process (e.g. worker loops in threads).
 
     The process pool is created lazily on first use and shared between
     workload preparation and experiment execution (one pool bootstrap per
@@ -310,28 +273,26 @@ class CampaignExecutor:
         #: batch, the historical layout).  Purely a storage-layout knob:
         #: results, digests, and resume semantics are unchanged.
         self.shard_batch = shard_batch
+        #: The executor's scanning view of the store.  One instance for the
+        #: executor's lifetime, so a repeat scan (a distributed worker scans
+        #: once per leased slice) only parses shards it has never seen.
+        self.store = ShardedResultStore(results_dir) if results_dir else None
+        self._sink: BatchSink = (results_dir, shard_batch) if results_dir else None
         self._pool: Optional[ProcessPoolExecutor] = None
-        #: Serial-path batched-writer cache (same shape as the pool's
-        #: ``_WORKER_STATE``), persisted across execute_slice calls — a
-        #: distributed worker (workers=1) coalesces batches across its
-        #: slices exactly like the pool path's per-process writers, instead
-        #: of silently capping a shard group at one slice's batches.
-        self._serial_writers: dict = {}
 
     def _get_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self.experiment_config,),
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool (no-op if none was ever started)."""
+        """Shut down the worker pool (no-op if none was ever started) and
+        forget this process's open shard group for the executor's store."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        if self._sink is not None:
+            _OPEN_WRITERS.pop(self._sink, None)
 
     def __enter__(self) -> "CampaignExecutor":
         return self
@@ -339,7 +300,7 @@ class CampaignExecutor:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # ------------------------------------------------------------- planning
+    # ------------------------------------------------------------- dispatch
 
     def _chunks(self, tasks: list[ExperimentTask], workers: int) -> list[list[ExperimentTask]]:
         """Shard pending tasks into batches.
@@ -353,95 +314,106 @@ class CampaignExecutor:
             size = max(1, -(-len(tasks) // (workers * 4)))
         return [tasks[start : start + size] for start in range(0, len(tasks), size)]
 
+    def _dispatch(
+        self,
+        function: Callable[..., Any],
+        calls: Sequence[tuple],
+        each: Callable[[int, Any], None],
+    ) -> None:
+        """Run ``function(*args)`` for every ``args`` in ``calls``, handing
+        ``each(position, value)`` every return value as it completes.
+
+        The only serial-vs-pool decision in the package: with one worker (or
+        at most one call) the calls run in order in this process, otherwise
+        across the pool in completion order.  An exception out of ``each`` —
+        a cancelled campaign, a lost slice lease — stops the dispatch: no
+        call that has not started will start.  Calls already running in the
+        pool finish (what they wrote stays durable) and :meth:`close` waits
+        for them.
+        """
+        if min(self.workers, len(calls)) <= 1:
+            for position, args in enumerate(calls):
+                each(position, function(*args))
+            return
+        pool = self._get_pool()
+        futures = {
+            pool.submit(function, *args): position for position, args in enumerate(calls)
+        }
+        try:
+            for future in as_completed(futures):
+                each(futures[future], future.result())
+        finally:
+            for future in futures:
+                future.cancel()  # no-op on the finished ones
+
     # ------------------------------------------------------------ execution
+
+    def pending(self, tasks: list[ExperimentTask]) -> list[ExperimentTask]:
+        """The tasks whose plan index the store does not hold yet (a fresh
+        scan; every task when there is no store) — the whole of resume."""
+        if self.store is None:
+            return list(tasks)
+        self.store.refresh()  # writers add shards through their own instances
+        stored = self.store.completed_indexes()
+        return [task for task in tasks if task.index not in stored]
 
     def run_experiments(
         self,
         tasks: list[ExperimentTask],
         baselines: Optional[dict[str, GoldenBaseline]] = None,
+        on_batch: Optional[Callable[[list[int]], None]] = None,
     ):
-        """Run every task and return the results in plan order.
+        """Run every task not yet stored and return all results in task order.
+
+        The one execution routine — scan → pending → batches → shards →
+        re-scan — called with a whole plan by the local backend and with one
+        leased slice at a time by a distributed worker.
 
         Without a ``results_dir`` this returns the familiar in-memory list.
         With one — a directory path or an ``objstore://`` URL; the store
-        picks its transport from the root's shape — the workers stream every
-        finished batch into the (already opened) sharded result store and a
-        lazy :class:`StoredResults` view is returned instead: peak parent
-        memory is bounded by one batch regardless of campaign size, and a
-        rerun resumes by scanning the completed shards.
+        picks its transport from the root's shape — every finished batch is
+        streamed into the (already opened) sharded result store and a lazy
+        :class:`StoredResults` view is returned instead: peak parent memory
+        is bounded by one batch regardless of campaign size, and a rerun
+        executes only what the scan finds missing.
+
+        ``progress(done, total)`` fires once up front when the scan found
+        stored results, then once per finished batch; ``on_batch`` receives
+        each finished batch's plan indexes first.  An exception out of
+        either aborts the run at that batch boundary (see :meth:`_dispatch`);
+        completed shards stay, so the next call resumes.
         """
-        if self.results_dir:
-            return self._run_streaming(tasks, baselines)
-        completed: dict[int, ExperimentResult] = {}
-
-        def finish(batch_results: list[tuple[int, ExperimentResult]]) -> None:
-            completed.update(batch_results)
-            if self.progress is not None:
-                self.progress(len(completed), len(tasks))
-
-        if tasks:
-            self.execute_slice(tasks, baselines, finish)
-        return [completed[task.index] for task in tasks]
-
-    def _run_streaming(self, tasks, baselines) -> StoredResults:
-        store = ShardedResultStore(self.results_dir)
         total = len(tasks)
-        done = set(store.completed_indexes())
-        pending = [task for task in tasks if task.index not in done]
+        pending = self.pending(tasks)
+        done = total - len(pending)
+        collected: dict[int, ExperimentResult] = {}
         if self.progress is not None and done:
-            self.progress(len(done), total)
+            self.progress(done, total)
 
-        def finish(batch_indexes: list[int]) -> None:
-            done.update(batch_indexes)
+        def finish(_position: int, batch) -> None:
+            nonlocal done
+            if self.store is None:
+                collected.update(batch)
+                batch = [index for index, _ in batch]
+            done += len(batch)
+            if on_batch is not None:
+                on_batch(batch)
             if self.progress is not None:
-                self.progress(len(done), total)
+                self.progress(done, total)
 
-        if pending:
-            self.execute_slice(pending, baselines, finish, store_root=self.results_dir)
-            store.refresh()  # the workers added shards behind our scan
-        return StoredResults(store, [task.index for task in tasks])
-
-    def execute_slice(self, pending, baselines, finish, store_root=None) -> None:
-        """Dispatch a slice of pending tasks in batches, folding each with
-        ``finish``.
-
-        The one dispatch loop every execution path shares — plan slice →
-        batches → results/shards: batches run serially in-process or across
-        the pool, and ``finish`` is called with each batch's
-        :func:`_run_batch` return value as it completes, so progress (and
-        distributed lease heartbeats) advance even while other batches are
-        still running.  The local process-pool backend
-        hands the whole pending plan to one call; the distributed worker
-        loop calls it once per leased slice.  An exception raised by
-        ``finish`` aborts the remaining batches of the slice (the
-        distributed worker uses this to abandon a lost lease — already
-        written shards always survive).
-
-        The serial path builds its own runner rather than touching the
-        pool's process-global state, so several executors may run slices
-        concurrently inside one process (e.g. worker loops in threads).
-        """
         workers = min(self.workers, max(len(pending), 1))
-        chunks = self._chunks(pending, workers)
-        if workers <= 1:
-            runner = ExperimentRunner(self.experiment_config)
-            # The writer persists on the executor (one executor serves one
-            # worker loop), so the open shard group spans slices; the runner
-            # stays per-call because it is the piece other executors in the
-            # same process must not share.
-            writer = _cached_shard_writer(self._serial_writers, store_root, self.shard_batch)
-            for chunk in chunks:
-                finish(_run_batch_local(runner, chunk, baselines or {}, store_root, writer))
-            return
-        pool = self._get_pool()
-        futures = {
-            pool.submit(_run_batch, chunk, baselines or {}, store_root, self.shard_batch)
-            for chunk in chunks
-        }
-        while futures:
-            completed, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for future in completed:
-                finish(future.result())
+        self._dispatch(
+            _run_batch,
+            [
+                (self.experiment_config, chunk, baselines or {}, self._sink)
+                for chunk in self._chunks(pending, workers)
+            ],
+            finish,
+        )
+        if self.store is None:
+            return [collected[task.index] for task in tasks]
+        self.store.refresh()  # the batches added shards behind our scan
+        return StoredResults(self.store, [task.index for task in tasks])
 
     # ---------------------------------------------------------- preparation
 
@@ -471,17 +443,12 @@ class CampaignExecutor:
                 )
             )
 
-        if self.workers <= 1 or len(jobs) <= 1:
-            outcomes = [
-                _run_golden_job(self.experiment_config, job) for _, job in jobs
-            ]
-        else:
-            pool = self._get_pool()
-            futures = [
-                pool.submit(_run_golden_job, self.experiment_config, job)
-                for _, job in jobs
-            ]
-            outcomes = [future.result() for future in futures]
+        outcomes: list = [None] * len(jobs)
+        self._dispatch(
+            _run_golden_job,
+            [(self.experiment_config, job) for _, job in jobs],
+            outcomes.__setitem__,
+        )
 
         prepared: list[tuple[Optional[GoldenBaseline], list]] = []
         for slot, prep in enumerate(preps):

@@ -11,9 +11,21 @@ from __future__ import annotations
 import copy
 import itertools
 import marshal
+import threading
 from typing import Any, Optional
 
-_uid_counter = itertools.count(1)
+
+class _UidState(threading.local):
+    """One UID counter per thread: a simulation runs on one thread, and
+    campaigns may run side by side as threads of one process (service
+    handles, in-process worker loops) — a shared counter would let one
+    simulation's UIDs depend on, or be reset by, its neighbour."""
+
+    def __init__(self) -> None:
+        self.counter = itertools.count(1)
+
+
+_uid_state = _UidState()
 
 
 def new_uid() -> str:
@@ -22,13 +34,13 @@ def new_uid() -> str:
     UIDs only need to be unique within a simulation run; a monotonically
     increasing counter keeps them deterministic and readable in logs.
     """
-    return f"uid-{next(_uid_counter):08d}"
+    return f"uid-{next(_uid_state.counter):08d}"
 
 
 def reset_uid_counter() -> None:
-    """Reset the UID counter (used between experiments for determinism)."""
-    global _uid_counter
-    _uid_counter = itertools.count(1)
+    """Reset the calling thread's UID counter (each simulation starts from
+    1, so its UIDs do not depend on what ran before it)."""
+    _uid_state.counter = itertools.count(1)
 
 
 def make_object_meta(

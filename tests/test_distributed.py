@@ -35,7 +35,7 @@ from repro.core.distributed import (
     publish_plan,
     wait_for_plan,
 )
-from repro.core.experiment import ExperimentConfig
+from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.parallel import ExperimentTask
 from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
 from repro.core.transport import atomic_write_bytes
@@ -275,6 +275,49 @@ def test_done_marker_blocks_claims_and_records_provenance(tmp_path):
     (record,) = leases.done_records()
     assert record["worker"] == "worker-a"
     assert (record["start"], record["stop"], record["executed"]) == (0, 3, 3)
+
+
+class RecordingTransport:
+    """Forwards every transport op and records ``(op, key)`` — assert on the
+    recorded sequence, not on timing."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ops: list[tuple[str, str]] = []
+
+    def __getattr__(self, name):
+        target = getattr(self.inner, name)
+
+        def recorded(key, *args, **kwargs):
+            self.ops.append((name, key))
+            return target(key, *args, **kwargs)
+
+        return recorded
+
+
+def test_claim_round_stats_each_done_marker_once(tmp_path):
+    # One claim round over [done, freshly held, free]: each slice costs one
+    # stat of its .done marker (two HEADs per slice on an object store used
+    # to go out: the round pre-checked what try_claim checks first anyway).
+    leases = SliceLeases(str(tmp_path), ttl=30.0)
+    assert leases.try_claim(0, "worker-a")
+    leases.mark_done(0, "worker-a", start=0, stop=3, executed=3)
+    assert leases.try_claim(1, "worker-b")
+    recorder = RecordingTransport(leases.transport)
+    leases.transport = recorder
+
+    assert leases.claim_first(range(3), "worker-c") == 2
+    assert recorder.ops == [
+        ("stat", "leases/slice-00000.done"),
+        ("stat", "leases/slice-00001.done"),
+        ("stat", "leases/slice-00001.lease"),
+        ("get", "leases/slice-00001.lease"),
+        ("stat", "leases/slice-00002.done"),
+        ("stat", "leases/slice-00002.lease"),
+        ("put_if_absent", "leases/slice-00002.lease"),
+    ]
+    # Nothing left to claim: the round reports it instead of spinning.
+    assert leases.claim_first(range(2), "worker-c") is None
 
 
 # ------------------------------------------------- end-to-end distributed
@@ -548,8 +591,6 @@ def test_distributed_rerun_of_completed_store_is_a_noop_resume(
 ):
     # Coordinator crash-after-completion: a rerun must re-publish (no-op),
     # re-run zero experiments, and return the identical result.
-    import repro.core.parallel as parallel_module
-
     serial_root, serial_result = serial_reference
     root = str(tmp_path / "dist")
     config = _tiny_config()
@@ -577,8 +618,8 @@ def test_distributed_rerun_of_completed_store_is_a_noop_resume(
     def forbidden(*args, **kwargs):
         raise AssertionError("a completed distributed campaign re-ran an experiment")
 
-    monkeypatch.setattr(parallel_module, "_run_batch_local", forbidden)
-    monkeypatch.setattr(parallel_module, "_run_golden_job", forbidden)
+    monkeypatch.setattr(ExperimentRunner, "run_experiment", forbidden)
+    monkeypatch.setattr(ExperimentRunner, "run_golden", forbidden)
     resumed = Campaign(config).run(
         results_dir=root,
         backend="distributed",

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.distributed import DistributedTimeoutError
+from repro.core.experiment import ExperimentRunner
 from repro.core.federate import autofederate_stores, federate_stores
 from repro.core.objstore import LocalObjectStore
 from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
@@ -98,8 +99,6 @@ def test_federated_store_resumes_without_re_preparing(serial_store, tmp_path, mo
     # The merged store carries the workload prep and every record, so
     # rerunning the campaign against it replays zero experiments and zero
     # golden runs — it is a full-fledged store, not just an archive.
-    import repro.core.parallel as parallel_module
-
     serial_root, result = serial_store
     total = result.total_experiments()
     half_a = _split_store(serial_root, str(tmp_path / "a"), set(range(0, total // 2)))
@@ -110,8 +109,8 @@ def test_federated_store_resumes_without_re_preparing(serial_store, tmp_path, mo
     def forbidden(*args, **kwargs):
         raise AssertionError("a federated store re-ran work on resume")
 
-    monkeypatch.setattr(parallel_module, "_run_batch_local", forbidden)
-    monkeypatch.setattr(parallel_module, "_run_golden_job", forbidden)
+    monkeypatch.setattr(ExperimentRunner, "run_experiment", forbidden)
+    monkeypatch.setattr(ExperimentRunner, "run_golden", forbidden)
     resumed = Campaign(_tiny_config()).run(results_dir=dest)
     assert resumed.classification_counts() == result.classification_counts()
 

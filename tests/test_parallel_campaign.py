@@ -3,18 +3,21 @@
 The contract under test is the one the executor is built around: an
 experiment is fully determined by its ``(workload, fault, seed, config)``
 tuple, so a campaign sharded across worker processes must produce exactly
-the results of the serial run — same classifications, same order.  (Resume
-is the result store's job and is pinned in ``test_resultstore.py``.)
+the results of the serial run — same classifications, same order.  Resume
+from a complete or damaged store is pinned in ``test_resultstore.py``; here
+it is only what cancellation leaves behind.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import sys
+import threading
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign, CampaignCancelledError, CampaignConfig
 from repro.core.classification import GoldenBaseline
 from repro.core.experiment import ExperimentResult
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
@@ -25,6 +28,7 @@ from repro.core.parallel import (
     resolve_workers,
     tasks_fingerprint,
 )
+from repro.core.resultstore import ShardedResultStore
 from repro.workloads.workload import WorkloadKind
 
 
@@ -180,6 +184,90 @@ def test_serial_and_parallel_campaign_results_identical():
     ]
     assert serial.results == parallel.results
     assert serial.baselines == parallel.baselines
+
+
+# ------------------------------------------- cancellation and shared stores
+
+
+@pytest.fixture(scope="module")
+def serial_store(tmp_path_factory):
+    """The serial store-backed run the cancel/concurrency cases compare to."""
+    root = str(tmp_path_factory.mktemp("serial-store"))
+    Campaign(_tiny_config(workers=1, max_experiments_per_workload=12)).run(results_dir=root)
+    return ShardedResultStore(root)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cancelled_campaign_stops_dispatching_and_resumes(serial_store, tmp_path, workers):
+    # Cancel at the first progress tick: no batch that has not started when
+    # the cancel is observed may start (the pool used to run the whole plan
+    # before the error surfaced), what finished stays, and a rerun executes
+    # exactly the missing experiments.
+    config = _tiny_config(workers=workers, chunk_size=1, max_experiments_per_workload=12)
+    root = str(tmp_path / "results")
+    total = serial_store.record_count()
+    cancel = threading.Event()
+    with pytest.raises(CampaignCancelledError):
+        Campaign(config).run(
+            results_dir=root, cancel=cancel, progress=lambda done, total: cancel.set()
+        )
+    survivors = ShardedResultStore(root).record_count()
+    assert 0 < survivors < total
+
+    ticks: list[tuple[int, int]] = []
+    Campaign(config).run(
+        results_dir=root, progress=lambda done, total: ticks.append((done, total))
+    )
+    # One tick up front for what survived, then one per missing experiment.
+    assert ticks[0] == (survivors, total)
+    assert len(ticks) == 1 + total - survivors
+    store = ShardedResultStore(root)
+    assert store.results_digest() == serial_store.results_digest()
+    assert store.stored_record_count() == total  # nothing was replayed
+
+
+def test_two_executors_in_one_process_share_a_store(serial_store, tmp_path):
+    # Worker loops may run as threads of one process: two executors running
+    # disjoint slices concurrently against one store (and, with shard_batch,
+    # one open shard group) must still store the serial records exactly once.
+    config = _tiny_config(workers=1, max_experiments_per_workload=12)
+    campaign = Campaign(config)
+    tasks, baselines, _ = campaign.plan_campaign()
+    root = str(tmp_path / "results")
+    ShardedResultStore(root).open(
+        campaign_fingerprint(tasks, config.experiment, baselines), len(tasks)
+    )
+    half = len(tasks) // 2
+    errors: list[BaseException] = []
+
+    def run_slice(slice_tasks) -> None:
+        try:
+            with CampaignExecutor(
+                config.experiment, workers=1, chunk_size=1, results_dir=root, shard_batch=2
+            ) as executor:
+                executor.run_experiments(slice_tasks, baselines)
+        except BaseException as error:  # noqa: BLE001 - surfaced in the assert below
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=run_slice, args=(part,))
+        for part in (tasks[:half], tasks[half:])
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    store = ShardedResultStore(root)
+    assert store.results_digest() == serial_store.results_digest()
+    assert store.stored_record_count() == len(tasks)
+    assert len(store.shard_keys()) < len(tasks)  # batches were coalesced
 
 
 # --------------------------------------------------------------------- CLI

@@ -21,7 +21,7 @@ from repro.core.classification import (
     OrchestratorFailure,
     OrchestratorObservations,
 )
-from repro.core.experiment import ExperimentResult
+from repro.core.experiment import ExperimentResult, ExperimentRunner
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
 from repro.core.resultstore import (
     ResultStoreMismatchError,
@@ -360,7 +360,7 @@ def test_streaming_pass_memory_is_bounded_by_one_shard(tmp_path):
 # ------------------------------------------------- store-backed campaigns
 
 
-def test_streaming_campaign_matches_in_memory_and_resumes(tmp_path):
+def test_streaming_campaign_matches_in_memory_and_resumes(tmp_path, monkeypatch):
     config = _tiny_config(workers=1, chunk_size=2)
     in_memory = Campaign(config).run()
     root = str(tmp_path / "results")
@@ -373,22 +373,16 @@ def test_streaming_campaign_matches_in_memory_and_resumes(tmp_path):
     assert streamed.classification_counts() == in_memory.classification_counts()
 
     # Rerunning the same configuration replays zero completed experiments:
-    # progress reports everything done immediately and no batch runs.
-    import repro.core.parallel as parallel_module
-
+    # progress reports everything done immediately and no experiment runs.
     calls: list[tuple[int, int]] = []
-    original_run_batch = parallel_module._run_batch
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a completed experiment was re-executed on resume")
 
-    parallel_module._run_batch = forbidden
-    try:
-        resumed = Campaign(config).run(
-            results_dir=root, progress=lambda done, total: calls.append((done, total))
-        )
-    finally:
-        parallel_module._run_batch = original_run_batch
+    monkeypatch.setattr(ExperimentRunner, "run_experiment", forbidden)
+    resumed = Campaign(config).run(
+        results_dir=root, progress=lambda done, total: calls.append((done, total))
+    )
     total = len(in_memory.results)
     assert calls == [(total, total)]
     assert list(resumed.results) == in_memory.results
@@ -455,8 +449,6 @@ def test_mispointed_results_dir_is_left_untouched(tmp_path, backend):
 
 
 def test_streaming_campaign_skips_prep_on_resume(tmp_path, monkeypatch):
-    import repro.core.parallel as parallel_module
-
     config = _tiny_config(workers=1, max_experiments_per_workload=2)
     root = str(tmp_path / "results")
     first = Campaign(config).run(results_dir=root)
@@ -464,7 +456,7 @@ def test_streaming_campaign_skips_prep_on_resume(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise AssertionError("prep must come from the result store on resume")
 
-    monkeypatch.setattr(parallel_module, "_run_golden_job", explode)
+    monkeypatch.setattr(ExperimentRunner, "run_golden", explode)
     resumed = Campaign(config).run(results_dir=root)
     assert list(resumed.results) == list(first.results)
     assert resumed.baselines == first.baselines
