@@ -78,7 +78,7 @@ import sys
 import time
 from typing import Optional
 
-from repro.core.campaign import Campaign, CampaignConfig, CampaignResult
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.distributed import (
     DistributedTimeoutError,
     DistributedWorker,
@@ -86,6 +86,7 @@ from repro.core.distributed import (
 )
 from repro.core.report import (
     document_to_bytes,
+    fold_store,
     render_campaign_summary,
     render_critical_fields,
     render_figure6,
@@ -378,10 +379,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # One tally pass and one digest pass over the shards, shared between the
-    # rendered summary and the JSON payload.
-    campaign = CampaignResult(results=store.all_results())
-    digest = store.results_digest()
+    # One pass over the shards makes the tally and the digest, shared between
+    # the rendered summary and the JSON payload.
+    campaign, digest = fold_store(store)
     print(render_store_summary(store, include_layout=True, campaign=campaign, digest=digest))
     provenance = render_provenance(root)
     if provenance:

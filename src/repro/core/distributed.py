@@ -183,6 +183,13 @@ def load_plan(root: str, transport=None) -> Optional[DistributedPlan]:
     )
 
 
+def plan_generation(root: str) -> Optional[str]:
+    """The published plan's generation token (``None``: no plan yet) — one
+    stat, so a poller re-reads the plan only when this value changes."""
+    stat = transport_for(root).stat(_PLAN_NAME)
+    return stat.generation if stat is not None else None
+
+
 def publish_plan(root: str, plan: DistributedPlan) -> bool:
     """Publish the frozen plan (idempotent).
 

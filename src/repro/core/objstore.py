@@ -215,16 +215,48 @@ class LocalObjectStore(ThreadingHTTPServer):
             self.objects[key].mtime -= seconds
 
 
-class _Handler(BaseHTTPRequestHandler):
+class ResponseHandler(BaseHTTPRequestHandler):
+    """How both in-tree HTTP servers (this one and the campaign service's)
+    answer a request: HTTP/1.1 keep-alive, silent, never waiting on Nagle."""
+
+    protocol_version = "HTTP/1.1"
+    # The stdlib handler writes the header block and the body as two small
+    # segments and leaves Nagle on, so on a keep-alive connection the body
+    # waits out the client's delayed ACK of the headers: a fixed ~40 ms on
+    # every exchange with a small body (measured: 44 ms per 100-byte GET or
+    # /list page against 0.15 ms with TCP_NODELAY on the accepted socket;
+    # bodiless HEADs and 200 KB shards never showed it).
+    disable_nagle_algorithm = True
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass  # both servers are driven by tests/CI; keep their stderr clean
+
+    def _send(self, status: int, body: bytes = b"", headers: Optional[dict] = None):
+        self.send_response(status)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request's ``Content-Length``-framed body, or ``None`` for a
+        malformed or negative length (the caller answers 400): an escaping
+        ``ValueError`` drops the connection with no response, and
+        ``read(-1)`` parks the handler thread until the peer closes."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            return None
+        return self.rfile.read(length) if length >= 0 else None
+
+
+class _Handler(ResponseHandler):
     """Request plumbing; all state lives on the :class:`LocalObjectStore`."""
 
     server: LocalObjectStore
-    protocol_version = "HTTP/1.1"
 
     # ------------------------------------------------------------- plumbing
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # keep worker/CI stderr clean; the store is test infrastructure
 
     def _key(self) -> Optional[str]:
         path = urllib.parse.urlsplit(self.path).path
@@ -234,14 +266,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _query(self) -> dict:
         return dict(urllib.parse.parse_qsl(urllib.parse.urlsplit(self.path).query))
-
-    def _send(self, status: int, body: bytes = b"", headers: Optional[dict] = None):
-        self.send_response(status)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     @staticmethod
     def _object_headers(stored: StoredObject) -> dict:
@@ -297,8 +321,10 @@ class _Handler(BaseHTTPRequestHandler):
         if key is None:
             self._send(404)
             return
-        length = int(self.headers.get("Content-Length", 0))
-        data = self.rfile.read(length) if length else b""
+        data = self._read_body()
+        if data is None:
+            self._send(400, b"Content-Length must be a non-negative integer")
+            return
         stored = self.server.put(
             key,
             data,

@@ -18,8 +18,9 @@ from repro.core.analysis import (
     user_error_analysis,
 )
 from repro.core.campaign import CampaignResult
-from repro.core.classification import ClientFailure, OrchestratorFailure
+from repro.core.classification import CampaignTally, ClientFailure, OrchestratorFailure
 from repro.core.experiment import ExperimentResult
+from repro.core.resultstore import result_from_dict
 from repro.workloads.workload import WorkloadKind
 
 
@@ -108,6 +109,20 @@ def render_store_summary(
 STORE_DOCUMENT_SCHEMA = 1
 
 
+def fold_store(store) -> tuple[CampaignResult, str]:
+    """The tally and the results digest of a store from one plan-order pass:
+    every shard is read once, where a tally pass followed by a digest pass
+    reads (and on an object store, downloads) each of them twice."""
+    tally = CampaignTally()
+
+    def fold(index: int, record: dict) -> None:
+        result = result_from_dict(record)
+        tally.update(result, CampaignResult.injection_family(result.fault))
+
+    digest = store.results_digest(fold)
+    return CampaignResult(results=store.all_results(), _tally=tally), digest
+
+
 def store_document(
     store,
     campaign: Optional[CampaignResult] = None,
@@ -122,8 +137,11 @@ def store_document(
     ``experiments`` iff zero experiments were replayed into a second shard,
     so diffing this document against a serial run's proves a distributed
     campaign (even one with a SIGKILLed worker) lost and duplicated nothing.
+    Given neither a tally nor a digest it makes both in one :func:`fold_store`.
     """
-    if campaign is None:
+    if campaign is None and digest is None:
+        campaign, digest = fold_store(store)
+    elif campaign is None:
         campaign = CampaignResult(results=store.all_results())
     return {
         "schema": STORE_DOCUMENT_SCHEMA,

@@ -43,7 +43,7 @@ import json
 import pickle
 import threading
 from dataclasses import fields as dataclass_fields
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.core.classification import (
     ClientFailure,
@@ -214,11 +214,13 @@ class ShardedResultStore:
     shard in memory.
     """
 
-    def __init__(self, root: str):
+    def __init__(self, root: str, shard_cache: Optional[dict] = None):
         self.root = root
         self.transport = transport_for(root)
-        #: Lazily built map of completed plan index -> shard key.
+        #: Lazily built map of completed plan index -> shard key, and the
+        #: ``(shard key, generation)`` pairs of the scan that built it.
         self._index_map: Optional[dict[int, str]] = None
+        self._scanned: tuple[tuple[str, str], ...] = ()
         #: One-shard read cache: (key, {index: result dict}).
         self._cached_key: Optional[str] = None
         self._cached_shard: dict[int, dict] = {}
@@ -231,8 +233,9 @@ class ShardedResultStore:
         #: a same-named shard can change content: a truncated shard whose
         #: readable prefix parsed being atomically replaced by an equal-size
         #: rewrite, and — since batched upload — a live shard a worker is
-        #: still extending with appended batches.
-        self._shard_record_cache: dict[str, tuple[str, list[int]]] = {}
+        #: still extending with appended batches.  A poller that goes through
+        #: many short-lived instances (the campaign service) passes the dict in.
+        self.shard_cache = shard_cache if shard_cache is not None else {}
 
     # ------------------------------------------------------------- manifest
 
@@ -419,42 +422,58 @@ class ShardedResultStore:
         self._cached_key = None
         self._cached_shard = {}
 
-    def _shard_indexes(self, key: str) -> list[int]:
-        """The record indexes of one shard (cached; shards are immutable)."""
+    def _shard_indexes(self, key: str) -> Optional[tuple[str, list[int]]]:
+        """``(generation, record indexes)`` of one shard, ``None`` when the
+        key vanished (cached; a shard's content is fixed per generation)."""
         stat = self.transport.stat(key)
         if stat is None:
-            return []
-        cached = self._shard_record_cache.get(key)
+            return None
+        cached = self.shard_cache.get(key)
         if cached is not None and cached[0] == stat.generation:
-            return cached[1]
+            return cached
         indexes: list[int] = []
         records: dict[int, dict] = {}
         for index, data in self._iter_shard_records(key):
             indexes.append(index)
             records[index] = data
-        self._shard_record_cache[key] = (stat.generation, indexes)
+        self.shard_cache[key] = (stat.generation, indexes)
         # Hand the decompressed records to the one-shard read cache: the
         # common next step (the coordinator folding the indexes this scan
         # just discovered) then reads them without gunzipping the shard a
         # second time.  Memory stays bounded by one shard as before.
         self._cached_key = key
         self._cached_shard = records
-        return indexes
+        return stat.generation, indexes
 
     def completed_indexes(self) -> dict[int, str]:
         """Map every completed plan index onto the shard key that holds it.
 
-        This is the whole resume scan: O(completed shards) on first use and
-        O(*new* shards) after a :meth:`refresh`, no result object is
-        materialized.  Later shards win when a re-run rewrote an index.
+        This is the whole resume scan (one listing, one stat per shard, a
+        read of only the shards ``shard_cache`` has not parsed): O(completed
+        shards) on first use and O(*new* shards) after a :meth:`refresh`, no
+        result object is materialized.  Later shards win when a re-run
+        rewrote an index.
         """
         if self._index_map is None:
             index_map: dict[int, str] = {}
+            scanned = []
             for key in self.iter_shard_keys():
-                for index in self._shard_indexes(key):
-                    index_map[index] = key
+                entry = self._shard_indexes(key)
+                if entry is not None:
+                    scanned.append((key, entry[0]))
+                    for index in entry[1]:
+                        index_map[index] = key
             self._index_map = index_map
+            self._scanned = tuple(scanned)
         return self._index_map
+
+    def shard_generations(self) -> tuple[tuple[str, str], ...]:
+        """The ``(shard key, generation)`` pairs :meth:`completed_indexes`
+        was built from.  Equal tuples mean equal stored records, so anything
+        derived from the store may be cached under this value and must be
+        re-validated against it — never trusted on its own."""
+        self.completed_indexes()
+        return self._scanned
 
     # -------------------------------------------------------------- reading
 
@@ -512,11 +531,11 @@ class ShardedResultStore:
         wasted work.  A healthy campaign (local resume or distributed
         workers) therefore keeps this equal to :meth:`record_count`; CI
         asserts exactly that to prove a reclaimed worker slice replayed
-        nothing that was already stored.  Served from the per-shard parse
-        cache, so after a completed-index scan this costs one stat per
-        shard, not a second decompression pass.
+        nothing that was already stored.  Counted over the scan behind
+        :meth:`completed_indexes`, so the two numbers describe one listing
+        and the second costs no further store request.
         """
-        return sum(len(self._shard_indexes(key)) for key in self.iter_shard_keys())
+        return sum(len(self.shard_cache[key][1]) for key, _ in self.shard_generations())
 
     def compressed_bytes(self) -> int:
         """Total stored size of the shards."""
@@ -527,17 +546,21 @@ class ShardedResultStore:
                 total += stat.size
         return total
 
-    def results_digest(self) -> str:
+    def results_digest(self, visit: Optional[Callable[[int, dict], None]] = None) -> str:
         """SHA-256 over the canonical records in plan-index order.
 
         Serial and parallel runs of the same campaign chunk the plan
         differently (different shard files) but must store identical result
         records, so their digests must match; CI diffs exactly this.
+        ``visit(index, record)`` sees each record as it is hashed, so a
+        caller that also tallies the store reads every shard once, not twice.
         """
         digest = hashlib.sha256()
         index_map = self.completed_indexes()
         for index in sorted(index_map):
             data = self._shard_for(index)[index]
+            if visit is not None:
+                visit(index, data)
             digest.update(_canonical_line(index, data).encode("utf-8"))
             digest.update(b"\n")
         return digest.hexdigest()

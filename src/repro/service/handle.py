@@ -13,8 +13,6 @@ import threading
 from typing import Optional
 
 from repro.core.campaign import Campaign, CampaignCancelledError, CampaignResult
-from repro.core.resultstore import ShardedResultStore
-from repro.core.transport import TransportKeyError
 from repro.service.spec import CampaignSpec
 
 #: Handle lifecycle states (terminal: complete, failed, cancelled).
@@ -139,8 +137,10 @@ class CampaignHandle:
     # ---------------------------------------------------------------- polling
 
     def poll(self) -> dict:
-        """Live progress, computed from the shard store — not from in-memory
-        counters — so the numbers survive a service restart unchanged."""
+        """The runner's own state.  Progress is deliberately not kept here:
+        the service computes it from the shard store (through the campaign's
+        :class:`~repro.service.storeview.StoreView`), so the numbers survive
+        a service restart unchanged."""
         info: dict = {
             "state": self.state,
             "cancel_requested": self._cancel.is_set(),
@@ -148,21 +148,4 @@ class CampaignHandle:
         error = self.error
         if error is not None:
             info["error"] = str(error)
-        if self.spec.store_url:
-            info.update(store_progress(self.spec.store_url))
         return info
-
-
-def store_progress(store_url: str) -> dict:
-    """Completed/total/stored-record counts of a store, tolerating a store
-    that no worker has created yet (everything ``0``/``None`` then)."""
-    store = ShardedResultStore(store_url)
-    try:
-        manifest = store.manifest()
-    except (TransportKeyError, KeyError):
-        return {"completed": 0, "total": None, "stored_records": 0}
-    return {
-        "completed": store.record_count(),
-        "total": manifest.get("total"),
-        "stored_records": store.stored_record_count(),
-    }

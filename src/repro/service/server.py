@@ -34,22 +34,20 @@ import json
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Optional
 
-from repro.core.campaign import CampaignResult
-from repro.core.distributed import DistributedPlanError, SliceLeases, load_plan
-from repro.core.report import store_document, tables_document, document_to_bytes
-from repro.core.resultstore import ShardedResultStore
+from repro.core.distributed import SliceLeases
+from repro.core.objstore import ResponseHandler
 from repro.core.transport import (
-    StoreURLError,
     TransportError,
     TransportKeyError,
     resolve_store_url,
     transport_for,
 )
-from repro.service.handle import CampaignHandle, store_progress
+from repro.service.handle import CampaignHandle
 from repro.service.spec import CampaignSpec, SpecError
+from repro.service.storeview import StoreView
 
 #: Prefix of the index records in the service's state store.
 CAMPAIGN_INDEX_PREFIX = "campaigns/"
@@ -70,12 +68,16 @@ class UnknownCampaignError(KeyError):
 
 
 class ManagedCampaign:
-    """One campaign the service knows about: its index record + runner."""
+    """One campaign the service knows about: its index record + runner, and
+    the generation-validated view every read of its store goes through."""
 
     def __init__(self, record: dict, spec: CampaignSpec, handle: Optional[CampaignHandle]):
+        if not spec.store_url:
+            raise SpecError("a managed campaign needs a store_url: its store is its only state")
         self.record = record
         self.spec = spec
         self.handle = handle
+        self.view = StoreView(spec.store_url)
 
     @property
     def campaign_id(self) -> str:
@@ -103,8 +105,7 @@ class ManagedCampaign:
             "submitted_at": self.record.get("submitted_at"),
             "cancelled": bool(self.record.get("cancelled")),
         }
-        if self.spec.store_url:
-            info.update(store_progress(self.spec.store_url))
+        info.update(self.view.progress())
         if self.handle is not None and self.handle.error is not None:
             info["error"] = str(self.handle.error)
         return info
@@ -166,18 +167,21 @@ class CampaignService:
                 ):
                     del spec_data["checkpoint"]
                 spec = CampaignSpec.from_dict(spec_data)
+                managed = ManagedCampaign(record, spec, None)
             except (TransportKeyError, SpecError, KeyError, ValueError):
                 continue  # a torn or foreign record must not block startup
             campaign_id = record.get("id") or spec.campaign_id()
             # The completeness probe reads the campaign's store — transport
             # round-trips that must not run under the registry lock (every
-            # handler thread would stall behind startup I/O).
-            terminal = bool(record.get("cancelled")) or _store_complete(spec)
+            # handler thread would stall behind startup I/O).  It also warms
+            # the view, so the first poll after a restart downloads nothing.
+            terminal = bool(record.get("cancelled")) or managed.view.complete()
             with self._lock:
                 if campaign_id in self._campaigns:
                     continue
-                handle = None if terminal else CampaignHandle(spec).start()
-                self._campaigns[campaign_id] = ManagedCampaign(record, spec, handle)
+                if not terminal:
+                    managed.handle = CampaignHandle(spec).start()
+                self._campaigns[campaign_id] = managed
             recovered += 1
         self._ready.set()
         return recovered
@@ -306,19 +310,10 @@ class CampaignService:
     def document_bytes(self, campaign_id: str) -> Optional[bytes]:
         """The campaign's canonical inspect document, or ``None`` while the
         store has no manifest yet (the HTTP layer answers 503 then)."""
-        managed = self._get(campaign_id)
-        store = ShardedResultStore(managed.spec.store_url)
-        if not store.has_manifest():
-            return None
-        campaign = CampaignResult(results=store.all_results())
-        return document_to_bytes(store_document(store, campaign=campaign))
+        return self._get(campaign_id).view.document()
 
     def tables(self, campaign_id: str) -> Optional[dict]:
-        managed = self._get(campaign_id)
-        store = ShardedResultStore(managed.spec.store_url)
-        if not store.has_manifest():
-            return None
-        return tables_document(CampaignResult(results=store.all_results()))
+        return self._get(campaign_id).view.tables()
 
     def status(self, campaign_id: str) -> dict:
         """Live distributed-run introspection: what ``inspect`` prints as
@@ -334,18 +329,11 @@ class CampaignService:
         }
         if managed.handle is not None:
             info.update(managed.handle.poll())
-        elif managed.spec.store_url:
-            info.update(store_progress(managed.spec.store_url))
-        root = managed.spec.store_url
-        try:
-            plan = load_plan(root)
-        except (DistributedPlanError, TransportError):
-            # Status stays served without plan enrichment: an unreadable or
-            # unreachable plan is reported by the run itself, not by polls.
-            plan = None
+        info.update(managed.view.progress())
+        plan = managed.view.plan_summary()
         if plan is not None:
-            info["plan"] = {"total": plan.total, "slices": len(plan.slices())}
-        leases = SliceLeases(root)
+            info["plan"] = plan
+        leases = SliceLeases(managed.view.root)
         info["slices_done"] = leases.done_records()
         info["outstanding_leases"] = [
             {
@@ -358,19 +346,6 @@ class CampaignService:
             for lease in leases.outstanding()
         ]
         return info
-
-
-def _store_complete(spec: CampaignSpec) -> bool:
-    """Whether the spec's store already holds every planned experiment."""
-    store = ShardedResultStore(spec.store_url)
-    try:
-        manifest = store.manifest()
-    except (TransportKeyError, KeyError):
-        return False
-    except TransportError:
-        return False
-    total = manifest.get("total")
-    return isinstance(total, int) and store.record_count() >= total
 
 
 # --------------------------------------------------------------------------
@@ -411,31 +386,18 @@ class CampaignServiceServer(ThreadingHTTPServer):
         self.server_close()
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(ResponseHandler):
     """Routing and JSON plumbing; all state lives on the service."""
 
     server: CampaignServiceServer
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # the service is driven by tests/CI; keep stderr clean
 
     @property
     def service(self) -> CampaignService:
         return self.server.service
 
-    def _send(self, status: int, body: bytes, content_type: str, headers: Optional[dict] = None):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _send_json(self, status: int, payload: dict, headers: Optional[dict] = None):
         body = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-        self._send(status, body, "application/json", headers)
+        self._send(status, body, {"Content-Type": "application/json", **(headers or {})})
 
     def _send_error(self, status: int, message: str, headers: Optional[dict] = None):
         self._send_json(status, {"error": message}, headers)
@@ -456,10 +418,10 @@ class _Handler(BaseHTTPRequestHandler):
         path, campaign_id, subresource = self._route()
         try:
             if path == "/healthz":
-                self._send(200, b"ok", "text/plain")
+                self._send(200, b"ok", {"Content-Type": "text/plain"})
             elif path == "/readyz":
                 if self.service.ready:
-                    self._send(200, b"ready", "text/plain")
+                    self._send(200, b"ready", {"Content-Type": "text/plain"})
                 else:
                     self._send_error(503, "rehydrating", {"Retry-After": "1"})
             elif path == "/v1/campaigns":
@@ -473,7 +435,7 @@ class _Handler(BaseHTTPRequestHandler):
                         {"Retry-After": "1"},
                     )
                 else:
-                    self._send(200, document, "application/json")
+                    self._send(200, document, {"Content-Type": "application/json"})
             elif campaign_id is not None and subresource == "status":
                 self._send_json(200, self.service.status(campaign_id))
             elif campaign_id is not None and subresource == "tables":
@@ -498,10 +460,12 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/v1/campaigns":
             self._send_error(404, f"unknown resource {path!r}")
             return
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
+        raw = self._read_body()
+        if raw is None:
+            self._send_error(400, "Content-Length must be a non-negative integer")
+            return
         try:
-            data = json.loads(raw.decode("utf-8"))
+            data = json.loads((raw or b"{}").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             self._send_error(400, f"request body is not valid JSON: {error}")
             return

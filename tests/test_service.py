@@ -20,18 +20,23 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.core import distributed, resultstore
+from repro.core.distributed import DistributedPlan, publish_plan
+from repro.core.experiment import ExperimentConfig
 from repro.core.objstore import LocalObjectStore
-from repro.core.report import STORE_DOCUMENT_SCHEMA
+from repro.core.report import STORE_DOCUMENT_SCHEMA, document_to_bytes, store_document
 from repro.core.resultstore import ShardedResultStore
-from repro.core.transport import StoreURLError, resolve_store_url
+from repro.core.transport import StoreURLError, resolve_store_url, transport_for
 from repro.service import (
     CampaignHandle,
     CampaignService,
@@ -40,6 +45,13 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     SpecError,
+)
+
+from test_distributed import RecordingTransport  # noqa: E402 - shared op-recording fake
+from test_transport import (  # noqa: E402 - wire helpers shared by both HTTP servers
+    assert_accepted_sockets_have_nagle_off,
+    assert_bad_content_length_answers_400,
+    keepalive_seconds,
 )
 
 #: src/ directory, for PYTHONPATH of spawned service processes.
@@ -324,11 +336,11 @@ class TestServiceAPI:
         service = CampaignService(str(tmp_path / "state"))
         spec = _tiny_spec(str(tmp_path / "store"), max_experiments=2)
 
-        def persist(campaign_id, checkpoint):
+        def persist(campaign_id, checkpoint, **fields):
             record = {
                 "id": campaign_id,
                 "fingerprint": "f" * 64,
-                "spec": {**spec.to_dict(), "checkpoint": checkpoint},
+                "spec": {**spec.to_dict(), "checkpoint": checkpoint, **fields},
                 "submitted_at": 1.0,
                 "cancelled": False,
             }
@@ -338,6 +350,7 @@ class TestServiceAPI:
 
         persist("0123456789abcdef", None)
         persist("fedcba9876543210", "/tmp/c.pkl")  # non-null: still foreign
+        persist("00000000deadbeef", None, store_url=None)  # no store: nothing to manage
         assert service.rehydrate() == 1
         (summary,) = service.list_campaigns()["campaigns"]
         assert summary["id"] == "0123456789abcdef" != spec.campaign_id()
@@ -422,6 +435,252 @@ class TestServiceAPI:
         assert status["backend"] == "distributed"
         assert "slices_done" in status and "outstanding_leases" in status
         client.cancel(response["id"])
+
+
+# --------------------------------------------------------------------------
+# The wire: the service answers through the object store's ResponseHandler
+# --------------------------------------------------------------------------
+
+
+class TestServiceWire:
+    def test_small_body_exchanges_do_not_wait_out_a_delayed_ack(self, service_server):
+        server, _ = service_server
+        assert keepalive_seconds(server.server_address, "/healthz") < 0.4
+
+    def test_accepted_sockets_have_nagle_off(self, service_server):
+        server, _ = service_server
+        assert_accepted_sockets_have_nagle_off(server, "/healthz")
+
+    def test_submit_with_bad_content_length_is_400(self, service_server):
+        server, client = service_server
+        assert_bad_content_length_answers_400(
+            server.server_address, "POST", "/v1/campaigns", probe="/healthz"
+        )
+        assert client.campaigns() == []
+
+
+# --------------------------------------------------------------------------
+# Request budget: what one service read costs the store, as recorded ops
+# --------------------------------------------------------------------------
+
+
+def _shard_keys(root: str) -> list[str]:
+    return ShardedResultStore(root).shard_keys()
+
+
+@pytest.fixture()
+def recorded_ops(monkeypatch) -> list[tuple[str, str]]:
+    """Every transport op the store and plan/lease layers issue from here
+    on, in order, as ``(op, key)`` — budgets are asserted on this sequence,
+    never on a clock."""
+    ops: list[tuple[str, str]] = []
+    for module in (resultstore, distributed):
+
+        def recording_transport_for(root, real=module.transport_for):
+            recorder = RecordingTransport(real(root))
+            recorder.ops = ops
+            return recorder
+
+        monkeypatch.setattr(module, "transport_for", recording_transport_for)
+    return ops
+
+
+def _gets(ops, prefix: str) -> list[str]:
+    return [key for op, key in ops if op in ("get", "get_with_stat") and key.startswith(prefix)]
+
+
+def _cold_document(root: str) -> bytes:
+    return document_to_bytes(store_document(ShardedResultStore(root)))
+
+
+def _manage(tmp_path, store: str) -> tuple[CampaignService, str]:
+    """A service managing ``store`` without a runner (the record is marked
+    cancelled, so rehydration starts none): reads only, nothing simulates."""
+    service = CampaignService(str(tmp_path / "state"))
+    spec = _tiny_spec(store)
+    record = {
+        "id": spec.campaign_id(),
+        "fingerprint": spec.fingerprint(),
+        "spec": spec.to_dict(),
+        "submitted_at": 1.0,
+        "cancelled": True,
+    }
+    service.transport.put(
+        f"campaigns/{record['id']}.json", json.dumps(record).encode("utf-8")
+    )
+    assert service.rehydrate() == 1
+    return service, record["id"]
+
+
+@pytest.fixture()
+def finished_store(tmp_path, serial_reference) -> str:
+    """A private copy of the finished six-shard serial store, with a plan
+    published so ``status`` has one to report."""
+    store = str(tmp_path / "store")
+    shutil.copytree(serial_reference[0], store)
+    publish_plan(
+        store,
+        DistributedPlan(
+            fingerprint=ShardedResultStore(store).manifest()["fingerprint"],
+            experiment_config=ExperimentConfig(),
+            tasks=list(range(6)),
+            baselines={},
+            slice_size=2,
+        ),
+    )
+    return store
+
+
+class TestRequestBudget:
+    def test_reads_of_a_finished_store_stop_downloading_it(
+        self, tmp_path, finished_store, recorded_ops
+    ):
+        shards = _shard_keys(finished_store)
+        assert len(shards) == 6
+        service, campaign_id = _manage(tmp_path, finished_store)
+
+        first = service.status(campaign_id)
+        assert (first["completed"], first["total"], first["stored_records"]) == (6, 6, 6)
+        assert first["plan"] == {"total": 6, "slices": 3}
+        del recorded_ops[:]
+        assert service.status(campaign_id) == first
+        assert _gets(recorded_ops, "shards/") == []
+        assert _gets(recorded_ops, "PLAN.pkl") == []
+        # One listing and one stat per shard is the whole validation.
+        assert [op for op, key in recorded_ops if key == "shards/"] == ["list_iter"]
+        assert sorted(key for op, key in recorded_ops if op == "stat" and key in shards) == shards
+
+        del recorded_ops[:]
+        document = service.document_bytes(campaign_id)
+        assert sorted(_gets(recorded_ops, "shards/")) == shards  # each at most once
+        del recorded_ops[:]
+        assert service.document_bytes(campaign_id) == document
+        assert _gets(recorded_ops, "shards/") == []
+        assert sorted(key for op, key in recorded_ops if op == "stat" and key in shards) == shards
+
+        del recorded_ops[:]
+        tables = service.tables(campaign_id)
+        assert tables["experiments"] == 6
+        assert sorted(_gets(recorded_ops, "shards/")) == shards
+
+        assert document == _cold_document(finished_store)
+        (summary,) = service.list_campaigns()["campaigns"]
+        assert (summary["completed"], summary["stored_records"]) == (6, 6)
+
+    def test_a_landed_or_rewritten_shard_is_reflected_by_the_next_read(
+        self, tmp_path, finished_store, recorded_ops
+    ):
+        transport = transport_for(finished_store)
+        shards = _shard_keys(finished_store)
+        late_key, late_bytes = shards[-1], transport.get(shards[-1])
+        transport.delete(late_key)
+        service, campaign_id = _manage(tmp_path, finished_store)
+        status = service.status(campaign_id)
+        assert (status["completed"], status["stored_records"]) == (5, 5)
+        partial = service.document_bytes(campaign_id)
+        assert json.loads(partial)["experiments"] == 5
+
+        # A further shard lands: only that shard is downloaded.
+        transport.put(late_key, late_bytes)
+        del recorded_ops[:]
+        status = service.status(campaign_id)
+        assert (status["completed"], status["stored_records"]) == (6, 6)
+        assert _gets(recorded_ops, "shards/") == [late_key]
+        document = service.document_bytes(campaign_id)
+        assert document != partial
+        assert document == _cold_document(finished_store)
+
+        # An existing shard is rewritten under a new generation, now holding
+        # a replayed copy of its neighbour's record (gzip members concatenate).
+        transport.put(shards[0], transport.get(shards[0]) + transport.get(shards[1]))
+        del recorded_ops[:]
+        status = service.status(campaign_id)
+        assert (status["completed"], status["stored_records"]) == (6, 7)
+        assert _gets(recorded_ops, "shards/") == [shards[0]]
+        replayed = json.loads(service.document_bytes(campaign_id))
+        assert (replayed["experiments"], replayed["stored_records"]) == (6, 7)
+        assert replayed["results_digest"] == json.loads(document)["results_digest"]
+        assert service.document_bytes(campaign_id) == _cold_document(finished_store)
+
+    def test_plan_is_reread_only_under_a_new_generation(
+        self, tmp_path, finished_store, recorded_ops
+    ):
+        service, campaign_id = _manage(tmp_path, finished_store)
+        assert service.status(campaign_id)["plan"] == {"total": 6, "slices": 3}
+        transport = transport_for(finished_store)
+        plan_bytes = transport.get("PLAN.pkl")
+
+        transport.put("PLAN.pkl", b"not a pickle")  # replaced and unreadable
+        assert "plan" not in service.status(campaign_id)
+        transport.put("PLAN.pkl", plan_bytes)  # replaced again: re-read once
+        del recorded_ops[:]
+        assert service.status(campaign_id)["plan"] == {"total": 6, "slices": 3}
+        assert service.status(campaign_id)["plan"] == {"total": 6, "slices": 3}
+        assert _gets(recorded_ops, "PLAN.pkl") == ["PLAN.pkl"]
+        transport.delete("PLAN.pkl")
+        assert "plan" not in service.status(campaign_id)
+
+    def test_concurrent_polls_while_shards_land(self, tmp_path, serial_reference):
+        """Eight pollers against one campaign while a writer lands its shards
+        one by one: every answer is well-formed and the final document is the
+        serial one.  The view's lock guards three attributes and no I/O, so
+        the pollers overlap freely; a lost update could only cost a re-fetch."""
+        serial_store, serial_digest = serial_reference
+        store = str(tmp_path / "store")
+        shutil.copytree(serial_store, store)
+        transport = transport_for(store)
+        shards = {key: transport.get(key) for key in _shard_keys(store)}
+        for key in shards:
+            transport.delete(key)
+        service, campaign_id = _manage(tmp_path, store)
+
+        landed = threading.Event()
+        problems: list[str] = []
+
+        def land() -> None:
+            for key, payload in shards.items():
+                transport.put(key, payload)
+                time.sleep(0.01)
+            landed.set()
+
+        def poll() -> None:
+            seen = 0
+            try:
+                while True:
+                    final = landed.is_set()  # read first: one more full round after it
+                    status = service.status(campaign_id)
+                    document = json.loads(service.document_bytes(campaign_id))
+                    count = document["experiments"]
+                    if not (seen <= count <= 6 and document["stored_records"] == count):
+                        problems.append(f"document went {seen} -> {document}")
+                    if not (0 <= status["completed"] <= status["stored_records"] <= 6):
+                        problems.append(f"status {status}")
+                    if sum(document["classification_counts"].values()) != count:
+                        problems.append(f"tally disagrees with itself: {document}")
+                    seen = count
+                    if final:
+                        if count != 6:
+                            problems.append(f"final document holds {count} of 6")
+                        return
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                problems.append(repr(error))
+
+        threads = [threading.Thread(target=poll) for _ in range(8)]
+        threads.append(threading.Thread(target=land))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        final = service.document_bytes(campaign_id)
+        assert final == _cold_document(store)
+        assert json.loads(final)["results_digest"] == serial_digest
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from __future__ import annotations
 import http.client
 import itertools
 import os
+import socket
 import threading
+import time
 
 import pytest
 
@@ -324,6 +326,93 @@ def test_campaign_digest_with_forced_pagination_matches_unpaginated(tmp_path):
         assert paged.stored_record_count() == plain.stored_record_count()
     finally:
         server.stop()
+
+
+# ------------------------------------------------------------------ the wire
+#
+# Helpers shared with tests/test_service.py: both in-tree HTTP servers answer
+# through one ``ResponseHandler``, so both are held to the same wire tests.
+
+
+def keepalive_seconds(address, path: str, exchanges: int = 20) -> float:
+    """Wall-clock of ``exchanges`` sequential GETs over ONE connection."""
+    connection = http.client.HTTPConnection(*address[:2], timeout=10)
+    try:
+        started = time.perf_counter()
+        for _ in range(exchanges):
+            connection.request("GET", path)
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+        return time.perf_counter() - started
+    finally:
+        connection.close()
+
+
+def assert_accepted_sockets_have_nagle_off(server, path: str) -> None:
+    """The clock-free form of the stall test: with Nagle on, a response
+    written as headers-then-body parks the body behind the client's delayed
+    ACK (~40 ms per small-body exchange on a keep-alive connection)."""
+    accepted = []
+    accept = server.get_request
+
+    def recording_accept():
+        request, client_address = accept()
+        accepted.append(request)
+        return request, client_address
+
+    server.get_request = recording_accept
+    connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+    try:
+        connection.request("GET", path)
+        connection.getresponse().read()  # answered, so the handler is set up
+        (request,) = accepted
+        assert request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        connection.close()
+        del server.get_request
+
+
+def assert_bad_content_length_answers_400(address, method: str, path: str, probe: str) -> None:
+    """``Content-Length: abc`` used to escape the handler as a ValueError
+    (no response, connection dropped) and ``-1`` to park its thread in
+    ``rfile.read(-1)``; both must answer 400 and leave the connection — and
+    the server — serving the next well-formed request."""
+    for bad in ("abc", "-1"):
+        connection = http.client.HTTPConnection(*address[:2], timeout=2)
+        try:
+            connection.putrequest(method, path)
+            connection.putheader("Content-Length", bad)
+            connection.endheaders()
+            rejected = connection.getresponse()
+            assert rejected.status == 400, bad
+            assert b"Content-Length" in rejected.read()  # the one-line body
+            connection.request("GET", probe)  # the same connection still serves
+            served = connection.getresponse()
+            assert served.status == 200, bad
+            served.read()
+        finally:
+            connection.close()
+        keepalive_seconds(address, probe, exchanges=1)  # and so does a fresh one
+
+
+def test_small_body_exchanges_do_not_wait_out_a_delayed_ack(objstore_server):
+    # 44 ms per exchange before the fix (0.88 s per twenty), ~0.15 ms after.
+    ObjectStoreTransport(f"{objstore_server.url}/wire").put("small", b"x" * 100)
+    address = objstore_server.server_address
+    assert keepalive_seconds(address, "/k/wire/small") < 0.4
+    assert keepalive_seconds(address, "/list?prefix=wire/") < 0.4
+
+
+def test_object_store_accepted_sockets_have_nagle_off(objstore_server):
+    assert_accepted_sockets_have_nagle_off(objstore_server, "/healthz")
+
+
+def test_object_store_put_with_bad_content_length_is_400(objstore_server):
+    assert_bad_content_length_answers_400(
+        objstore_server.server_address, "PUT", "/k/wire/bad", probe="/healthz"
+    )
+    assert ObjectStoreTransport(f"{objstore_server.url}/wire").stat("bad") is None
 
 
 # --------------------------------------- conditional ops under lost responses
