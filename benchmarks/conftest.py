@@ -4,7 +4,7 @@ The paper's campaign is ~8,800 experiments on a physical five-node cluster;
 the benchmarks run a scaled-down campaign on the simulated cluster once per
 session and share its results across every table/figure benchmark.  Set
 ``MUTINY_BENCH_SCALE`` to a larger integer to grow the campaign toward the
-paper's size (experiments per workload = 8 × scale), and
+paper's size (experiments per workload = 16 × scale), and
 ``MUTINY_BENCH_WORKERS`` to the number of worker processes the campaign
 executor may use (results are identical at any worker count).
 """

@@ -5,12 +5,14 @@ cProfile says where the wall-clock goes, the counters say how many times
 each hot phase actually ran per experiment — encodes, decodes, validations,
 watch dispatches — and how often the codec's decode cache and the store's
 skip-if-no-subscriber dispatch short-circuited the work.  The numbers turn
-"the codec is probably hot" into a measured claim, and the nightly
-regression gate keeps the optimizations honest afterwards.
+"the codec is probably hot" into a measured claim; ``benchmarks/mutiny_bench``
+reads the same counters (its traced call counts must equal their deltas) and
+``benchmarks/trend.py`` gates its reports against the ``BENCH_<n>.json``
+history.
 
 Incrementing a counter is a single attribute add on a ``__slots__``
-instance, cheap enough to stay enabled permanently; the committed benchmark
-baseline includes the cost.
+instance, cheap enough to stay enabled permanently; every committed
+``BENCH_<n>.json`` includes the cost.
 
 This module must not import anything from :mod:`repro` — it sits below the
 codec, the store and the validation layer, all of which import it.

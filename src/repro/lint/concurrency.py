@@ -107,7 +107,7 @@ this bug class in the heartbeat path; this checker keeps it fixed.
 A class registers its guarded attributes:
 
     class CampaignHandle:
-        _lock_guarded = ("_state", "_result", "_error", "_thread")
+        _lock_guarded = ("_state", "_error", "_thread")
 
 and the checker then enforces, in every method:
 

@@ -24,10 +24,7 @@ from repro.serialization.fieldpath import (
     CompiledPath,
     FieldRecord,
     compile_path,
-    delete_path,
-    get_path,
     iter_field_paths,
-    set_path,
 )
 
 __all__ = [
@@ -38,9 +35,6 @@ __all__ = [
     "compile_path",
     "decode",
     "decode_shared",
-    "delete_path",
     "encode",
-    "get_path",
     "iter_field_paths",
-    "set_path",
 ]

@@ -8,10 +8,9 @@ dotted strings; list elements are addressed by index, e.g.
 
 Paths are parsed once: :func:`compile_path` caches a :class:`CompiledPath`
 per distinct dotted string (the parts pre-split, list indexes pre-converted),
-and :func:`get_path` / :func:`set_path` / :func:`delete_path` are thin
-wrappers over the cache — callers on the hot path (the injector's mutation
-targets, the validation layer's nested lookups) stop paying a string split
-and ``int()`` conversion per call.
+so the callers on the hot path (the injector's mutation targets, the
+validation layer's nested lookups) do not pay a string split and ``int()``
+conversion per access.
 """
 
 from __future__ import annotations
@@ -197,18 +196,3 @@ def compile_path(path: str) -> CompiledPath:
         if len(_compiled_cache) < _COMPILED_CACHE_MAX:
             _compiled_cache[path] = compiled
     return compiled
-
-
-def get_path(obj: Any, path: str) -> Any:
-    """Return the value at ``path``; raise ``KeyError`` if absent."""
-    return compile_path(path).get(obj)
-
-
-def set_path(obj: Any, path: str, value: Any) -> None:
-    """Set the value at ``path`` in place; raise ``KeyError`` if the parent is absent."""
-    compile_path(path).set(obj, value)
-
-
-def delete_path(obj: Any, path: str) -> None:
-    """Remove the value at ``path``; raise ``KeyError`` if absent."""
-    compile_path(path).delete(obj)

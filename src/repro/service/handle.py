@@ -1,4 +1,4 @@
-"""Programmatic campaign execution: submit, poll, cancel, result.
+"""Programmatic campaign execution: submit, poll, cancel.
 
 A :class:`CampaignHandle` is the one way a spec gets executed — the CLI
 calls :meth:`run` in its own process, the service calls :meth:`start` and
@@ -20,11 +20,11 @@ STATES = ("pending", "running", "complete", "failed", "cancelled")
 
 
 class CampaignHandle:
-    """One spec's execution: run it, watch it, cancel it, fetch its result."""
+    """One spec's execution: run it, watch it, cancel it."""
 
     # Guarded by self._lock (enforced by mutiny-lint MUT004): shared between
     # the caller and the background campaign thread.
-    _lock_guarded = ("_state", "_result", "_error", "_thread")
+    _lock_guarded = ("_state", "_error", "_thread")
 
     def __init__(self, spec: CampaignSpec):
         self.spec = spec
@@ -32,7 +32,6 @@ class CampaignHandle:
         self._done = threading.Event()
         self._lock = threading.Lock()
         self._state = "pending"
-        self._result: Optional[CampaignResult] = None
         self._error: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -72,7 +71,6 @@ class CampaignHandle:
             raise
         with self._lock:
             self._state = "complete"
-            self._result = result
         self._done.set()
         return result
 
@@ -112,22 +110,6 @@ class CampaignHandle:
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the run reaches a terminal state; ``True`` iff it did."""
         return self._done.wait(timeout)
-
-    def result(self, timeout: Optional[float] = None) -> CampaignResult:
-        """The completed run's result (re-raises its error if it failed)."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"campaign {self.spec.campaign_id()} still {self.state} "
-                f"after {timeout}s"
-            )
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            if self._result is None:
-                raise CampaignCancelledError(
-                    f"campaign {self.spec.campaign_id()} was cancelled"
-                )
-            return self._result
 
     @property
     def error(self) -> Optional[BaseException]:

@@ -157,6 +157,8 @@ class CampaignService:
                 continue
             try:
                 record = json.loads(self.transport.get(key))
+                # summary(), _response() and status() index both keys.
+                campaign_id, _ = record["id"], record["fingerprint"]
                 spec_data = record["spec"]
                 # Records persisted before the `checkpoint` spec field was
                 # removed carry `"checkpoint": null`; tolerate exactly that.
@@ -170,7 +172,6 @@ class CampaignService:
                 managed = ManagedCampaign(record, spec, None)
             except (TransportKeyError, SpecError, KeyError, ValueError):
                 continue  # a torn or foreign record must not block startup
-            campaign_id = record.get("id") or spec.campaign_id()
             # The completeness probe reads the campaign's store — transport
             # round-trips that must not run under the registry lock (every
             # handler thread would stall behind startup I/O).  It also warms

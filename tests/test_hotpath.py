@@ -21,8 +21,6 @@ from repro.serialization import (
     decode,
     decode_shared,
     encode,
-    get_path,
-    set_path,
 )
 from repro.sim.engine import Simulation
 
@@ -174,17 +172,23 @@ def test_field_selector_matches_bound_pods_only():
 
 
 def test_compiled_path_equivalent_to_interpreted_path():
+    def interpreted(obj, path):
+        # The reference: split and walk on every access.
+        for part in path.split("."):
+            obj = obj[part]
+        return obj
+
     obj = make_pod("p", node_name="n1", labels={"app": "x"})
     for path in ("metadata.name", "metadata.labels.app", "spec.nodeName"):
         compiled = compile_path(path)
-        assert compiled.get(obj) == get_path(obj, path)
-        assert compiled.find(obj) == get_path(obj, path)
+        assert compiled.get(obj) == interpreted(obj, path)
+        assert compiled.find(obj) == interpreted(obj, path)
     missing = compile_path("spec.template.metadata.labels")
     sentinel = object()
     assert missing.find(obj, sentinel) is sentinel
     compile_path("metadata.labels.tier").set(obj, "backend")
     mirror = make_pod("p", node_name="n1", labels={"app": "x"})
-    set_path(mirror, "metadata.labels.tier", "backend")
+    mirror["metadata"]["labels"]["tier"] = "backend"
     assert obj["metadata"]["labels"] == mirror["metadata"]["labels"]
 
 

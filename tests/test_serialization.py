@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from repro.objects.kinds import make_deployment, make_node, make_pod
 from repro.serialization import (
     DecodeError,
+    compile_path,
     decode,
-    delete_path,
     encode,
-    get_path,
     iter_field_paths,
-    set_path,
 )
 from repro.serialization.codec import EncodeError
 
@@ -160,30 +158,31 @@ def test_iter_field_paths_covers_leaves():
 
 def test_get_and_set_path():
     obj = {"spec": {"containers": [{"image": "a"}]}}
-    assert get_path(obj, "spec.containers.0.image") == "a"
-    set_path(obj, "spec.containers.0.image", "b")
+    image = compile_path("spec.containers.0.image")
+    assert image.get(obj) == "a"
+    image.set(obj, "b")
     assert obj["spec"]["containers"][0]["image"] == "b"
 
 
 def test_get_path_missing_raises():
     with pytest.raises(KeyError):
-        get_path({"a": 1}, "a.b")
+        compile_path("a.b").get({"a": 1})
     with pytest.raises(KeyError):
-        get_path({"a": [1]}, "a.5")
+        compile_path("a.5").get({"a": [1]})
 
 
 def test_set_path_missing_parent_raises():
     with pytest.raises(KeyError):
-        set_path({"a": {}}, "a.b.c", 1)
+        compile_path("a.b.c").set({"a": {}}, 1)
 
 
 def test_delete_path():
     obj = {"a": {"b": 1, "c": 2}, "d": [1, 2, 3]}
-    delete_path(obj, "a.b")
-    delete_path(obj, "d.1")
+    compile_path("a.b").delete(obj)
+    compile_path("d.1").delete(obj)
     assert obj == {"a": {"c": 2}, "d": [1, 3]}
     with pytest.raises(KeyError):
-        delete_path(obj, "a.missing")
+        compile_path("a.missing").delete(obj)
 
 
 @settings(max_examples=100, deadline=None)
@@ -192,4 +191,4 @@ def test_delete_path():
                        min_size=1, max_size=6))
 def test_every_enumerated_path_is_gettable(obj):
     for record in iter_field_paths(obj):
-        assert get_path(obj, record.path) == record.value
+        assert compile_path(record.path).get(obj) == record.value

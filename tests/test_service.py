@@ -336,7 +336,7 @@ class TestServiceAPI:
         service = CampaignService(str(tmp_path / "state"))
         spec = _tiny_spec(str(tmp_path / "store"), max_experiments=2)
 
-        def persist(campaign_id, checkpoint, **fields):
+        def persist(campaign_id, checkpoint, without=None, **fields):
             record = {
                 "id": campaign_id,
                 "fingerprint": "f" * 64,
@@ -344,6 +344,7 @@ class TestServiceAPI:
                 "submitted_at": 1.0,
                 "cancelled": False,
             }
+            record.pop(without, None)
             service.transport.put(
                 f"campaigns/{campaign_id}.json", json.dumps(record).encode("utf-8")
             )
@@ -351,6 +352,10 @@ class TestServiceAPI:
         persist("0123456789abcdef", None)
         persist("fedcba9876543210", "/tmp/c.pkl")  # non-null: still foreign
         persist("00000000deadbeef", None, store_url=None)  # no store: nothing to manage
+        # Every listing and response reads both keys: a record without one is
+        # foreign too, and must not take `GET /v1/campaigns` down with it.
+        persist("1111111111111111", None, without="id")
+        persist("2222222222222222", None, without="fingerprint")
         assert service.rehydrate() == 1
         (summary,) = service.list_campaigns()["campaigns"]
         assert summary["id"] == "0123456789abcdef" != spec.campaign_id()
