@@ -101,7 +101,6 @@ from repro.core.report import (
 from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
 from repro.core.transport import TransportError, resolve_store_url
 from repro.lint import (
-    DEFAULT_CACHE_DIR,
     EXPLANATIONS,
     KNOWN_CODES,
     TITLES,
@@ -612,7 +611,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.codes is not None:
         codes = [code for chunk in args.codes for code in chunk.split(",")]
 
-    cache_dir = None if args.no_cache else args.cache_dir
     baseline_entries = None
     if not args.write_baseline and not args.no_baseline:
         baseline_path = args.baseline
@@ -627,9 +625,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             except BaselineError as error:
                 raise LintUsageError(str(error)) from error
 
-    report = lint_paths(
-        paths, codes=codes, cache_dir=cache_dir, baseline_entries=baseline_entries
-    )
+    report = lint_paths(paths, codes=codes, baseline_entries=baseline_entries)
 
     if args.write_baseline:
         target = args.baseline or "lint-baseline.json"
@@ -1118,18 +1114,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-baseline",
         action="store_true",
         help="ignore any baseline and report every finding",
-    )
-    lint.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help="per-file incremental cache directory "
-        f"(default: {DEFAULT_CACHE_DIR})",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (always re-parse every file)",
     )
     lint.set_defaults(func=_cmd_lint)
     return parser

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.classification import (
     CampaignTally,
@@ -47,11 +47,16 @@ from repro.core.distributed import (
     publish_plan,
     wait_for_completion,
 )
-from repro.core.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner
+from repro.core.experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    ExperimentRunner,
+    ExperimentTask,
+    RecordedField,
+)
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
 from repro.core.parallel import (
     CampaignExecutor,
-    ExperimentTask,
     ProgressCallback,
     WorkloadPrep,
     campaign_fingerprint,
@@ -105,18 +110,6 @@ EXCLUDED_FIELD_SUFFIXES = ("resourceVersion", "creationTimestamp", "generation")
 #: Top-level fields excluded from recording: the kind tag is the message type,
 #: not data used by orchestration operations.
 EXCLUDED_FIELD_PATHS = frozenset({"kind"})
-
-
-@dataclass
-class RecordedField:
-    """One field observed in a golden-run Apiserver→etcd message."""
-
-    kind: str
-    name: str
-    namespace: Optional[str]
-    path: str
-    value_type: str
-    example_value: Any
 
 
 class FieldRecorder:

@@ -126,7 +126,7 @@ class GoldenBaseline:
             matrix = np.zeros((len(series), length))
             for row, run in enumerate(series):
                 matrix[row, : len(run)] = run
-            baseline_series = list(np.mean(matrix, axis=0))
+            baseline_series = np.mean(matrix, axis=0).tolist()  # plain floats
         else:
             baseline_series = []
         baseline = cls(

@@ -10,8 +10,9 @@ Protocol, in full:
 
 * The **coordinator** prepares the golden baselines, plans the campaign, and
   publishes the frozen plan — tasks with their seeds, the baselines, the
-  experiment configuration, and the campaign fingerprint — as ``PLAN.pkl``
-  in the store root (atomic write).  Publishing into a store that already
+  experiment configuration, and the campaign fingerprint — as ``PLAN.json``
+  in the store root (canonical JSON of the result store's codec, atomic
+  write).  Publishing into a store that already
   holds a plan is a no-op when the fingerprints match (coordinator resume)
   and a hard error when they don't (a mis-pointed directory).
 * **Workers** (``python -m repro.cli worker --results-dir ...``) wait for the
@@ -46,10 +47,8 @@ TTL should dwarf any plausible clock skew (the default is 30 s).
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import pickle
 import socket
 import threading
 import time
@@ -58,17 +57,30 @@ from typing import Callable, Iterable, Optional
 
 from repro.core.classification import GoldenBaseline
 from repro.core.experiment import ExperimentConfig
-from repro.core.parallel import CampaignExecutor, ExperimentTask, ProgressCallback
-from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
+from repro.core.parallel import (
+    CampaignExecutor,
+    ExperimentTask,
+    ProgressCallback,
+    campaign_identity,
+)
+from repro.core.resultstore import (
+    ResultStoreMismatchError,
+    ShardedResultStore,
+    baseline_from_dict,
+    canonical_bytes,
+    config_from_dict,
+    task_from_dict,
+)
 from repro.core.transport import TransportError, TransportKeyError, transport_for
 
-#: Format version of the published plan (bumped on layout changes).
-PLAN_VERSION = 1
+#: Format version of the published plan (bumped on layout changes; 2 =
+#: canonical JSON, fingerprint hashed over the codec's bytes).
+PLAN_VERSION = 2
 
 #: Default seconds of missed heartbeats after which a lease may be reclaimed.
 DEFAULT_LEASE_TTL = 30.0
 
-_PLAN_NAME = "PLAN.pkl"
+_PLAN_NAME = "PLAN.json"
 _LEASE_DIR = "leases"
 
 #: ``progress(message)`` callback for worker/coordinator narration lines.
@@ -148,6 +160,42 @@ class DistributedPlan:
         return self.tasks[plan_slice.start : plan_slice.stop]
 
 
+def _typed(payload: dict, key: str, kind: type):
+    """``payload[key]``, which must be a ``kind`` (and never a bool)."""
+    value = payload[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _decode_plan(payload) -> DistributedPlan:
+    """The plan a decoded ``PLAN.json`` describes; KeyError, TypeError or
+    ValueError when it is not one this code's :func:`publish_plan` wrote."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"a JSON {type(payload).__name__}, not an object")
+    if payload.get("version") != PLAN_VERSION:
+        raise ValueError(
+            f"plan format {payload.get('version')!r}, this code reads {PLAN_VERSION}: "
+            "coordinator and workers must run the same code"
+        )
+    plan = DistributedPlan(
+        fingerprint=_typed(payload, "fingerprint", str),
+        experiment_config=config_from_dict(payload["experiment_config"]),
+        tasks=[task_from_dict(data) for data in _typed(payload, "tasks", list)],
+        baselines={
+            key: baseline_from_dict(data)
+            for key, data in _typed(payload, "baselines", dict).items()
+        },
+        slice_size=_typed(payload, "slice_size", int),
+        shard_batch=_typed(payload, "shard_batch", int),
+    )
+    if plan.slice_size < 1 or plan.shard_batch < 1:
+        raise ValueError("'slice_size' and 'shard_batch' must be >= 1")
+    if [task.index for task in plan.tasks] != list(range(plan.total)):
+        raise ValueError("task indexes are not 0..total-1 in plan order")
+    return plan
+
+
 def load_plan(root: str, transport=None) -> Optional[DistributedPlan]:
     """The published plan, or ``None`` when no coordinator has published yet.
 
@@ -158,29 +206,17 @@ def load_plan(root: str, transport=None) -> Optional[DistributedPlan]:
     building (and abandoning) a transport per poll.
     """
     try:
-        payload = pickle.loads((transport or transport_for(root)).get(_PLAN_NAME))
+        raw = (transport or transport_for(root)).get(_PLAN_NAME)
     except TransportKeyError:
         return None
-    except Exception as error:  # noqa: BLE001 - corrupt plan = unusable store
+    try:
+        return _decode_plan(json.loads(raw))
+    except (KeyError, TypeError, ValueError) as error:
         raise DistributedPlanError(
-            f"result store {root!r} holds an unreadable campaign plan ({error}); "
+            f"result store {root!r} holds an unreadable campaign plan "
+            f"({type(error).__name__}: {error}); "
             "delete the store (or point --results-dir elsewhere) to start fresh"
         ) from error
-    if not isinstance(payload, dict) or payload.get("version") != PLAN_VERSION:
-        raise DistributedPlanError(
-            f"result store {root!r} holds a campaign plan of an unsupported "
-            "version; coordinator and workers must run the same code"
-        )
-    return DistributedPlan(
-        fingerprint=payload["fingerprint"],
-        experiment_config=payload["experiment_config"],
-        tasks=payload["tasks"],
-        baselines=payload["baselines"],
-        slice_size=payload["slice_size"],
-        # Absent in plans published before batched upload existed: those
-        # campaigns ran one shard per batch, which the default preserves.
-        shard_batch=payload.get("shard_batch", 1),
-    )
 
 
 def plan_generation(root: str) -> Optional[str]:
@@ -209,15 +245,11 @@ def publish_plan(root: str, plan: DistributedPlan) -> bool:
     payload = {
         "version": PLAN_VERSION,
         "fingerprint": plan.fingerprint,
-        "experiment_config": plan.experiment_config,
-        "tasks": plan.tasks,
-        "baselines": plan.baselines,
         "slice_size": plan.slice_size,
         "shard_batch": plan.shard_batch,
+        **campaign_identity(plan.tasks, plan.experiment_config, plan.baselines),
     }
-    buffer = io.BytesIO()
-    pickle.dump(payload, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    transport_for(root).put(_PLAN_NAME, buffer.getvalue())
+    transport_for(root).put(_PLAN_NAME, canonical_bytes(payload))
     return True
 
 

@@ -10,7 +10,7 @@ runs are the same flow without arming the injector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core.classification import (
@@ -87,6 +87,32 @@ class ExperimentResult:
     def user_received_error(self) -> bool:
         """True if at least one user request returned an error (Figure 7)."""
         return self.user_error_count > 0
+
+
+@dataclass(frozen=True)
+class ExperimentTask:
+    """One fully-specified experiment: the unit of a campaign plan and of
+    parallel work."""
+
+    #: Position in the campaign plan; results are merged back in this order.
+    index: int
+    workload: WorkloadKind
+    fault: FaultSpec
+    #: The experiment's simulation seed, fixed at planning time so the
+    #: outcome does not depend on which worker executes the task.
+    seed: int
+
+
+@dataclass
+class RecordedField:
+    """One field observed in a golden-run Apiserver→etcd message."""
+
+    kind: str
+    name: str
+    namespace: Optional[str]
+    path: str
+    value_type: str
+    example_value: Any
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.resultstore import (
-    STORE_VERSION,
+    PREP_NAME,
     ResultStoreMismatchError,
     ShardedResultStore,
+    check_store_format,
 )
 from repro.core.transport import TransportError, TransportKeyError
 
@@ -55,8 +56,6 @@ from repro.core.transport import TransportError, TransportKeyError
 #: small enough that the merge holds one batch in memory like every other
 #: store writer.
 DEFAULT_SHARD_RECORDS = 512
-
-_PREP_NAME = "prep.pkl"
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def _manifest_of(
     ``absent_ok`` is the watcher's mode: a store that does not exist yet or
     is transiently unreachable answers ``None`` (poll again later) instead
     of raising — only a store that exists but is *wrong* (unreadable
-    manifest, foreign version) is ever an error.
+    manifest, another format version) is ever an error.
     """
     try:
         manifest = store.manifest()
@@ -111,11 +110,7 @@ def _manifest_of(
         raise ResultStoreMismatchError(
             f"result store {root!r} has an unreadable manifest ({error})"
         ) from error
-    if manifest.get("version") != STORE_VERSION:
-        raise ResultStoreMismatchError(
-            f"result store {root!r} uses store version {manifest.get('version')!r}; "
-            f"this code reads version {STORE_VERSION}"
-        )
+    check_store_format(root, manifest)
     return manifest
 
 
@@ -132,15 +127,15 @@ def _carry_prep(
     and lets the failure abort).  A *destination* write failure always
     propagates.  ``load_prep`` re-validates its own fingerprint on use, so
     this is a plain byte copy."""
-    if dest.transport.stat(_PREP_NAME) is not None:
+    if dest.transport.stat(PREP_NAME) is not None:
         return True
     skippable = (TransportKeyError, TransportError) if tolerate_unreachable else TransportKeyError
     for store in reversed(sources):
         try:
-            payload = store.transport.get(_PREP_NAME)
+            payload = store.transport.get(PREP_NAME)
         except skippable:
             continue
-        dest.transport.put(_PREP_NAME, payload)
+        dest.transport.put(PREP_NAME, payload)
         return True
     return False
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.classification import GoldenBaseline
@@ -31,13 +31,17 @@ from repro.core.experiment import (
     ExperimentConfig,
     ExperimentResult,
     ExperimentRunner,
+    ExperimentTask,
     GoldenRunStats,
 )
-from repro.core.injector import FaultSpec
 from repro.core.resultstore import (
     BatchedShardWriter,
     ShardedResultStore,
     StoredResults,
+    baseline_to_dict,
+    canonical_bytes,
+    config_to_dict,
+    task_to_dict,
 )
 from repro.workloads.workload import WorkloadKind
 
@@ -47,19 +51,6 @@ DEFAULT_BASE_SEED = 100
 
 #: ``progress(done, total)`` callback invoked as batches complete.
 ProgressCallback = Callable[[int, int], None]
-
-
-@dataclass(frozen=True)
-class ExperimentTask:
-    """One fully-specified experiment: the picklable unit of parallel work."""
-
-    #: Position in the campaign plan; results are merged back in this order.
-    index: int
-    workload: WorkloadKind
-    fault: FaultSpec
-    #: The experiment's simulation seed, fixed at planning time so the
-    #: outcome does not depend on which worker executes the task.
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ class WorkloadPrep:
 
 @dataclass(frozen=True)
 class GoldenRunJob:
-    """One golden run: the picklable unit of parallel workload preparation.
+    """One golden run: the unit of parallel workload preparation.
 
     Workload preparation used to fan out one job per *workload*, which made
     the golden baselines the serial fraction of a campaign; preparation now
@@ -177,18 +168,40 @@ def _run_golden_job(
 
 
 # --------------------------------------------------------------------------
-# Fingerprints
+# Fingerprints: SHA-256 over the codec's canonical bytes, so identity is a
+# function of exactly what the plan and the prep store.
 # --------------------------------------------------------------------------
 
 
+def _digest(document: Any) -> str:
+    return hashlib.sha256(canonical_bytes(document)).hexdigest()
+
+
 def tasks_fingerprint(tasks: list[ExperimentTask]) -> str:
-    """A stable digest of a plan, used to match result stores to campaigns."""
-    digest = hashlib.sha256()
-    for task in tasks:
-        digest.update(
-            f"{task.index}|{task.workload.value}|{task.seed}|{task.fault!r}\n".encode("utf-8")
-        )
-    return digest.hexdigest()
+    """A stable digest of a plan's tasks."""
+    return _digest([task_to_dict(task) for task in tasks])
+
+
+def campaign_identity(
+    tasks: list[ExperimentTask],
+    experiment_config: ExperimentConfig,
+    baselines: Optional[dict[str, GoldenBaseline]] = None,
+) -> dict:
+    """Everything that determines a campaign's results, in codec form: the
+    body of the published plan and what :func:`campaign_fingerprint` hashes.
+
+    Covers the plan *and* the experiment configuration and golden baselines:
+    two campaigns with the same fault plan but different baselines (e.g. a
+    different ``golden_runs``) classify results differently, so their
+    result stores must not be mixed.
+    """
+    return {
+        "tasks": [task_to_dict(task) for task in tasks],
+        "experiment_config": config_to_dict(experiment_config),
+        "baselines": {
+            key: baseline_to_dict(baseline) for key, baseline in (baselines or {}).items()
+        },
+    }
 
 
 def campaign_fingerprint(
@@ -196,35 +209,21 @@ def campaign_fingerprint(
     experiment_config: ExperimentConfig,
     baselines: Optional[dict[str, GoldenBaseline]] = None,
 ) -> str:
-    """Digest of everything that determines a campaign's results.
-
-    Covers the plan *and* the experiment configuration and golden baselines:
-    two campaigns with the same fault plan but different baselines (e.g. a
-    different ``golden_runs``) classify results differently, so their
-    result stores must not be mixed.
-    """
-    digest = hashlib.sha256(tasks_fingerprint(tasks).encode("utf-8"))
-    digest.update(repr(experiment_config).encode("utf-8"))
-    for key in sorted(baselines or {}):
-        digest.update(f"{key}|{baselines[key]!r}\n".encode("utf-8"))
-    return digest.hexdigest()
+    """Digest of :func:`campaign_identity`, used to match result stores and
+    published plans to campaigns."""
+    return _digest(campaign_identity(tasks, experiment_config, baselines))
 
 
 def prep_fingerprint(
     experiment_config: ExperimentConfig, preps: list[WorkloadPrep]
 ) -> str:
     """Digest of everything that determines workload preparation results."""
-    digest = hashlib.sha256(repr(experiment_config).encode("utf-8"))
-    for prep in preps:
-        # base_seed joins the digest only when it differs from the historical
-        # default, so stores written before the field existed (same
-        # semantics, seeds 100+i) still resume.
-        suffix = f"|{prep.base_seed}" if prep.base_seed != DEFAULT_BASE_SEED else ""
-        digest.update(
-            f"{prep.workload.value}|{prep.golden_runs}|{prep.record_seed}"
-            f"{suffix}\n".encode("utf-8")
-        )
-    return digest.hexdigest()
+    return _digest(
+        {
+            "experiment_config": config_to_dict(experiment_config),
+            "preps": [{**asdict(prep), "workload": prep.workload.value} for prep in preps],
+        }
+    )
 
 
 # --------------------------------------------------------------------------

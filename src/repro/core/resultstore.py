@@ -17,7 +17,7 @@ for byte) or an ``objstore://host:port/bucket`` URL for workers with no
 common filesystem.  Layout of a store, in transport keys::
 
     <root>/MANIFEST.json             # {"version", "fingerprint", "total"}
-    <root>/prep.pkl                  # golden baselines + field recordings
+    <root>/prep.json                 # golden baselines + field recordings
     <root>/shards/shard-<first>-<last>.jsonl.gz
 
 Every shard line is ``{"index": <plan index>, "result": <result dict>}``.
@@ -40,27 +40,34 @@ import gzip
 import hashlib
 import io
 import json
-import pickle
 import threading
 from dataclasses import fields as dataclass_fields
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from repro.cluster.cluster import ClusterConfig
 from repro.core.classification import (
     ClientFailure,
     ClientObservations,
+    GoldenBaseline,
     OrchestratorFailure,
     OrchestratorObservations,
 )
-from repro.core.experiment import ExperimentResult
+from repro.core.experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    ExperimentTask,
+    RecordedField,
+)
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
 from repro.core.transport import TransportKeyError, transport_for
 from repro.workloads.workload import WorkloadKind
 
-#: Format version of the store layout (bumped on layout changes).
-STORE_VERSION = 1
+#: Format version of the store layout (bumped on layout changes; 2 = prep
+#: as canonical JSON and fingerprints hashed over the codec's bytes).
+STORE_VERSION = 2
 
 _MANIFEST_NAME = "MANIFEST.json"
-_PREP_NAME = "prep.pkl"
+PREP_NAME = "prep.json"
 _SHARD_DIR = "shards"
 
 
@@ -68,9 +75,33 @@ class ResultStoreMismatchError(RuntimeError):
     """A result store does not belong to this campaign."""
 
 
+def check_store_format(root: str, manifest: dict) -> None:
+    """Refuse, by name, a store that another format version wrote."""
+    found = manifest.get("version")
+    if found != STORE_VERSION:
+        raise ResultStoreMismatchError(
+            f"result store {root!r} was written by store format {found!r}, this "
+            f"code reads {STORE_VERSION}; finish it with the code that started it, "
+            "or delete the store (or point --results-dir elsewhere) to start fresh"
+        )
+
+
 # --------------------------------------------------------------------------
-# JSON codec for ExperimentResult (and the dataclasses it embeds)
+# The JSON codec: the one serialization of campaign objects.  Shard records,
+# the published plan, the stored prep and every fingerprint are these dicts
+# in their canonical bytes; decoding raises KeyError/TypeError/ValueError on
+# a document of the wrong shape.
 # --------------------------------------------------------------------------
+
+
+def canonical_bytes(document: Any) -> bytes:
+    """The byte form everything stored or hashed takes (stable key order,
+    compact separators): equal documents are equal bytes."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _dataclass_to_dict(value: Any) -> dict:
+    return {f.name: getattr(value, f.name) for f in dataclass_fields(value)}
 
 
 def fault_to_dict(fault: Optional[FaultSpec]) -> Optional[dict]:
@@ -78,16 +109,9 @@ def fault_to_dict(fault: Optional[FaultSpec]) -> Optional[dict]:
     if fault is None:
         return None
     return {
+        **_dataclass_to_dict(fault),
         "channel": fault.channel.value,
-        "kind": fault.kind,
-        "field_path": fault.field_path,
-        "name": fault.name,
-        "namespace": fault.namespace,
-        "component": fault.component,
         "fault_type": fault.fault_type.value,
-        "bit_index": fault.bit_index,
-        "set_value": fault.set_value,
-        "occurrence": fault.occurrence,
     }
 
 
@@ -96,21 +120,62 @@ def fault_from_dict(data: Optional[dict]) -> Optional[FaultSpec]:
     if data is None:
         return None
     return FaultSpec(
-        channel=InjectionChannel(data["channel"]),
-        kind=data["kind"],
-        field_path=data["field_path"],
-        name=data["name"],
-        namespace=data["namespace"],
-        component=data["component"],
-        fault_type=FaultType(data["fault_type"]),
-        bit_index=data["bit_index"],
-        set_value=data["set_value"],
-        occurrence=data["occurrence"],
+        **{
+            **data,
+            "channel": InjectionChannel(data["channel"]),
+            "fault_type": FaultType(data["fault_type"]),
+        }
     )
 
 
-def _dataclass_to_dict(value: Any) -> dict:
-    return {f.name: getattr(value, f.name) for f in dataclass_fields(value)}
+def task_to_dict(task: ExperimentTask) -> dict:
+    """JSON-serializable form of one planned experiment."""
+    return {
+        "index": task.index,
+        "workload": task.workload.value,
+        "fault": fault_to_dict(task.fault),
+        "seed": task.seed,
+    }
+
+
+def task_from_dict(data: dict) -> ExperimentTask:
+    """Inverse of :func:`task_to_dict`."""
+    return ExperimentTask(
+        index=data["index"],
+        workload=WorkloadKind(data["workload"]),
+        fault=fault_from_dict(data["fault"]),
+        seed=data["seed"],
+    )
+
+
+def baseline_to_dict(baseline: Optional[GoldenBaseline]) -> Optional[dict]:
+    """JSON-serializable form of a golden baseline (None stays None)."""
+    return None if baseline is None else _dataclass_to_dict(baseline)
+
+
+def baseline_from_dict(data: Optional[dict]) -> Optional[GoldenBaseline]:
+    """Inverse of :func:`baseline_to_dict`."""
+    return None if data is None else GoldenBaseline(**data)
+
+
+def recorded_field_to_dict(recorded: RecordedField) -> dict:
+    """JSON-serializable form of one recorded golden-run field."""
+    return _dataclass_to_dict(recorded)
+
+
+def recorded_field_from_dict(data: dict) -> RecordedField:
+    """Inverse of :func:`recorded_field_to_dict`."""
+    return RecordedField(**data)
+
+
+def config_to_dict(config: ExperimentConfig) -> dict:
+    """JSON-serializable form of an experiment configuration."""
+    return {**_dataclass_to_dict(config), "cluster": _dataclass_to_dict(config.cluster)}
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """Inverse of :func:`config_to_dict`."""
+    return ExperimentConfig(**{**data, "cluster": ClusterConfig(**data["cluster"])})
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -173,11 +238,9 @@ def result_from_dict(data: dict) -> ExperimentResult:
     )
 
 
-def _canonical_line(index: int, result_data: dict) -> str:
-    """One canonical JSONL record (stable key order, compact separators)."""
-    return json.dumps(
-        {"index": index, "result": result_data}, sort_keys=True, separators=(",", ":")
-    )
+def _canonical_line(index: int, result_data: dict) -> bytes:
+    """One canonical JSONL record, newline included."""
+    return canonical_bytes({"index": index, "result": result_data}) + b"\n"
 
 
 def _encode_member(records: list[tuple[int, dict]]) -> bytes:
@@ -188,7 +251,7 @@ def _encode_member(records: list[tuple[int, dict]]) -> bytes:
     buffer = io.BytesIO()
     with gzip.GzipFile(filename="", mode="wb", fileobj=buffer, mtime=0) as stream:
         for index, data in records:
-            stream.write(_canonical_line(index, data).encode("utf-8") + b"\n")
+            stream.write(_canonical_line(index, data))
     return buffer.getvalue()
 
 
@@ -261,10 +324,8 @@ class ShardedResultStore:
                     f"result store {self.root!r} has an unreadable manifest ({error}); "
                     "delete the store (or point --results-dir elsewhere) to start fresh"
                 ) from error
-            if (
-                manifest.get("version") != STORE_VERSION
-                or manifest.get("fingerprint") != fingerprint
-            ):
+            check_store_format(self.root, manifest)
+            if manifest.get("fingerprint") != fingerprint:
                 raise ResultStoreMismatchError(
                     f"result store {self.root!r} was written by a different campaign "
                     "plan; delete the store (or point --results-dir elsewhere) "
@@ -287,15 +348,20 @@ class ShardedResultStore:
     # ----------------------------------------------------------------- prep
 
     def save_prep(self, fingerprint: str, prepared: list) -> None:
-        """Persist the golden baselines + field recordings (pickle, atomic)."""
+        """Persist the golden baselines + field recordings (canonical JSON,
+        atomic): one ``(baseline, recorded fields)`` pair per workload."""
         payload = {
             "version": STORE_VERSION,
             "fingerprint": fingerprint,
-            "prepared": prepared,
+            "prepared": [
+                {
+                    "baseline": baseline_to_dict(baseline),
+                    "recorded": [recorded_field_to_dict(field) for field in recorded],
+                }
+                for baseline, recorded in prepared
+            ],
         }
-        buffer = io.BytesIO()
-        pickle.dump(payload, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self.transport.put(_PREP_NAME, buffer.getvalue())
+        self.transport.put(PREP_NAME, canonical_bytes(payload))
 
     def load_prep(self, fingerprint: str) -> Optional[list]:
         """Load the prepared baselines/recordings (None = recompute).
@@ -303,24 +369,28 @@ class ShardedResultStore:
         Prep written under a *different* configuration raises right away:
         its results could never be merged either, and failing before the
         expensive golden-baseline recomputation beats failing after it.
+        Prep that is absent, of another format version or not a document of
+        the expected shape is simply recomputed (and overwritten).
         """
         try:
-            payload = pickle.loads(self.transport.get(_PREP_NAME))
-            if payload.get("version") != STORE_VERSION:
+            payload = json.loads(self.transport.get(PREP_NAME))
+            if payload["version"] != STORE_VERSION:
                 return None
-            stored = payload.get("fingerprint")
-        except TransportKeyError:
+            if payload["fingerprint"] != fingerprint:
+                raise ResultStoreMismatchError(
+                    f"result store {self.root!r} holds workload preparation from a "
+                    "different campaign configuration; delete the directory (or point "
+                    "--results-dir elsewhere) to start fresh"
+                )
+            return [
+                (
+                    baseline_from_dict(entry["baseline"]),
+                    [recorded_field_from_dict(field) for field in entry["recorded"]],
+                )
+                for entry in payload["prepared"]
+            ]
+        except (KeyError, TypeError, ValueError):  # absent is a KeyError too
             return None
-        # mutiny-lint: disable=MUT005 -- deliberate: unreadable prep degrades to recomputation; the fingerprint mismatch case still raises below
-        except Exception:  # noqa: BLE001 - unreadable prep just means "recompute"
-            return None
-        if stored != fingerprint:
-            raise ResultStoreMismatchError(
-                f"result store {self.root!r} holds workload preparation from a "
-                "different campaign configuration; delete the directory (or point "
-                "--results-dir elsewhere) to start fresh"
-            )
-        return payload.get("prepared")
 
     # -------------------------------------------------------------- writing
 
@@ -561,8 +631,7 @@ class ShardedResultStore:
             data = self._shard_for(index)[index]
             if visit is not None:
                 visit(index, data)
-            digest.update(_canonical_line(index, data).encode("utf-8"))
-            digest.update(b"\n")
+            digest.update(_canonical_line(index, data))
         return digest.hexdigest()
 
 

@@ -70,10 +70,6 @@ class RaftGroup:
         """All members of the group."""
         return list(self._members.values())
 
-    def quorum_size(self) -> int:
-        """Minimum number of healthy members needed to commit."""
-        return len(self._members) // 2 + 1
-
     def healthy_members(self) -> list[RaftMember]:
         """Members currently healthy."""
         return [member for member in self._members.values() if member.healthy]

@@ -115,10 +115,6 @@ class EtcdStore:
         """True once the space alarm has fired; writes are refused while set."""
         return self._alarm_active
 
-    def clear_alarm(self) -> None:
-        """Clear the space alarm (operator action after compaction/defrag)."""
-        self._alarm_active = False
-
     def __len__(self) -> int:
         return len(self._data)
 

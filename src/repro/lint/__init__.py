@@ -8,12 +8,11 @@ set/listing iteration), lock discipline, blocking-under-lock, lock-order
 cycles, no swallowed exceptions — plus a hygiene code (``MUT000``) for the
 lint machinery itself.
 
-The design is **one lexical walk**.  Per file (cached incrementally under
-``.mutiny-lint-cache/``), :mod:`~repro.lint.symbols` walks every function
-body exactly once and records, in picklable summaries, everything about
-taint, lock containment, ``self.<attr>`` accesses, imports and call
-targets; nothing else in the package walks a body for those.  The codes
-then fall in two groups:
+The design is **one lexical walk**.  Per file, :mod:`~repro.lint.symbols`
+walks every function body exactly once and records, in plain-data
+summaries, everything about taint, lock containment, ``self.<attr>``
+accesses, imports and call targets; nothing else in the package walks a
+body for those.  The codes then fall in two groups:
 
 * **syntactic visitors** — ``MUT003`` (determinism), ``MUT005`` (swallowed
   exceptions), ``MUT009`` (iteration order): one ``ast.NodeVisitor`` per
@@ -35,7 +34,6 @@ Stdlib-only by design; run via ``repro.cli lint``.
 """
 
 from repro.lint.baseline import BaselineError, BaselineResult
-from repro.lint.cache import DEFAULT_CACHE_DIR, LintCache
 from repro.lint.callgraph import ProjectGraph, Resolution, build_graph
 from repro.lint.framework import (
     HYGIENE_CODE,
@@ -65,14 +63,12 @@ __all__ = [
     "BaselineError",
     "BaselineResult",
     "Checker",
-    "DEFAULT_CACHE_DIR",
     "Diagnostic",
     "EXPLANATIONS",
     "GRAPH_CHECKERS",
     "HYGIENE_CODE",
     "JSON_SCHEMA_VERSION",
     "KNOWN_CODES",
-    "LintCache",
     "LintFile",
     "LintReport",
     "LintUsageError",

@@ -114,8 +114,8 @@ def is_suppressed(
     """Whether any justified suppression covers the diagnostic.
 
     Standalone (not only a :class:`LintFile` method) because the runner
-    also applies retained suppressions to whole-program findings on files
-    whose phase-A results came from the incremental cache."""
+    also applies each file's suppressions to whole-program findings, which
+    land on a line of a file long after its :class:`LintFile` is gone."""
     for suppression in suppressions:
         if not suppression.justification:
             continue  # unjustified suppressions never silence anything

@@ -79,10 +79,11 @@ BANNED_DOTTED = frozenset(
     }
 )
 
-#: Modules whose import alone marks a bypass (any use is raw I/O).
-BANNED_MODULES = frozenset({"shutil", "http.client", "urllib.request"})
+#: Modules whose import alone marks a bypass: any use is raw I/O — or, for
+#: ``pickle``, a second serialization that executes what it decodes.
+BANNED_MODULES = frozenset({"shutil", "http.client", "urllib.request", "pickle"})
 
-_BANNED_PREFIXES = ("shutil.", "http.client.", "urllib.request.")
+_BANNED_PREFIXES = ("shutil.", "http.client.", "urllib.request.", "pickle.")
 
 _IMPORT_TAIL = (
     " in a transport-pure module; storage I/O must go through the "
@@ -167,6 +168,13 @@ raw `http.client` call in `core/resultstore.py`, `core/distributed.py`,
 the write is no longer atomic, no longer conditional, invisible to the
 object-store backend, and exempt from the ambiguity rules.  Such code
 works on a developer laptop and corrupts stores on NFS or under retry.
+
+`pickle` is banned in the same files for the other half of the contract:
+the bytes a transport returns were written by whoever can reach the store
+(over HTTP for `objstore://`), and unpickling them runs their code in the
+worker, the coordinator and the service.  Campaign objects cross the store
+only as the canonical JSON of the codec in `core/resultstore.py` (PR 22),
+which is also what every fingerprint hashes.
 
 Correct pattern: take a `transport_for(root)` (or the store's
 `.transport`) and express the operation in the contract; if an operation

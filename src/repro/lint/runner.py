@@ -3,17 +3,15 @@
 The runner is what ``repro.cli lint`` (and the tests) drive.  Since PR 10
 a run has two phases:
 
-* **Phase A (per file, cacheable)** — parse, run every in-scope
-  *syntactic* checker (MUT003, MUT005, MUT009), parse suppressions, and
-  distill the module into a :class:`~repro.lint.symbols.ModuleSummary`
-  (the one lexical walk).  All of it depends only on the file's bytes, so
-  results persist in the incremental cache (:mod:`repro.lint.cache`) and
-  a warm run skips parsing entirely.
+* **Phase A (per file)** — parse, run every in-scope *syntactic* checker
+  (MUT003, MUT005, MUT009), parse suppressions, and distill the module
+  into a :class:`~repro.lint.symbols.ModuleSummary` (the one lexical
+  walk).  All of it depends only on the file's bytes.
 
 * **Phase B (whole program)** — build the project call graph from the
   summaries and run the *summary consumers* (MUT001, MUT002, MUT004,
   MUT006–MUT008).  Cheap relative to parsing, and for most of them
-  inherently cross-file, so it runs fresh every time.
+  inherently cross-file.
 
 Inline suppressions apply to both phases (a graph finding lands on a
 concrete line like any other), and the optional findings baseline
@@ -28,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Type
 
 from repro.lint import baseline as baseline_mod
-from repro.lint.cache import LintCache
 from repro.lint.callgraph import build_graph
 from repro.lint.concurrency import (
     BlockingUnderLockChecker,
@@ -111,7 +108,7 @@ KNOWN_CODES: tuple[str, ...] = tuple(sorted(TITLES))
 
 #: Schema version of the ``--format json`` document.  Bump only on a
 #: breaking change to the document shape; tests pin this.  The PR 10
-#: baseline/cache fields are additive.
+#: baseline fields are additive.
 JSON_SCHEMA_VERSION = 1
 
 
@@ -134,8 +131,6 @@ class LintReport:
     codes: tuple[str, ...] = ()
     baselined: int = 0
     stale_baseline: list[tuple[str, str, str]] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self) -> bool:
@@ -228,20 +223,11 @@ def select_codes(codes: Optional[Iterable[str]]) -> tuple[str, ...]:
 
 
 def _phase_a(
-    path: str,
-    relparts: tuple[str, ...],
-    cache: Optional[LintCache],
+    path: str, relparts: tuple[str, ...]
 ) -> tuple[list[Diagnostic], list[Suppression], Optional[ModuleSummary]]:
-    """Parse + syntactic checkers + summary for one file, cache-aware.
-
-    Raw (pre-suppression) diagnostics of *every* in-scope file checker are
-    produced regardless of the run's ``--codes`` selection, so one cache
-    entry serves every selection.
-    """
-    if cache is not None:
-        entry = cache.load(path)
-        if entry is not None:
-            return entry.diagnostics, entry.suppressions, entry.summary
+    """Parse + syntactic checkers + summary for one file: the raw
+    (pre-suppression) diagnostics of every in-scope file checker; the
+    run's ``--codes`` selection is applied by the caller."""
     lint_file, hygiene = load_lint_file(path, relparts, KNOWN_CODES)
     raw: list[Diagnostic] = list(hygiene)
     suppressions: list[Suppression] = []
@@ -252,8 +238,6 @@ def _phase_a(
             if checker_class.applies_to(relparts):
                 raw.extend(checker_class(lint_file).run())
         summary = index_module(lint_file)
-    if cache is not None:
-        cache.store(path, raw, suppressions, summary)
     return raw, suppressions, summary
 
 
@@ -261,24 +245,21 @@ def lint_paths(
     paths: Sequence[str],
     codes: Optional[Iterable[str]] = None,
     *,
-    cache_dir: Optional[str] = None,
     baseline_entries: Optional[Sequence[tuple[str, str, str]]] = None,
 ) -> LintReport:
     """Lint the given files/directories with the selected checkers.
 
-    ``cache_dir`` enables the per-file incremental cache; ``baseline_entries``
-    (parsed from ``lint-baseline.json``) filters the result down to
-    new-vs-baselined findings with the stale-entry ratchet.
+    ``baseline_entries`` (parsed from ``lint-baseline.json``) filters the
+    result down to new-vs-baselined findings with the stale-entry ratchet.
     """
     selected = select_codes(codes)
-    cache = LintCache(cache_dir) if cache_dir is not None else None
     report = LintReport(codes=selected)
     collected: list[Diagnostic] = []
     summaries: list[ModuleSummary] = []
     suppressions_by_path: dict[str, list[Suppression]] = {}
     for path in _discover(paths):
         relparts = _relparts(path)
-        raw, suppressions, summary = _phase_a(path, relparts, cache)
+        raw, suppressions, summary = _phase_a(path, relparts)
         report.files_checked += 1
         suppressions_by_path[path] = suppressions
         if summary is not None:
@@ -312,7 +293,4 @@ def lint_paths(
         report.stale_baseline = applied.stale
     else:
         report.diagnostics = collected
-    if cache is not None:
-        report.cache_hits = cache.stats.hits
-        report.cache_misses = cache.stats.misses
     return report

@@ -38,9 +38,8 @@ What counts as a function:
   no call-graph node, and what is written inside them is attributed inline
   to the enclosing function, under its lock context.
 
-Summaries are plain picklable data — no AST nodes — so the incremental
-cache (:mod:`repro.lint.cache`) can persist them per file and a warm run
-skips parsing entirely; only the cheap cross-file consumers re-run.
+Summaries are plain data — no AST nodes — so the cross-file consumers
+never see (or keep alive) a syntax tree.
 
 Documented approximations (conservative by design):
 
@@ -95,7 +94,7 @@ def is_lock_name(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Summary data (picklable, AST-free)
+# Summary data (plain, AST-free)
 # ---------------------------------------------------------------------------
 
 

@@ -339,22 +339,3 @@ def make_lease(
             "leaseTransitions": 0,
         },
     }
-
-
-def make_event(
-    name: str,
-    namespace: str,
-    reason: str,
-    message: str,
-    involved_kind: str,
-    involved_name: str,
-) -> dict:
-    """Build an Event manifest recording a notable cluster occurrence."""
-    return {
-        "kind": "Event",
-        "metadata": make_object_meta(name, namespace=namespace),
-        "reason": reason,
-        "message": message,
-        "involvedObject": {"kind": involved_kind, "name": involved_name},
-        "count": 1,
-    }

@@ -10,7 +10,7 @@ published plan's size.
 All three are *derived* and never authoritative.  Each is keyed by the
 generation tokens the store itself reports — the shard cache per ``(shard
 key, generation)``, the document by the whole listing's pairs, the plan by
-``PLAN.pkl``'s generation — and every request re-validates its key with one
+``PLAN.json``'s generation — and every request re-validates its key with one
 listing plus one stat per object before trusting the value, so a shard that
 lands, or is rewritten under a new generation, is reflected by the next
 answer.  Nothing here is persisted: a restarted service starts empty and
@@ -49,7 +49,7 @@ class StoreView:
         self._shard_cache: dict[str, tuple[str, list[int]]] = {}
         #: (the listing's (shard key, generation) pairs, document bytes).
         self._document: Optional[tuple[tuple, bytes]] = None
-        #: (PLAN.pkl generation, {"total", "slices"}).
+        #: (PLAN.json generation, {"total", "slices"}).
         self._plan: Optional[tuple[str, dict]] = None
 
     def _open(self) -> ShardedResultStore:
@@ -118,7 +118,7 @@ class StoreView:
 
     def plan_summary(self) -> Optional[dict]:
         """``{"total", "slices"}`` of the published plan, re-read (a GET and
-        an unpickle of every task and baseline) only when ``PLAN.pkl`` shows
+        a decode of every task and baseline) only when ``PLAN.json`` shows
         a new generation.  ``None`` when no plan is published — or it is
         unreadable or unreachable, which the run itself reports, not polls."""
         try:

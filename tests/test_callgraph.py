@@ -1,18 +1,15 @@
-"""The whole-program analysis core: symbol table, call graph, dataflow, cache.
+"""The whole-program analysis core: symbol table, call graph, dataflow.
 
 The checkers built on the graph are tested behaviorally in
 ``tests/test_lint.py``; here the machinery itself is pinned — conservative
 resolution (inheritance, recursion, dynamic-call fallbacks that must
-neither crash nor silently resolve), the parameter-mutation fixpoint, and
-the incremental cache (hit on untouched files, invalidation on edit,
-warm-run speedup on the real tree).
+neither crash nor silently resolve) and the parameter-mutation fixpoint.
 """
 
 from __future__ import annotations
 
 import os
 import textwrap
-import time
 
 import pytest
 
@@ -299,127 +296,6 @@ class TestMutatedParams:
         mutated = mutated_param_set(graph)
         assert ("repro.core.meth:Sink.absorb", 1) in mutated
         assert ("repro.core.meth:Sink.absorb", 0) not in mutated
-
-
-class TestIncrementalCache:
-    SOURCE_BAD = "import time\n\ndef stamp():\n    return time.time()\n"
-    SOURCE_GOOD = "def stamp(sim):\n    return sim.now()\n"
-
-    def seed(self, tmp_path):
-        path = tmp_path / "repro" / "sim" / "clocky.py"
-        path.parent.mkdir(parents=True)
-        path.write_text(self.SOURCE_BAD)
-        return path
-
-    def test_second_run_hits_and_first_misses(self, tmp_path):
-        path = self.seed(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        cold = lint_paths([str(path)], cache_dir=cache_dir)
-        warm = lint_paths([str(path)], cache_dir=cache_dir)
-        assert cold.cache_hits == 0 and cold.cache_misses == 1
-        assert warm.cache_hits == 1 and warm.cache_misses == 0
-        assert [d.code for d in cold.diagnostics] == ["MUT003"]
-        assert cold.diagnostics == warm.diagnostics
-
-    def test_edit_invalidates_and_reflects_the_new_content(self, tmp_path):
-        path = self.seed(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        first = lint_paths([str(path)], cache_dir=cache_dir)
-        assert not first.ok
-        path.write_text(self.SOURCE_GOOD)
-        second = lint_paths([str(path)], cache_dir=cache_dir)
-        assert second.ok, [d.render() for d in second.diagnostics]
-        third = lint_paths([str(path)], cache_dir=cache_dir)
-        assert third.ok and third.cache_hits == 1
-
-    def test_touch_without_edit_still_hits_via_hash(self, tmp_path):
-        path = self.seed(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        lint_paths([str(path)], cache_dir=cache_dir)
-        os.utime(path)  # mtime moves, content does not
-        warm = lint_paths([str(path)], cache_dir=cache_dir)
-        assert warm.cache_hits == 1 and warm.cache_misses == 0
-
-    def test_corrupt_cache_entry_is_a_miss_not_an_error(self, tmp_path):
-        path = self.seed(tmp_path)
-        cache_dir = tmp_path / "cache"
-        lint_paths([str(path)], cache_dir=str(cache_dir))
-        for entry in cache_dir.iterdir():
-            entry.write_bytes(b"\x80\x04not a pickle")
-        report = lint_paths([str(path)], cache_dir=str(cache_dir))
-        assert report.cache_misses == 1
-        assert [d.code for d in report.diagnostics] == ["MUT003"]
-
-    def test_entry_of_an_older_cache_version_is_a_miss(self, tmp_path, monkeypatch):
-        """Summary shapes change between versions: an old entry must miss,
-        never be unpickled into (and trusted as) the current shape."""
-        from repro.lint import cache as lint_cache
-
-        path = self.seed(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        assert lint_cache.CACHE_VERSION > 1
-        with monkeypatch.context() as patch:
-            patch.setattr(lint_cache, "CACHE_VERSION", 1)
-            # A version-1 entry claiming the file is clean and summary-less.
-            lint_cache.LintCache(cache_dir).store(str(path), [], [], None)
-            stale = lint_paths([str(path)], cache_dir=cache_dir)
-            assert stale.cache_hits == 1 and stale.ok  # v1 code trusts it
-        report = lint_paths([str(path)], cache_dir=cache_dir)
-        assert report.cache_hits == 0 and report.cache_misses == 1
-        assert [d.code for d in report.diagnostics] == ["MUT003"]
-        assert lint_paths([str(path)], cache_dir=cache_dir).cache_hits == 1
-
-    def test_summary_derived_findings_survive_the_cache(self, tmp_path):
-        """MUT001/MUT002/MUT004/MUT006 are computed from the cached
-        summaries, not cached themselves: a warm run must reproduce the
-        cold run's document exactly."""
-        files = {
-            "core/util.py": "def dump(path):\n    open(path)\n",
-            "service/mixed.py": """\
-            from repro.core.util import dump
-
-            class Svc:
-                _lock_guarded = ("_state",)
-
-                def peek(self, client, path):
-                    pod = client.get("Pod", "a", copy=False)
-                    pod["seen"] = self._state
-                    open(path)
-                    dump(path)
-            """,
-        }
-        for relpath, source in files.items():
-            path = tmp_path / "repro" / relpath
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(textwrap.dedent(source))
-        cache_dir = str(tmp_path / "cache")
-        cold = lint_paths([str(tmp_path / "repro")], cache_dir=cache_dir)
-        warm = lint_paths([str(tmp_path / "repro")], cache_dir=cache_dir)
-        assert cold.cache_hits == 0 and warm.cache_misses == 0
-        assert sorted(d.code for d in cold.diagnostics) == [
-            "MUT001", "MUT002", "MUT004", "MUT006",
-        ]
-        assert warm.to_document() == cold.to_document()
-
-    def test_warm_run_is_measurably_faster_on_the_full_tree(self, tmp_path):
-        """The acceptance criterion: a warm ``.mutiny-lint-cache/`` run
-        beats cold on the shipped tree.  Phase A (parse + file checkers)
-        dominates a cold run, so skipping it must show up clearly; the
-        0.75 factor keeps the assertion robust on noisy CI boxes (the
-        locally observed ratio is ~0.2)."""
-        cache_dir = str(tmp_path / "cache")
-        started = time.perf_counter()
-        cold = lint_paths([REPRO_PACKAGE], cache_dir=cache_dir)
-        cold_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        warm = lint_paths([REPRO_PACKAGE], cache_dir=cache_dir)
-        warm_elapsed = time.perf_counter() - started
-        assert cold.ok and warm.ok
-        assert warm.cache_hits == warm.files_checked > 50
-        assert warm.diagnostics == cold.diagnostics
-        assert warm_elapsed < cold_elapsed * 0.75, (
-            f"warm {warm_elapsed:.3f}s vs cold {cold_elapsed:.3f}s"
-        )
 
 
 class TestDiscoverySymlinks:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -22,6 +23,7 @@ import time
 import pytest
 
 import repro
+from repro.core import distributed, resultstore
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.distributed import (
     DistributedPlan,
@@ -33,13 +35,17 @@ from repro.core.distributed import (
     default_slice_size,
     load_plan,
     publish_plan,
+    render_provenance,
     wait_for_plan,
 )
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.parallel import ExperimentTask
 from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
-from repro.core.transport import atomic_write_bytes
+from repro.core.transport import atomic_write_bytes, transport_for
+from repro.service.storeview import StoreView
 from repro.workloads.workload import WorkloadKind
+
+from test_resultstore import MALFORMED_CASES, malformed  # noqa: E402 - shared hostile documents
 
 #: src/ directory, for PYTHONPATH of spawned worker processes.
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -143,6 +149,79 @@ def test_wait_for_plan_rejects_plan_manifest_fingerprint_mismatch(tmp_path):
     publish_plan(root, _toy_plan())  # fingerprint "toy-fingerprint"
     with pytest.raises(DistributedPlanError):
         wait_for_plan(root, timeout=1.0)
+
+
+@pytest.mark.parametrize(
+    "case", MALFORMED_CASES + ("unknown-workload", "zero-slice-size", "shuffled-indexes")
+)
+def test_malformed_plan_is_a_plan_error_never_a_key_or_type_error(tmp_path, case):
+    """Whatever is wrong with the bytes under PLAN.json, every reader says
+    so by name: workers and coordinators get DistributedPlanError, inspect
+    prints it, the service's status poll answers without a plan."""
+    root = str(tmp_path / "store")
+    publish_plan(root, _toy_plan())
+    transport = transport_for(root)
+    valid = transport.get("PLAN.json")
+    if case in MALFORMED_CASES:
+        hostile = malformed(valid, case, "tasks")
+    else:
+        document = json.loads(valid)
+        if case == "unknown-workload":
+            document["tasks"][0]["workload"] = "no-such-workload"
+        elif case == "zero-slice-size":
+            document["slice_size"] = 0
+        elif case == "shuffled-indexes":
+            document["tasks"].reverse()
+        hostile = json.dumps(document).encode("utf-8")
+    transport.put("PLAN.json", hostile)
+
+    with pytest.raises(DistributedPlanError) as excinfo:
+        load_plan(root)
+    if case == "other-version":
+        assert "plan format 1, this code reads 2" in str(excinfo.value)
+    with pytest.raises(DistributedPlanError):
+        wait_for_plan(root, timeout=1.0)
+    with pytest.raises(DistributedPlanError):
+        publish_plan(root, _toy_plan())  # a coordinator never overwrites it
+    assert "unreadable plan: " in render_provenance(root)
+    assert StoreView(root).plan_summary() is None
+
+
+class _CreatesFileWhenUnpickled:
+    """A pickle of this runs ``open(path, "w")`` in whoever unpickles it."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def test_store_bytes_are_never_unpickled(tmp_path):
+    """Whoever can write the store must not thereby run code in the worker,
+    the coordinator or the service: a hostile pickle under the old and the
+    new plan and prep keys is, to every reader, just an unreadable document."""
+    marker = tmp_path / "executed"
+    hostile = pickle.dumps(_CreatesFileWhenUnpickled(str(marker)))
+    root = str(tmp_path / "store")
+    transport = transport_for(root)
+    for key in ("PLAN.pkl", "PLAN.json", "prep.pkl", "prep.json"):
+        transport.put(key, hostile)
+
+    with pytest.raises(DistributedPlanError):
+        wait_for_plan(root, timeout=1.0)  # what a worker does first
+    assert "unreadable plan: " in render_provenance(root)  # inspect
+    assert StoreView(root).plan_summary() is None  # serve's status poll
+    config = _tiny_config(max_experiments_per_workload=2)
+    with pytest.raises(DistributedPlanError):  # a coordinator
+        Campaign(config).run(results_dir=root, backend="distributed")
+    # A local run recomputes the unreadable prep and completes.
+    assert len(Campaign(config).run(results_dir=root).results) == 2
+    assert json.loads(transport.get("prep.json"))["version"] == resultstore.STORE_VERSION
+    assert not marker.exists()
+
+    pickle.loads(hostile).close()  # the sentinel is live: unpickling it fires
+    assert marker.exists()
 
 
 # --------------------------------------------------------- lease lifecycle
@@ -295,6 +374,23 @@ class RecordingTransport:
         return recorded
 
 
+@pytest.fixture()
+def recorded_ops(monkeypatch) -> list[tuple[str, str]]:
+    """Every transport op the store and plan/lease layers issue from here
+    on, in order, as ``(op, key)`` — budgets are asserted on this sequence,
+    never on a clock."""
+    ops: list[tuple[str, str]] = []
+    for module in (resultstore, distributed):
+
+        def recording_transport_for(root, real=module.transport_for):
+            recorder = RecordingTransport(real(root))
+            recorder.ops = ops
+            return recorder
+
+        monkeypatch.setattr(module, "transport_for", recording_transport_for)
+    return ops
+
+
 def test_claim_round_stats_each_done_marker_once(tmp_path):
     # One claim round over [done, freshly held, free]: each slice costs one
     # stat of its .done marker (two HEADs per slice on an object store used
@@ -345,7 +441,7 @@ def test_distributed_run_matches_serial_digest(serial_reference, tmp_path):
     coordinator = threading.Thread(target=coordinate)
     coordinator.start()
     deadline = time.monotonic() + 300
-    while not os.path.exists(os.path.join(root, "PLAN.pkl")):
+    while not os.path.exists(os.path.join(root, "PLAN.json")):
         assert "error" not in outcome, f"coordinator failed: {outcome.get('error')}"
         assert time.monotonic() < deadline, "coordinator never published the plan"
         time.sleep(0.05)
@@ -415,7 +511,7 @@ def test_sigkilled_worker_is_reclaimed_without_loss_or_replay(
     coordinator = threading.Thread(target=coordinate)
     coordinator.start()
     deadline = time.monotonic() + 300
-    while not os.path.exists(os.path.join(root, "PLAN.pkl")):
+    while not os.path.exists(os.path.join(root, "PLAN.json")):
         assert "error" not in outcome, f"coordinator failed: {outcome.get('error')}"
         assert time.monotonic() < deadline, "coordinator never published the plan"
         time.sleep(0.05)
@@ -517,7 +613,7 @@ def test_objectstore_sigkilled_worker_recovery_matches_serial(
     try:
         transport = transport_for(root)
         deadline = time.monotonic() + 300
-        while transport.stat("PLAN.pkl") is None:
+        while transport.stat("PLAN.json") is None:
             assert "error" not in outcome, f"coordinator failed: {outcome.get('error')}"
             assert time.monotonic() < deadline, "coordinator never published the plan"
             time.sleep(0.05)
@@ -697,6 +793,45 @@ def test_cli_inspect_reports_provenance_and_outstanding_leases(
     with open(json_path, encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["stored_records"] == 0  # no shards in this toy store
+
+
+def test_format_1_store_is_refused_untouched_but_still_inspectable(
+    serial_reference, tmp_path, recorded_ops, capsys
+):
+    """A store of the previous format (manifest version 1: fingerprint a
+    function of numpy's scalar repr, prep and plan as pickles) cannot be
+    resumed — its identity cannot be recomputed — so it is refused by name
+    before a single mutating op reaches it, and stays readable."""
+    import shutil
+
+    from repro.cli import main
+    from repro.core.federate import federate_stores
+
+    serial_root, serial_result = serial_reference
+    root = str(tmp_path / "legacy")
+    shutil.copytree(serial_root, root)
+    os.remove(os.path.join(root, "prep.json"))
+    for name in ("prep.pkl", "PLAN.pkl"):
+        atomic_write_bytes(os.path.join(root, name), b"\x80\x04legacy pickle")
+    manifest = {"version": 1, "fingerprint": "f" * 64, "total": len(serial_result.results)}
+    atomic_write_bytes(
+        os.path.join(root, "MANIFEST.json"), json.dumps(manifest).encode("utf-8")
+    )
+
+    for backend in ("local", "distributed"):
+        with pytest.raises(ResultStoreMismatchError, match="store format 1, this code reads 2"):
+            Campaign(_tiny_config()).run(results_dir=root, backend=backend)
+    with pytest.raises(ResultStoreMismatchError, match="store format 1, this code reads 2"):
+        federate_stores(str(tmp_path / "merged"), [root])
+    with pytest.raises(ResultStoreMismatchError, match="store format 1, this code reads 2"):
+        federate_stores(str(tmp_path / "merged"), [serial_root, root])
+    reads = {"get", "get_with_stat", "stat", "list", "list_iter", "locate"}
+    assert {op for op, _ in recorded_ops} <= reads, recorded_ops
+    assert not os.path.exists(tmp_path / "merged")
+
+    assert main(["inspect", root]) == 0
+    out = capsys.readouterr().out
+    assert ShardedResultStore(serial_root).results_digest()[:16] in out
 
 
 # ------------------------------------- paginated + batched object-store runs

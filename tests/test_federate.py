@@ -55,7 +55,7 @@ def _split_store(serial_root: str, dest_root: str, indexes: set[int]) -> str:
     dest = ShardedResultStore(dest_root)
     dest.open(source.manifest()["fingerprint"], source.manifest()["total"])
     try:
-        dest.transport.put("prep.pkl", source.transport.get("prep.pkl"))
+        dest.transport.put("prep.json", source.transport.get("prep.json"))
     except KeyError:
         pass
     batch = [(index, source.load_record(index)) for index in sorted(indexes)]
@@ -236,7 +236,7 @@ def test_autofederate_watches_sources_into_existence(serial_store, tmp_path):
         for root, low, high in ((src_a, 0, total // 2), (src_b, total // 2, total)):
             source = ShardedResultStore(root)
             source.open(manifest["fingerprint"], manifest["total"])
-            source.transport.put("prep.pkl", reference.transport.get("prep.pkl"))
+            source.transport.put("prep.json", reference.transport.get("prep.json"))
             for index in range(low, high):
                 source.write_shard_dicts([(index, reference.load_record(index))])
                 time.sleep(0.05)
@@ -252,7 +252,7 @@ def test_autofederate_watches_sources_into_existence(serial_store, tmp_path):
         assert merged.results_digest() == reference.results_digest()
         assert merged.record_count() == total
         assert merged.stored_record_count() == total  # nothing folded twice
-        assert merged.transport.stat("prep.pkl") is not None  # prep carried over
+        assert merged.transport.stat("prep.json") is not None  # prep carried over
 
         # Re-watching complete sources is an incremental no-op.
         again = autofederate_stores(dest, [src_a, src_b], poll_interval=0.05, timeout=60)

@@ -10,25 +10,52 @@ count while reading at most one shard at a time.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.cluster import ClusterConfig
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.classification import (
     ClientFailure,
     ClientObservations,
+    GoldenBaseline,
     OrchestratorFailure,
     OrchestratorObservations,
 )
-from repro.core.experiment import ExperimentResult, ExperimentRunner
+from repro.core.experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    ExperimentRunner,
+    ExperimentTask,
+    RecordedField,
+)
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
+from repro.core.parallel import (
+    WorkloadPrep,
+    campaign_fingerprint,
+    prep_fingerprint,
+    tasks_fingerprint,
+)
 from repro.core.resultstore import (
     ResultStoreMismatchError,
     ShardedResultStore,
     StoredResults,
+    baseline_from_dict,
+    baseline_to_dict,
+    canonical_bytes,
+    config_from_dict,
+    config_to_dict,
+    recorded_field_from_dict,
+    recorded_field_to_dict,
     result_from_dict,
     result_to_dict,
+    task_from_dict,
+    task_to_dict,
 )
 from repro.workloads.workload import WorkloadKind
 
@@ -125,6 +152,129 @@ def test_golden_result_with_defaults_round_trips():
     assert clone == original
 
 
+# One serialization: every campaign object survives the JSON round trip
+# exactly, and its identity (the fingerprint) survives with it.
+
+_names = st.text(max_size=12)
+_scalars = st.none() | st.booleans() | st.integers() | _names
+_seconds = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+
+_faults = st.builds(
+    FaultSpec,
+    channel=st.sampled_from(InjectionChannel),
+    kind=_names,
+    field_path=st.none() | _names,
+    name=st.none() | _names,
+    namespace=st.none() | _names,
+    component=st.none() | _names,
+    fault_type=st.sampled_from(FaultType),
+    bit_index=st.integers(0, 4095),
+    set_value=_scalars,
+    occurrence=st.integers(1, 10),
+)
+_tasks = st.builds(
+    ExperimentTask,
+    index=st.integers(0, 10**6),
+    workload=st.sampled_from(WorkloadKind),
+    fault=_faults,
+    seed=st.integers(0, 2**31),
+)
+_recorded_fields = st.builds(
+    RecordedField,
+    kind=_names,
+    name=_names,
+    namespace=st.none() | _names,
+    path=_names,
+    value_type=st.sampled_from(["int", "str", "bool"]),
+    example_value=st.booleans() | st.integers() | _names,
+)
+_configs = st.builds(
+    ExperimentConfig,
+    boot_seconds=_seconds,
+    setup_seconds=_seconds,
+    run_seconds=_seconds | st.integers(1, 600),  # a spec may say 90, not 90.0
+    max_events=st.integers(1, 10**6),
+    failover_node=_names,
+    cluster=st.builds(
+        ClusterConfig,
+        worker_nodes=st.integers(1, 8),
+        control_plane_nodes=st.sampled_from([1, 3]),
+        pod_eviction_timeout=_seconds,
+        seed=st.integers(0, 1000),
+        apiserver_cache=st.booleans(),
+    ),
+)
+
+
+@st.composite
+def _baselines(draw):
+    """Baselines built the way production builds them: ``np.mean`` over the
+    golden runs' series, so whatever numpy leaves in the lists is in here."""
+    runs = draw(st.integers(1, 4))
+    latency = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+    return GoldenBaseline.from_golden_runs(
+        workload=draw(st.sampled_from(WorkloadKind)).value,
+        series=draw(st.lists(st.lists(latency, max_size=6), min_size=runs, max_size=runs)),
+        expected_replicas=draw(st.integers(0, 10)),
+        expected_endpoints=draw(st.integers(0, 10)),
+        pods_created=draw(st.lists(st.integers(0, 50), min_size=runs, max_size=runs)),
+        settle_times=draw(st.lists(_seconds, min_size=runs, max_size=runs)),
+        client_errors=draw(st.lists(st.integers(0, 9), min_size=runs, max_size=runs)),
+    )
+
+
+def _through_json(to_dict, from_dict, value):
+    return from_dict(json.loads(json.dumps(to_dict(value))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_tasks, max_size=4), _configs, st.none() | _baselines(), st.lists(_recorded_fields, max_size=3))
+def test_campaign_objects_and_their_fingerprints_survive_json(tasks, config, baseline, recorded):
+    tasks_back = [_through_json(task_to_dict, task_from_dict, task) for task in tasks]
+    config_back = _through_json(config_to_dict, config_from_dict, config)
+    baseline_back = _through_json(baseline_to_dict, baseline_from_dict, baseline)
+    recorded_back = [
+        _through_json(recorded_field_to_dict, recorded_field_from_dict, field)
+        for field in recorded
+    ]
+    assert (tasks_back, config_back, baseline_back, recorded_back) == (
+        tasks, config, baseline, recorded,
+    )
+    assert [canonical_bytes(recorded_field_to_dict(field)) for field in recorded_back] == [
+        canonical_bytes(recorded_field_to_dict(field)) for field in recorded
+    ]
+    # Identity is a function of the stored bytes, so it survives the trip.
+    assert tasks_fingerprint(tasks_back) == tasks_fingerprint(tasks)
+    assert campaign_fingerprint(tasks_back, config_back, {"w": baseline_back}) == (
+        campaign_fingerprint(tasks, config, {"w": baseline})
+    )
+    preps = [WorkloadPrep(WorkloadKind.DEPLOY, golden_runs=2, record_seed=50)]
+    assert prep_fingerprint(config_back, preps) == prep_fingerprint(config, preps)
+
+
+def test_fingerprint_does_not_depend_on_numpy_scalar_types():
+    """The parent hashed ``repr(baseline)``: ``np.float64(1.25)`` on numpy 2,
+    ``1.25`` on numpy 1 and after a JSON round trip — three identities for
+    one baseline.  Production now emits plain floats, and the fingerprint
+    reads the same bytes from either."""
+    baseline = GoldenBaseline.from_golden_runs(
+        "deploy", [[1.0, 1.5], [1.5, 1.0]], 6, 6, [10, 12], [30.0, 31.0], [0, 1]
+    )
+    assert all(type(value) is float for value in baseline.baseline_series)
+    as_numpy = dataclasses.replace(
+        baseline, baseline_series=[np.float64(value) for value in baseline.baseline_series]
+    )
+    config = ExperimentConfig()
+    assert campaign_fingerprint([], config, {"deploy": as_numpy}) == (
+        campaign_fingerprint([], config, {"deploy": baseline})
+    )
+    # ...and it still tells two baselines apart.
+    other = dataclasses.replace(baseline, expected_replicas=7)
+    assert campaign_fingerprint([], config, {"deploy": other}) != (
+        campaign_fingerprint([], config, {"deploy": baseline})
+    )
+
+
 # ------------------------------------------------------------------- store
 
 
@@ -165,13 +315,62 @@ def test_store_rejects_foreign_fingerprint(tmp_path):
 
 def test_store_prep_round_trip_and_mismatch(tmp_path):
     store = ShardedResultStore(str(tmp_path / "store"))
-    prepared = [("baseline-sentinel", ["field-sentinel"])]
+    prepared = [
+        (
+            GoldenBaseline(workload="deploy", baseline_series=[0.5, 1.25], golden_maes=[0.1]),
+            [RecordedField("Pod", "web", "default", "spec.nodeName", "str", "worker-1")],
+        ),
+        (None, []),  # golden_runs=0: fields only (the propagation experiments)
+    ]
     store.save_prep("prep-fp", prepared)
     assert store.load_prep("prep-fp") == prepared
     with pytest.raises(ResultStoreMismatchError):
         store.load_prep("other-fp")
     absent = ShardedResultStore(str(tmp_path / "absent"))
     assert absent.load_prep("prep-fp") is None
+
+
+#: The ways a stored plan or prep document can be wrong without being absent.
+MALFORMED_CASES = (
+    "truncated",
+    "not-json",
+    "non-object",
+    "other-version",
+    "missing-field",
+    "mistyped-field",
+    "mistyped-entry",
+)
+
+
+def malformed(valid: bytes, case: str, list_key: str) -> bytes:
+    """``valid`` (a plan or prep document) damaged as ``case`` names;
+    ``list_key`` is its field holding the list of tasks / prepared entries."""
+    document = json.loads(valid)
+    if case == "truncated":
+        return valid[: len(valid) // 2]
+    if case == "not-json":
+        return b"\x80\x04\x95\x10not json"
+    if case == "non-object":
+        return b"[1, 2]"
+    if case == "other-version":
+        document["version"] = 1
+    elif case == "missing-field":
+        del document["fingerprint"]
+    elif case == "mistyped-field":
+        document[list_key] = 5
+    elif case == "mistyped-entry":
+        document[list_key][0] = "not an object"
+    return json.dumps(document).encode("utf-8")
+
+
+@pytest.mark.parametrize("case", MALFORMED_CASES)
+def test_malformed_prep_means_recompute_never_an_exception(tmp_path, case):
+    store = ShardedResultStore(str(tmp_path / "store"))
+    store.save_prep("prep-fp", [(GoldenBaseline(workload="deploy"), [])])
+    store.transport.put(
+        "prep.json", malformed(store.transport.get("prep.json"), case, "prepared")
+    )
+    assert store.load_prep("prep-fp") is None
 
 
 def test_truncated_shard_yields_readable_prefix(tmp_path):
@@ -426,7 +625,7 @@ def test_streaming_campaign_rejects_changed_configuration(tmp_path):
 
 @pytest.mark.parametrize("backend", ["local", "distributed"])
 def test_mispointed_results_dir_is_left_untouched(tmp_path, backend):
-    # A foreign store whose prep.pkl is missing cannot be recognized as
+    # A foreign store whose prep.json is missing cannot be recognized as
     # foreign until the campaign fingerprint is computed; the run must still
     # be rejected *before* anything is written into the foreign store — no
     # prep, no shard and (distributed coordinator) no published plan.
@@ -441,7 +640,7 @@ def test_mispointed_results_dir_is_left_untouched(tmp_path, backend):
 
     root = str(tmp_path / "results")
     Campaign(_tiny_config(workers=1)).run(results_dir=root)
-    os.remove(os.path.join(root, "prep.pkl"))
+    os.remove(os.path.join(root, "prep.json"))
     before = tree()
     with pytest.raises(ResultStoreMismatchError):
         Campaign(_tiny_config(workers=1, golden_runs=2)).run(results_dir=root, backend=backend)

@@ -30,9 +30,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
-from repro.core import distributed, resultstore
-from repro.core.distributed import DistributedPlan, publish_plan
-from repro.core.experiment import ExperimentConfig
+from repro.core.distributed import publish_plan
 from repro.core.objstore import LocalObjectStore
 from repro.core.report import STORE_DOCUMENT_SCHEMA, document_to_bytes, store_document
 from repro.core.resultstore import ShardedResultStore
@@ -47,7 +45,11 @@ from repro.service import (
     SpecError,
 )
 
-from test_distributed import RecordingTransport  # noqa: E402 - shared op-recording fake
+from test_distributed import (  # noqa: E402,F401 - shared op-recording fixture and toy plan
+    _toy_plan as toy_plan,
+    recorded_ops,
+)
+from test_resultstore import MALFORMED_CASES, malformed  # noqa: E402 - shared hostile documents
 from test_transport import (  # noqa: E402 - wire helpers shared by both HTTP servers
     assert_accepted_sockets_have_nagle_off,
     assert_bad_content_length_answers_400,
@@ -473,23 +475,6 @@ def _shard_keys(root: str) -> list[str]:
     return ShardedResultStore(root).shard_keys()
 
 
-@pytest.fixture()
-def recorded_ops(monkeypatch) -> list[tuple[str, str]]:
-    """Every transport op the store and plan/lease layers issue from here
-    on, in order, as ``(op, key)`` — budgets are asserted on this sequence,
-    never on a clock."""
-    ops: list[tuple[str, str]] = []
-    for module in (resultstore, distributed):
-
-        def recording_transport_for(root, real=module.transport_for):
-            recorder = RecordingTransport(real(root))
-            recorder.ops = ops
-            return recorder
-
-        monkeypatch.setattr(module, "transport_for", recording_transport_for)
-    return ops
-
-
 def _gets(ops, prefix: str) -> list[str]:
     return [key for op, key in ops if op in ("get", "get_with_stat") and key.startswith(prefix)]
 
@@ -523,16 +508,9 @@ def finished_store(tmp_path, serial_reference) -> str:
     published so ``status`` has one to report."""
     store = str(tmp_path / "store")
     shutil.copytree(serial_reference[0], store)
-    publish_plan(
-        store,
-        DistributedPlan(
-            fingerprint=ShardedResultStore(store).manifest()["fingerprint"],
-            experiment_config=ExperimentConfig(),
-            tasks=list(range(6)),
-            baselines={},
-            slice_size=2,
-        ),
-    )
+    plan = toy_plan(total=6, slice_size=2)
+    plan.fingerprint = ShardedResultStore(store).manifest()["fingerprint"]
+    publish_plan(store, plan)
     return store
 
 
@@ -550,7 +528,7 @@ class TestRequestBudget:
         del recorded_ops[:]
         assert service.status(campaign_id) == first
         assert _gets(recorded_ops, "shards/") == []
-        assert _gets(recorded_ops, "PLAN.pkl") == []
+        assert _gets(recorded_ops, "PLAN.json") == []
         # One listing and one stat per shard is the whole validation.
         assert [op for op, key in recorded_ops if key == "shards/"] == ["list_iter"]
         assert sorted(key for op, key in recorded_ops if op == "stat" and key in shards) == shards
@@ -613,17 +591,34 @@ class TestRequestBudget:
         service, campaign_id = _manage(tmp_path, finished_store)
         assert service.status(campaign_id)["plan"] == {"total": 6, "slices": 3}
         transport = transport_for(finished_store)
-        plan_bytes = transport.get("PLAN.pkl")
+        plan_bytes = transport.get("PLAN.json")
 
-        transport.put("PLAN.pkl", b"not a pickle")  # replaced and unreadable
+        transport.put("PLAN.json", b"not a plan")  # replaced and unreadable
         assert "plan" not in service.status(campaign_id)
-        transport.put("PLAN.pkl", plan_bytes)  # replaced again: re-read once
+        transport.put("PLAN.json", plan_bytes)  # replaced again: re-read once
         del recorded_ops[:]
         assert service.status(campaign_id)["plan"] == {"total": 6, "slices": 3}
         assert service.status(campaign_id)["plan"] == {"total": 6, "slices": 3}
-        assert _gets(recorded_ops, "PLAN.pkl") == ["PLAN.pkl"]
-        transport.delete("PLAN.pkl")
+        assert _gets(recorded_ops, "PLAN.json") == ["PLAN.json"]
+        transport.delete("PLAN.json")
         assert "plan" not in service.status(campaign_id)
+
+    @pytest.mark.parametrize("case", MALFORMED_CASES)
+    def test_status_answers_200_without_a_plan_when_it_is_malformed(
+        self, tmp_path, finished_store, case
+    ):
+        """The status handler used to drop the connection on a plan that
+        unpickled fine but lacked a field (a bare KeyError out of the view)."""
+        transport = transport_for(finished_store)
+        transport.put("PLAN.json", malformed(transport.get("PLAN.json"), case, "tasks"))
+        service, campaign_id = _manage(tmp_path, finished_store)
+        server = CampaignServiceServer(("127.0.0.1", 0), service).start()
+        try:
+            status = ServiceClient(server.url).status(campaign_id)
+        finally:
+            server.stop()
+        assert "plan" not in status
+        assert (status["completed"], status["total"]) == (6, 6)
 
     def test_concurrent_polls_while_shards_land(self, tmp_path, serial_reference):
         """Eight pollers against one campaign while a writer lands its shards

@@ -21,7 +21,9 @@ import time
 
 import pytest
 
+from repro.core.classification import GoldenBaseline
 from repro.core.distributed import SliceLeases
+from repro.core.experiment import RecordedField
 from repro.core.objstore import LocalObjectStore
 from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
 from repro.core.transport import (
@@ -602,11 +604,49 @@ def test_store_digest_is_transport_independent(tmp_path, objstore_server):
 
 def test_store_prep_round_trip_over_object_store(objstore_server):
     store = ShardedResultStore(f"{objstore_server.url}/prep-{next(_BUCKETS)}")
-    prepared = [("baseline-sentinel", ["field-sentinel"])]
+    prepared = [
+        (
+            GoldenBaseline(workload="deploy", baseline_series=[0.5]),
+            [RecordedField("Pod", "web", None, "spec.priority", "int", 0)],
+        )
+    ]
     store.save_prep("prep-fp", prepared)
     assert store.load_prep("prep-fp") == prepared
     with pytest.raises(ResultStoreMismatchError):
         store.load_prep("other-fp")
+
+
+def test_finished_campaign_reruns_without_prep_or_replay(backend, monkeypatch):
+    """Resume rests on the prep and campaign fingerprints being the same
+    before and after the prep's trip through the store: a rerun that
+    re-prepared, or replayed one experiment, would mean identity drifted."""
+    from repro.core.campaign import Campaign, CampaignConfig
+    from repro.core.experiment import ExperimentRunner
+    from repro.core.parallel import CampaignExecutor
+    from repro.workloads.workload import WorkloadKind
+
+    config = CampaignConfig(
+        workloads=(WorkloadKind.DEPLOY,),
+        golden_runs=2,
+        max_experiments_per_workload=2,
+        seed=3,
+        workers=1,
+    )
+    first = Campaign(config).run(results_dir=backend.root)
+    digest = ShardedResultStore(backend.root).results_digest()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a finished campaign re-prepared or replayed on rerun")
+
+    monkeypatch.setattr(CampaignExecutor, "prepare_workloads", forbidden)
+    monkeypatch.setattr(ExperimentRunner, "run_experiment", forbidden)
+    rerun = Campaign(config).run(results_dir=backend.root)
+    assert list(rerun.results) == list(first.results)
+    assert rerun.baselines == first.baselines
+    assert rerun.recorded_fields == first.recorded_fields
+    store = ShardedResultStore(backend.root)
+    assert store.results_digest() == digest
+    assert store.stored_record_count() == store.record_count() == 2
 
 
 def test_truncated_shard_over_object_store_yields_readable_prefix(objstore_server):
