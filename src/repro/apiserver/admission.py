@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.apiserver.errors import ForbiddenError
 from repro.objects.kinds import PRIORITY_DEFAULT
 
 #: An admission plugin receives ``(kind, obj, operation)`` and either mutates
@@ -49,24 +48,6 @@ def default_workload_fields(kind: str, obj: dict, operation: str) -> None:
             "strategy",
             {"type": "RollingUpdate", "rollingUpdate": {"maxUnavailable": 0, "maxSurge": 1}},
         )
-
-
-def deny_oversized_requests(kind: str, obj: dict, operation: str) -> None:
-    """Reject requests that would create an implausibly large number of replicas.
-
-    This plugin is *disabled by default*: the paper's F3 finding is precisely
-    that the system does not detect hazardous user commands at scale.  The
-    hardening benchmarks enable it to measure how many overload failures it
-    prevents.
-    """
-    del operation
-    if kind not in ("Deployment", "ReplicaSet"):
-        return
-    spec = obj.get("spec")
-    if isinstance(spec, dict):
-        replicas = spec.get("replicas")
-        if isinstance(replicas, int) and not isinstance(replicas, bool) and replicas > 500:
-            raise ForbiddenError(f"admission: replica count {replicas} exceeds policy limit 500")
 
 
 class AdmissionChain:

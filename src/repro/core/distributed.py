@@ -552,9 +552,9 @@ class DistributedWorker:
     ``stall_after_batches`` is a fault-injection knob in the spirit of the
     repository: after N completed batches the worker stops heartbeating and
     holds its lease forever (until SIGKILLed), which is exactly how a hung
-    or dead worker looks to the rest of the fleet.  Tests and the CI
-    ``distributed-smoke`` job use it to prove expired-lease reclamation
-    loses and duplicates nothing.
+    or dead worker looks to the rest of the fleet.  ``tests/smoke.py`` (which
+    CI and the tier-1 suite both run) uses it to prove expired-lease
+    reclamation loses and duplicates nothing.
     """
 
     def __init__(
@@ -715,6 +715,17 @@ class DistributedSettings:
     timeout: Optional[float] = None
 
 
+def compact_ranges(indexes: Iterable[int]) -> str:
+    """Ascending integers as inclusive runs: ``[1, 2, 5]`` -> ``"1..2, 5"``."""
+    runs: list[list[int]] = []
+    for index in indexes:
+        if runs and index == runs[-1][1] + 1:
+            runs[-1][1] = index
+        else:
+            runs.append([index, index])
+    return ", ".join(str(first) if first == last else f"{first}..{last}" for first, last in runs)
+
+
 def wait_for_completion(
     store: ShardedResultStore,
     total: int,
@@ -739,7 +750,8 @@ def wait_for_completion(
         if cancel is not None and cancel.is_set():
             raise CampaignCancelledError("distributed campaign watch cancelled")
         store.refresh()
-        done = len(store.completed_indexes())
+        completed = store.completed_indexes()
+        done = len(completed)
         if done > reported:
             reported = done
             if progress is not None:
@@ -752,10 +764,11 @@ def wait_for_completion(
                 f"({'expired' if info.expired else 'fresh'}, age {info.age:.1f}s)"
                 for info in SliceLeases(store.root).outstanding()
             ) or "none"
+            missing = compact_ranges(index for index in range(total) if index not in completed)
             raise DistributedTimeoutError(
                 f"campaign incomplete after {settings.timeout:.0f}s: "
                 f"{total - done} of {total} experiments outstanding; "
-                f"leases: {held}"
+                f"missing {missing}; leases: {held}"
             )
         time.sleep(settings.poll_interval)
 

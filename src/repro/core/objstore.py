@@ -6,12 +6,12 @@ conditional PUT (``If-None-Match: *`` / ``If-Match``), GET/HEAD, prefix
 listing, conditional DELETE, and a mtime-refresh POST standing in for the
 "re-PUT under a generation precondition" lease heartbeat.  This module is
 the reference server for that protocol: an in-memory, thread-safe store that
-tests and the CI ``objectstore-smoke`` job run locally so the whole
+tests and ``python3 tests/smoke.py objectstore`` run locally so the whole
 distributed campaign protocol (plan publish, lease claim/reclaim, shard
 streaming, federation) is exercised end to end with no external service and
 no new dependency.
 
-Run standalone (the CI job does)::
+Run standalone (the smoke driver does, with ``--port 0``)::
 
     python -m repro.cli objstore --port 8383
     # workers/coordinator then use --results-dir objstore://127.0.0.1:8383/run1

@@ -64,7 +64,6 @@ class _Watcher:
     watch_id: int
     prefix: str
     callback: Callable[[WatchEvent], None]
-    cancelled: bool = False
 
 
 class EtcdStore:
@@ -77,7 +76,6 @@ class EtcdStore:
     def __init__(self, quota_bytes: int = DEFAULT_QUOTA_BYTES):
         self._data: dict[str, KeyValue] = {}
         self._revision = 0
-        self._watchers: dict[int, _Watcher] = {}
         #: Watchers bucketed by their prefix: dispatch checks one
         #: ``startswith`` per *distinct prefix* instead of one per watcher.
         self._watch_buckets: dict[str, list[_Watcher]] = {}
@@ -241,23 +239,11 @@ class EtcdStore:
         """Register a watch on a key prefix; return a watch id."""
         watch_id = next(self._watch_ids)
         watcher = _Watcher(watch_id=watch_id, prefix=prefix, callback=callback)
-        self._watchers[watch_id] = watcher
         self._watch_buckets.setdefault(prefix, []).append(watcher)
         return watch_id
 
-    def cancel_watch(self, watch_id: int) -> None:
-        """Cancel a previously registered watch."""
-        watcher = self._watchers.pop(watch_id, None)
-        if watcher is not None:
-            watcher.cancelled = True
-            bucket = self._watch_buckets.get(watcher.prefix)
-            if bucket is not None:
-                bucket[:] = [entry for entry in bucket if entry is not watcher]
-                if not bucket:
-                    del self._watch_buckets[watcher.prefix]
-
     def _matching_watchers(self, key: str) -> list[_Watcher]:
-        """Live watchers whose prefix matches ``key``, in registration order.
+        """Watchers whose prefix matches ``key``, in registration order.
 
         The per-prefix buckets make the no-subscriber case (idle controllers,
         keys nothing watches) a handful of ``startswith`` checks, after which
@@ -278,9 +264,8 @@ class EtcdStore:
 
     def _dispatch(self, watchers: list[_Watcher], event: WatchEvent) -> None:
         for watcher in watchers:
-            if not watcher.cancelled:
-                COUNTERS.watch_dispatches += 1
-                watcher.callback(event)
+            COUNTERS.watch_dispatches += 1
+            watcher.callback(event)
 
     # ------------------------------------------------------------------ misc
 

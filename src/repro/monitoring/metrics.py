@@ -167,15 +167,6 @@ class MetricsCollector:
 
     # ------------------------------------------------------------- accessors
 
-    def series_for_replicaset(self, key: str) -> list[tuple[float, int, int]]:
-        """Return (time, ready, desired) samples for one ReplicaSet."""
-        series = []
-        for sample in self.samples:
-            if key in sample.replicasets:
-                ready, desired = sample.replicasets[key]
-                series.append((sample.time, ready, desired))
-        return series
-
     def last_sample(self) -> Optional[MetricsSample]:
         """Return the most recent sample, if any."""
         return self.samples[-1] if self.samples else None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apiserver.admission import AdmissionChain, deny_oversized_requests
+from repro.apiserver.admission import AdmissionChain
 from repro.apiserver.apiserver import APIServer
 from repro.apiserver.client import APIClient
 from repro.apiserver.errors import (
@@ -118,6 +118,10 @@ def test_admission_defaults_pod_fields():
 
 
 def test_admission_policy_plugin_can_reject():
+    def deny_oversized_requests(kind, obj, operation):
+        if obj["spec"]["replicas"] > 500:
+            raise ForbiddenError("admission: replica count exceeds policy limit 500")
+
     chain = AdmissionChain()
     chain.add_plugin(deny_oversized_requests)
     deployment = make_deployment("d", replicas=1000)

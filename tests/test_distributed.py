@@ -14,15 +14,11 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import signal
-import subprocess
-import sys
 import threading
 import time
 
 import pytest
 
-import repro
 from repro.core import distributed, resultstore
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.distributed import (
@@ -32,6 +28,7 @@ from repro.core.distributed import (
     DistributedTimeoutError,
     DistributedWorker,
     SliceLeases,
+    compact_ranges,
     default_slice_size,
     load_plan,
     publish_plan,
@@ -45,10 +42,8 @@ from repro.core.transport import atomic_write_bytes, transport_for
 from repro.service.storeview import StoreView
 from repro.workloads.workload import WorkloadKind
 
+import smoke  # noqa: E402 - the CI smoke driver, tests/smoke.py
 from test_resultstore import MALFORMED_CASES, malformed  # noqa: E402 - shared hostile documents
-
-#: src/ directory, for PYTHONPATH of spawned worker processes.
-_SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _tiny_config(**overrides) -> CampaignConfig:
@@ -88,14 +83,6 @@ def _toy_plan(total: int = 6, slice_size: int = 3) -> DistributedPlan:
         baselines={},
         slice_size=slice_size,
     )
-
-
-def _worker_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (_SRC_DIR, env.get("PYTHONPATH")) if part
-    )
-    return env
 
 
 # ------------------------------------------------------------------ plumbing
@@ -483,203 +470,43 @@ def test_distributed_run_matches_serial_digest(serial_reference, tmp_path):
     assert leases.outstanding() == []
 
 
-def test_sigkilled_worker_is_reclaimed_without_loss_or_replay(
-    serial_reference, tmp_path
-):
-    """The acceptance bar: SIGKILL a worker mid-slice; the campaign still
-    finishes with a digest byte-identical to the serial run, zero lost and
-    zero duplicated experiments."""
-    serial_root, serial_result = serial_reference
-    root = str(tmp_path / "dist")
-    config = _tiny_config()
-    total = serial_result.total_experiments()
-
-    outcome: dict = {}
-
-    def coordinate() -> None:
-        try:
-            outcome["result"] = Campaign(config).run(
-                results_dir=root,
-                backend="distributed",
-                distributed=DistributedSettings(
-                    slice_size=3, poll_interval=0.05, timeout=600
-                ),
-            )
-        except BaseException as error:  # noqa: BLE001 - surfaced in the assert below
-            outcome["error"] = error
-
-    coordinator = threading.Thread(target=coordinate)
-    coordinator.start()
-    deadline = time.monotonic() + 300
-    while not os.path.exists(os.path.join(root, "PLAN.json")):
-        assert "error" not in outcome, f"coordinator failed: {outcome.get('error')}"
-        assert time.monotonic() < deadline, "coordinator never published the plan"
-        time.sleep(0.05)
-
-    # The victim claims a slice, writes exactly one single-experiment shard,
-    # then stops heartbeating while holding its lease (a hung worker); the
-    # SIGKILL makes the hang permanent.
-    victim = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "worker",
-            "--results-dir",
-            root,
-            "--worker-id",
-            "victim",
-            "--chunk-size",
-            "1",
-            "--lease-ttl",
-            "2",
-            "--stall-after-batches",
-            "1",
-            "--wait-timeout",
-            "120",
-            "--quiet",
-        ],
-        env=_worker_env(),
-    )
-    try:
-        store = ShardedResultStore(root)
-        while not store.shard_paths():
-            assert victim.poll() is None, "victim worker exited prematurely"
-            assert time.monotonic() < deadline, "victim never wrote its first shard"
-            time.sleep(0.05)
-    finally:
-        victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=30)
-
-    survivors = len(ShardedResultStore(root).completed_indexes())
-    assert 0 < survivors < total
-
-    rescue = DistributedWorker(
-        root, worker_id="rescue", poll_interval=0.1, lease_ttl=30.0, wait_timeout=60
-    ).run()
-    coordinator.join()
-    assert "error" not in outcome, f"coordinator failed: {outcome.get('error')}"
-
-    store = ShardedResultStore(root)
-    # Zero lost: every experiment is stored and the digest matches serially.
-    assert store.record_count() == total
-    assert store.results_digest() == ShardedResultStore(serial_root).results_digest()
-    # Zero replayed: the victim's completed shard survived reclamation, so
-    # raw records == distinct records, and the rescue worker executed only
-    # what the victim hadn't stored.
-    assert store.stored_record_count() == total
-    assert rescue.experiments_run == total - survivors
-    assert outcome["result"].classification_counts() == serial_result.classification_counts()
-    # Provenance: the rescue worker completed every slice; the victim
-    # appears nowhere as an owner (its lease was reclaimed).
-    done = SliceLeases(root).done_records()
-    assert {record["worker"] for record in done} == {"rescue"}
-    assert SliceLeases(root).outstanding() == []
+@pytest.fixture(scope="module")
+def smoke_root(tmp_path_factory):
+    """Shared by the smoke scenarios below: their serial reference is made once."""
+    return tmp_path_factory.mktemp("smoke")
 
 
-def test_objectstore_sigkilled_worker_recovery_matches_serial(
-    serial_reference, tmp_path
-):
-    """The transport acceptance bar: the full SIGKILL-reclamation scenario —
-    coordinator, a victim worker killed mid-slice, a rescue worker — run over
-    the object-store transport, with zero lost and zero replayed experiments
-    and a digest byte-identical to the serial (POSIX) run."""
-    from repro.core.objstore import LocalObjectStore
-    from repro.core.transport import transport_for
+@pytest.mark.parametrize("scenario", ["distributed", "objectstore"])
+def test_sigkilled_worker_reclaim_matches_serial(smoke_root, scenario):
+    """The acceptance bar, as CI runs it (``python3 tests/smoke.py``): SIGKILL
+    a worker mid-slice, over a shared directory and over the object-store
+    transport; the campaign still ends in the serial run's document, zero
+    experiments lost and zero replayed.  Every check lives in
+    :func:`smoke.reclaim`."""
+    smoke.run_scenario(smoke_root, scenario)
 
-    serial_root, serial_result = serial_reference
-    config = _tiny_config()
-    total = serial_result.total_experiments()
-    server = LocalObjectStore(("127.0.0.1", 0)).start()
-    root = f"{server.url}/dist"
-    victim = None
 
-    outcome: dict = {}
+def test_unrescued_reclaim_scenario_fails_naming_the_missing_indexes(smoke_root):
+    """The proof can fail: with nobody to reclaim the victim's slice the
+    coordinator times out, and the driver's failure names exactly the plan
+    indexes the victim did not store."""
+    with pytest.raises(smoke.SmokeFailure) as excinfo:
+        with smoke.Smoke(smoke_root, "unrescued") as scenario:
+            smoke.reclaim(scenario, rescuers=0, coordinator_timeout=3)
+    reason = excinfo.value.reason
+    assert "coordinator exited 2: error: campaign incomplete after 3s" in reason
+    stored = set(ShardedResultStore(str(smoke_root / "unrescued" / "store")).completed_indexes())
+    assert len(stored) == 1
+    unstored = compact_ranges(sorted(set(range(smoke.TOTAL)) - stored))
+    assert f"outstanding; missing {unstored}; leases" in reason
+    assert "slice 0 by victim" in reason
+    assert "stalling after 1 batch(es)" in str(excinfo.value)  # the transcript
 
-    def coordinate() -> None:
-        try:
-            outcome["result"] = Campaign(config).run(
-                results_dir=root,
-                backend="distributed",
-                distributed=DistributedSettings(
-                    slice_size=3, poll_interval=0.05, timeout=600
-                ),
-            )
-        except BaseException as error:  # noqa: BLE001 - surfaced in the assert below
-            outcome["error"] = error
 
-    coordinator = threading.Thread(target=coordinate)
-    coordinator.start()
-    try:
-        transport = transport_for(root)
-        deadline = time.monotonic() + 300
-        while transport.stat("PLAN.json") is None:
-            assert "error" not in outcome, f"coordinator failed: {outcome.get('error')}"
-            assert time.monotonic() < deadline, "coordinator never published the plan"
-            time.sleep(0.05)
-
-        # The victim is a real subprocess reaching the store over HTTP; it
-        # writes one single-experiment shard, stalls holding its lease, and
-        # is SIGKILLed — exactly the POSIX scenario, minus any shared mount.
-        victim = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "worker",
-                "--results-dir",
-                root,
-                "--worker-id",
-                "victim",
-                "--chunk-size",
-                "1",
-                "--lease-ttl",
-                "2",
-                "--stall-after-batches",
-                "1",
-                "--wait-timeout",
-                "120",
-                "--quiet",
-            ],
-            env=_worker_env(),
-        )
-        try:
-            store = ShardedResultStore(root)
-            while not store.shard_keys():
-                assert victim.poll() is None, "victim worker exited prematurely"
-                assert time.monotonic() < deadline, "victim never wrote its first shard"
-                time.sleep(0.05)
-        finally:
-            victim.send_signal(signal.SIGKILL)
-            victim.wait(timeout=30)
-
-        survivors = len(ShardedResultStore(root).completed_indexes())
-        assert 0 < survivors < total
-
-        rescue = DistributedWorker(
-            root, worker_id="rescue", poll_interval=0.1, lease_ttl=30.0, wait_timeout=60
-        ).run()
-        coordinator.join()
-        assert "error" not in outcome, f"coordinator failed: {outcome.get('error')}"
-
-        store = ShardedResultStore(root)
-        # Zero lost, zero replayed, byte-identical to the POSIX serial run.
-        assert store.record_count() == total
-        assert store.stored_record_count() == total
-        assert store.results_digest() == ShardedResultStore(serial_root).results_digest()
-        assert rescue.experiments_run == total - survivors
-        assert (
-            outcome["result"].classification_counts()
-            == serial_result.classification_counts()
-        )
-        done = SliceLeases(root).done_records()
-        assert {record["worker"] for record in done} == {"rescue"}
-        assert SliceLeases(root).outstanding() == []
-    finally:
-        if victim is not None and victim.poll() is None:
-            victim.kill()
-        coordinator.join(timeout=60)
-        server.stop()
+def test_compact_ranges_names_runs_and_singletons():
+    assert compact_ranges([1, 2, 5]) == "1..2, 5"
+    assert compact_ranges([0]) == "0"
+    assert compact_ranges([]) == ""
 
 
 def test_distributed_rerun_of_completed_store_is_a_noop_resume(

@@ -64,15 +64,6 @@ def test_watch_receives_put_and_delete_events():
     assert events[2].prev_value == b"2"
 
 
-def test_cancel_watch():
-    store = EtcdStore()
-    events = []
-    watch_id = store.watch("/", events.append)
-    store.cancel_watch(watch_id)
-    store.put("/k", b"v")
-    assert events == []
-
-
 def test_quota_exceeded_latches_alarm_and_blocks_writes():
     store = EtcdStore(quota_bytes=100)
     store.put("/a", b"x" * 60)

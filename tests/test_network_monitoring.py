@@ -181,16 +181,3 @@ def test_metrics_collector_marks_scrape_failure_when_apiserver_down(control_plan
     sample = collector.scrape()
     assert sample.scrape_failed
     api.healthy = True
-
-
-def test_metrics_series_accessor(control_plane):
-    api = control_plane.apiserver
-    collector = MetricsCollector(control_plane.sim, api)
-    replicaset = make_replicaset("web-1", replicas=2, labels={"app": "web"})
-    api.create("ReplicaSet", replicaset, actor="test")
-    collector.scrape()
-    control_plane.sim.run_for(3.0)
-    collector.scrape()
-    series = collector.series_for_replicaset("default/web-1")
-    assert len(series) == 2
-    assert collector.last_sample() is collector.samples[-1]

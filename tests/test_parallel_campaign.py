@@ -304,6 +304,27 @@ def test_cli_campaign_smoke(tmp_path, capsys):
     assert sum(payload["classification_counts"].values()) == 2
 
 
+def test_cli_every_subcommand_prints_help_and_exits_zero(capsys):
+    """What CI's packaging step used to spell out command by command (and
+    missed ``propagation``): every subparser ``build_parser`` registers
+    renders its ``--help``."""
+    import argparse
+
+    from repro.cli import build_parser, main
+
+    (subcommands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert {"campaign", "worker", "propagation", "serve", "lint"} <= set(subcommands)
+    for name in subcommands:
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--help"])
+        assert excinfo.value.code == 0, name
+        assert capsys.readouterr().out.startswith(f"usage: mutiny-campaign {name} "), name
+
+
 def test_cli_rejects_unknown_workload_and_component(capsys):
     from repro.cli import main
 

@@ -18,17 +18,14 @@ Three contracts under test:
 from __future__ import annotations
 
 import json
-import os
 import re
 import shutil
-import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
-import repro
 from repro.cli import build_parser, main
 from repro.core.distributed import publish_plan
 from repro.core.objstore import LocalObjectStore
@@ -45,6 +42,7 @@ from repro.service import (
     SpecError,
 )
 
+import smoke  # noqa: E402 - the CI smoke driver: the one way to spawn repro.cli
 from test_distributed import (  # noqa: E402,F401 - shared op-recording fixture and toy plan
     _toy_plan as toy_plan,
     recorded_ops,
@@ -55,10 +53,6 @@ from test_transport import (  # noqa: E402 - wire helpers shared by both HTTP se
     assert_bad_content_length_answers_400,
     keepalive_seconds,
 )
-
-#: src/ directory, for PYTHONPATH of spawned service processes.
-_SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
 
 def _tiny_spec(store_url: str, **overrides) -> CampaignSpec:
     """The 6-experiment campaign the distributed tests also use."""
@@ -688,27 +682,6 @@ class TestRequestBudget:
 # --------------------------------------------------------------------------
 
 
-def _spawn_service(state_root: str) -> tuple[subprocess.Popen, ServiceClient]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0", "--state", state_root,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        env=env,
-    )
-    banner = process.stdout.readline()
-    match = re.search(r"http://[\d.]+:\d+", banner)
-    assert match, f"no service URL in banner: {banner!r}"
-    client = ServiceClient(match.group(0))
-    client.wait_ready(timeout=60)
-    return process, client
-
-
 def test_service_restart_mid_campaign_digest_identical_to_serial(
     tmp_path, serial_reference
 ):
@@ -719,8 +692,8 @@ def test_service_restart_mid_campaign_digest_identical_to_serial(
     state = str(tmp_path / "state")
     store = str(tmp_path / "store")
 
-    process, client = _spawn_service(state)
-    try:
+    with smoke.Smoke(tmp_path, "restart") as scenario:
+        process, client = scenario.serve("service", state)
         response = client.submit(_tiny_spec(store))
         campaign_id = response["id"]
         # Let it run until at least one shard is durable, then SIGKILL the
@@ -733,12 +706,9 @@ def test_service_restart_mid_campaign_digest_identical_to_serial(
                 break
             assert time.monotonic() < deadline, "no shard appeared before deadline"
             time.sleep(0.1)
-    finally:
         process.kill()
-        process.wait()
 
-    process, client = _spawn_service(state)
-    try:
+        process, client = scenario.serve("service-restarted", state)
         # /readyz recovery implies the index was listed and the campaign
         # rehydrated; the resumed run must finish with zero replays.
         status = client.wait(campaign_id, timeout=300)
@@ -748,6 +718,3 @@ def test_service_restart_mid_campaign_digest_identical_to_serial(
         document = json.loads(client.document(campaign_id))
         assert document["results_digest"] == serial_digest
         assert document["stored_records"] == document["experiments"] == 6
-    finally:
-        process.kill()
-        process.wait()
