@@ -38,7 +38,7 @@ from repro.etcd.raft import QuorumLost, RaftGroup
 from repro.etcd.store import EtcdStore, EventType, StoreQuotaExceeded
 from repro.objects.meta import deep_copy
 from repro.objects.selectors import labels_subset
-from repro.serialization import DecodeError, compile_path, decode_shared, encode
+from repro.serialization import DecodeError, compile_path, decode_shared, encode, seed_decode
 from repro.sim.engine import Simulation
 
 #: Delay between a successful write and the delivery of watch notifications,
@@ -102,12 +102,13 @@ class APIServer:
         self.request_log: list[RequestRecord] = []
         self.events: list[dict] = []
         self._cache: dict[str, dict] = {}
-        #: Snapshot cache for ``list``: (prefix, selector) → (store revision,
-        #: marshalled result list).  A snapshot is valid while no write has
-        #: touched the listed kind since it was taken (``_kind_write_revs``),
-        #: and a hit turns the per-object Python deep copy into one C-level
-        #: ``marshal.loads``.
-        self._list_cache: dict[tuple, tuple[int, bytes]] = {}
+        #: Snapshot cache for ``list``: (kind, namespace, selectors) →
+        #: [store revision, marshalled result list or None, result refs].  A
+        #: snapshot is valid while no write has touched the listed kind since
+        #: it was taken (``_kind_write_revs``); the blob is built on the first
+        #: copying read and turns every per-object Python deep copy after it
+        #: into one C-level ``marshal.loads``.
+        self._list_cache: dict[tuple, list] = {}
         #: Marshalled form of individual ``_cache`` entries, lazily built on
         #: ``get`` and dropped whenever the entry changes: repeated point
         #: reads of an unchanged object cost one ``marshal.loads`` instead of
@@ -227,6 +228,47 @@ class APIServer:
         contract); the list itself is always the caller's own.
         """
         self._check_readable()
+        if not self.serve_from_cache:
+            refs = self._select(kind, namespace, label_selector, field_selector)
+            return [deep_copy(obj) for obj in refs] if copy else refs
+        # Serve a snapshot while no write has touched this kind.  The result
+        # is a pure function of store state (cache entries are the decoded
+        # store values), so the per-kind write revision is a sound key.
+        snapshot_key = (
+            kind,
+            namespace or None,
+            tuple(sorted(label_selector.items())) if label_selector else None,
+            tuple(sorted(field_selector.items())) if field_selector else None,
+        )
+        snapshot = self._list_cache.get(snapshot_key)
+        if snapshot is None or snapshot[0] < self._kind_write_revs.get(kind, 0):
+            refs = self._select(kind, namespace, label_selector, field_selector)
+            if len(self._list_cache) >= 256:
+                self._list_cache.clear()
+            # Revision read *after* the scan: an undecodable-value purge in
+            # it deletes from the store and must not pin a stale snapshot.
+            snapshot = [self.store.revision, None, refs]
+            self._list_cache[snapshot_key] = snapshot
+        if not copy:
+            return list(snapshot[2])
+        if snapshot[1] is None:
+            # First copying read of this snapshot: one C-level dumps, after
+            # which every copying read is one ``loads`` of independent trees.
+            try:
+                snapshot[1] = marshal.dumps(snapshot[2])
+            except ValueError:  # non-marshallable value (never produced by decode)
+                return [deep_copy(obj) for obj in snapshot[2]]
+        return marshal.loads(snapshot[1])
+
+    def _select(
+        self,
+        kind: str,
+        namespace: Optional[str],
+        label_selector: Optional[dict[str, str]],
+        field_selector: Optional[dict[str, object]],
+    ) -> list[dict]:
+        """The watch-cache entries a list request selects (read-only refs),
+        decoding (or purging) the store values the cache does not hold."""
         prefix = storage_prefix(kind)
         if namespace and is_namespaced(kind):
             prefix = f"{prefix}{namespace}/"
@@ -235,23 +277,6 @@ class APIServer:
             if field_selector
             else None
         )
-        snapshot_key = None
-        if self.serve_from_cache:
-            # Serve a marshalled snapshot while no write has touched this
-            # kind.  The result is a pure function of store state (cache
-            # entries are the decoded store values), so the per-kind write
-            # revision is a sound key; ``loads`` hands every caller an
-            # independent tree.
-            snapshot_key = (
-                prefix,
-                tuple(sorted(label_selector.items())) if label_selector else None,
-                tuple(sorted(field_selector.items())) if field_selector else None,
-            )
-            snapshot = self._list_cache.get(snapshot_key)
-            if snapshot is not None and snapshot[0] >= self._kind_write_revs.get(kind, 0):
-                if not copy:
-                    return list(snapshot[2])
-                return marshal.loads(snapshot[1])
         refs = []
         for entry in self.store.range(prefix):
             if self.serve_from_cache and entry.key in self._cache:
@@ -272,25 +297,7 @@ class APIServer:
             ):
                 continue
             refs.append(obj)
-        if snapshot_key is not None:
-            try:
-                if len(self._list_cache) >= 256:
-                    self._list_cache.clear()
-                # One C-level dumps/loads pair replaces a Python deep copy per
-                # object: the blob both refreshes the snapshot and produces
-                # the caller's independent trees.  Revision read *after* the
-                # scan: an undecodable-value purge above deletes from the
-                # store and must not pin a stale key.
-                blob = marshal.dumps(refs)
-                self._list_cache[snapshot_key] = (self.store.revision, blob, refs)
-                if not copy:
-                    return list(refs)
-                return marshal.loads(blob)
-            except ValueError:
-                pass  # non-marshallable value (never produced by decode)
-        if not copy:
-            return refs
-        return [deep_copy(obj) for obj in refs]
+        return refs
 
     def delete(
         self, kind: str, name: str, namespace: Optional[str] = "default", actor: str = "user"
@@ -389,7 +396,7 @@ class APIServer:
             # Stamp the resourceVersion the object will have once committed.
             obj["metadata"]["resourceVersion"] = self.store.revision + 1
 
-            data = encode(obj)
+            encoded = data = encode(obj)
             context = WriteContext(
                 kind=kind,
                 key=key,
@@ -405,6 +412,12 @@ class APIServer:
                     # store, but the caller still receives an acknowledgement.
                     # ``obj`` is this call's private copy — hand it over.
                     return obj
+            if data is encoded:
+                # No fault fired: the watch event and the cache update below
+                # decode exactly what was just encoded, so seed the decode
+                # cache instead of parsing it back.  Hooked bytes (corrupted
+                # or not) take the real decode — the injection semantics.
+                seed_decode(data)
 
             self._commit(key, data)
 

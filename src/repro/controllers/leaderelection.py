@@ -18,7 +18,6 @@ from repro.sim.engine import Simulation
 #: control-plane leader election; re-election after expiry therefore takes
 #: roughly the 20 s the paper quotes for a Scheduler restart.
 LEASE_DURATION = 15.0
-RENEW_PERIOD = 5.0
 
 
 class LeaderElector:

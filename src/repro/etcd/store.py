@@ -14,6 +14,7 @@ events synchronously in revision order.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -132,11 +133,22 @@ class EtcdStore:
         """Return all entries whose key starts with ``prefix``, sorted by key."""
         self.read_count += 1
         data = self._data
-        return [data[key] for key in self._sorted() if key.startswith(prefix)]
+        return [data[key] for key in self.keys(prefix)]
 
     def keys(self, prefix: str = "") -> list[str]:
-        """Return all keys with the given prefix, sorted."""
-        return [key for key in self._sorted() if key.startswith(prefix)]
+        """Return all keys with the given prefix, sorted.
+
+        Keys with a prefix are one contiguous run of the sorted key list,
+        starting where ``prefix`` itself would sort: a bisection finds it.
+        """
+        ordered = self._sorted()
+        keys = []
+        for position in range(bisect_left(ordered, prefix), len(ordered)):
+            key = ordered[position]
+            if not key.startswith(prefix):
+                break
+            keys.append(key)
+        return keys
 
     # ----------------------------------------------------------------- writes
 

@@ -25,6 +25,7 @@ from repro.apiserver.apiserver import APIServer
 from repro.apiserver.client import APIClient
 from repro.apiserver.errors import ApiError, NotFoundError
 from repro.objects.kinds import make_lease
+from repro.objects.meta import deep_copy
 from repro.objects.quantities import node_allocatable, pod_resource_request
 from repro.sim.engine import Simulation
 
@@ -156,8 +157,11 @@ class Kubelet:
         try:
             # Field-selected list, as the real kubelet does: the apiserver
             # filters to this node's pods (and can serve them from one small
-            # cached snapshot) instead of copying the whole Pod collection.
-            bound = self.client.list("Pod", field_selector={"spec.nodeName": self.node_name})
+            # cached snapshot).  Listed refs are read-only: the one pod a
+            # sync writes is copied by ``_report_status``.
+            bound = self.client.list(
+                "Pod", field_selector={"spec.nodeName": self.node_name}, copy=False
+            )
         except ApiError:
             return
 
@@ -194,7 +198,7 @@ class Kubelet:
             if not local.ready and local.started_at is not None:
                 if self.sim.now >= local.started_at + CONTAINER_START_DELAY + READINESS_DELAY:
                     local.ready = True
-                    self._report_status(pod, local)
+                    pod = self._report_status(pod, local)
             self._run_probes(pod, local)
         elif local.state == "crashloop":
             if self.sim.now >= local.next_restart_at:
@@ -414,7 +418,10 @@ class Kubelet:
         local: LocalPodState,
         phase: Optional[str] = None,
         reason: Optional[str] = None,
-    ) -> None:
+    ) -> dict:
+        """Write the pod's status from local state; returns the written copy
+        (``pod`` may be a read-only listed ref and is left untouched)."""
+        pod = deep_copy(pod)
         status = pod.setdefault("status", {})
         if not isinstance(status, dict):
             pod["status"] = status = {}
@@ -435,6 +442,7 @@ class Kubelet:
             self.client.update_status("Pod", pod)
         except ApiError:
             pass
+        return pod
 
     # ------------------------------------------------------------------ stats
 

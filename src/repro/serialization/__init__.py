@@ -19,6 +19,7 @@ from repro.serialization.codec import (
     decode,
     decode_shared,
     encode,
+    seed_decode,
 )
 from repro.serialization.fieldpath import (
     CompiledPath,
@@ -37,4 +38,5 @@ __all__ = [
     "decode_shared",
     "encode",
     "iter_field_paths",
+    "seed_decode",
 ]

@@ -15,7 +15,9 @@ Objects are plain Python dictionaries whose leaves are ``int``, ``float``,
 ``bool``, ``str``, ``None``, lists, or nested dictionaries — exactly the
 shape of the resource objects in :mod:`repro.objects`.
 
-Two caches sit on the hot path (see ``docs/PERFORMANCE.md``):
+Caches sit on the hot path (see ``docs/PERFORMANCE.md``; the soundness
+arguments are in ``docs/INVARIANTS.md``), all dropped by
+:func:`clear_codec_caches`:
 
 * a **decode cache** keyed by the exact value bytes — the store persists
   serialized bytes, so every controller read of an unchanged object used to
@@ -25,9 +27,17 @@ Two caches sit on the hot path (see ``docs/PERFORMANCE.md``):
   from any successfully decoded bytes and therefore *bypass* the cache by
   construction: they are decoded (and fail) fresh every time, so the fault
   semantics of the paper are untouched;
+* an **encode memo** keyed by the ``marshal`` bytes of the tree — every
+  experiment replays the golden run's prefix, so most encodes repeat an
+  earlier one exactly.  :func:`seed_decode` lets the Apiserver enter the
+  bytes it just encoded into the decode cache without parsing them back;
 * an **encode key cache** interning the length-prefixed encoding of message
   keys — the same few dozen field names ("metadata", "spec", "replicas", …)
-  appear in every message of a campaign.
+  appear in every message of a campaign — and two string caches (canonical
+  decoded strings, encoded short strings).
+
+Every cache tolerates concurrent simulations on several threads: a hit is
+one lookup that treats a concurrently evicted entry as a miss.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from __future__ import annotations
 import marshal
 import struct
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Optional
 
 from repro.hotpath import COUNTERS
 
@@ -59,6 +69,19 @@ _DECODE_CACHE_VALUE_LIMIT = 64 * 1024
 #: produced lazily on the first copying read and turns every further
 #: :func:`decode` hit into a single C-level ``marshal.loads``.
 _decode_cache: "OrderedDict[bytes, list]" = OrderedDict()
+
+#: Maps the ``marshal`` bytes of an encoded tree to ``(wire bytes,
+#: seedable)``, bounded like the decode cache.  Equal ``marshal`` bytes mean
+#: type-exactly equal trees with the same key order, hence equal encodings.
+_encode_memo: "OrderedDict[bytes, tuple[bytes, bool]]" = OrderedDict()
+#: ``(wire bytes, marshal bytes)`` of the latest encode whose tree was in
+#: decode normal form (else None), read by :func:`seed_decode`.  Replaced as
+#: one tuple, so a thread never pairs one encode's bytes with another's tree.
+_last_seedable: Optional[tuple[bytes, bytes]] = None
+
+#: Signed 64-bit range: the integers whose varint decodes back unchanged.
+_INT_MIN = -(1 << 63)
+_INT_LIMIT = 1 << 63
 
 #: Interned ``varint(len) + utf-8`` encodings of message keys.
 _KEY_CACHE_MAX = 4096
@@ -91,11 +114,37 @@ def _canonical_str(text: str) -> str:
 
 
 def clear_codec_caches() -> None:
-    """Drop the decode/key/string caches (tests; never needed for correctness)."""
+    """Drop the decode/encode/key/string caches (tests; never needed for correctness)."""
+    global _last_seedable
     _decode_cache.clear()
+    _encode_memo.clear()
+    _last_seedable = None
     _key_cache.clear()
     _str_cache.clear()
     _encoded_str_cache.clear()
+
+
+def _lru_get(cache: OrderedDict, key: bytes) -> Any:
+    """``cache[key]`` marked most recently used, or None on a miss.
+
+    One step for the caller: an entry another thread evicts between the two
+    calls below reads as a miss instead of raising ``KeyError``.
+    """
+    try:
+        cache.move_to_end(key)
+        return cache[key]
+    except KeyError:
+        return None
+
+
+def _lru_put(cache: OrderedDict, key: bytes, value: Any) -> None:
+    """Insert ``value``, evicting the least recently used entry past the bound."""
+    cache[key] = value
+    if len(cache) > _DECODE_CACHE_MAX:
+        try:
+            cache.popitem(last=False)
+        except KeyError:
+            pass  # emptied by a concurrent clear_codec_caches()
 
 
 class DecodeError(ValueError):
@@ -352,12 +401,67 @@ def _decode_message(data: bytes) -> dict:
     return obj
 
 
+def _decodes_to_itself(node: Any) -> bool:
+    """Whether :func:`decode` of ``node``'s encoding is type-exactly ``node``.
+
+    Decode normal form: dicts, lists, ``str``, ``float``, ``bool``, ``None``
+    and ``int`` in the signed 64-bit range, no subclass anywhere (a tuple
+    decodes to a list, a wider int to another value or an error).  Keys are
+    not checked: :func:`encode` only asks after ``marshal`` accepted the tree
+    (no ``str`` subclass) and the encoder accepted its keys (``str`` only).
+    """
+    kind = type(node)
+    if kind is dict:
+        return all(_decodes_to_itself(value) for value in node.values())
+    if kind is list:
+        return all(_decodes_to_itself(value) for value in node)
+    if kind is int:
+        return _INT_MIN <= node < _INT_LIMIT
+    return kind is str or kind is float or kind is bool or node is None
+
+
 def encode(obj: dict) -> bytes:
-    """Serialize an API object (a nested dictionary) to wire bytes."""
+    """Serialize an API object (a nested dictionary) to wire bytes.
+
+    Memoised on ``marshal.dumps(obj)``: equal ``marshal`` bytes are the same
+    tree down to every type and key order, so the memoised bytes are exactly
+    what encoding ``obj`` would produce.  A tree ``marshal`` refuses (a
+    subclass, too deep) is encoded plainly and memoises nothing.
+    """
+    global _last_seedable
     if not isinstance(obj, dict):
         raise EncodeError(f"top-level object must be a dict, got {type(obj).__name__}")
     COUNTERS.encodes += 1
-    return _encode_message(obj)
+    try:
+        blob = marshal.dumps(obj)
+    except ValueError:
+        _last_seedable = None
+        return _encode_message(obj)
+    entry = _lru_get(_encode_memo, blob)
+    if entry is None:
+        entry = (_encode_message(obj), _decodes_to_itself(obj))
+        if len(blob) <= _DECODE_CACHE_VALUE_LIMIT:
+            _lru_put(_encode_memo, blob, entry)
+    data, seedable = entry
+    _last_seedable = (data, blob) if seedable else None
+    return data
+
+
+def seed_decode(data: bytes) -> None:
+    """Enter ``data`` into the decode cache without parsing it back.
+
+    Only if ``data`` is the very ``bytes`` object the latest :func:`encode`
+    returned and that encode saw its tree in decode normal form; the cached
+    tree is then a ``marshal`` copy of the tree as encoded, type-exactly what
+    decoding ``data`` would give.  Any other bytes (a hook's corruption, an
+    older encode, another thread's) are left to the real decode.
+    """
+    last = _last_seedable
+    if last is None or last[0] is not data or len(data) > _DECODE_CACHE_VALUE_LIMIT:
+        return
+    if data not in _decode_cache:
+        blob = last[1]
+        _lru_put(_decode_cache, data, [marshal.loads(blob), blob])
 
 
 def decode(data: bytes) -> dict:
@@ -377,10 +481,9 @@ def decode(data: bytes) -> dict:
     if not isinstance(data, (bytes, bytearray)):
         raise DecodeError(f"expected bytes, got {type(data).__name__}")
     key = bytes(data)
-    entry = _decode_cache.get(key)
+    entry = _lru_get(_decode_cache, key)
     if entry is not None:
         COUNTERS.decode_cache_hits += 1
-        _decode_cache.move_to_end(key)
         blob = entry[1]
         if blob is None:
             # First copying read of this entry: materialize the marshal blob
@@ -394,9 +497,7 @@ def decode(data: bytes) -> dict:
         # The cache keeps its own copy (via the blob round-trip): the tree
         # handed back to the caller is theirs to mutate.
         blob = marshal.dumps(obj)
-        _decode_cache[key] = [marshal.loads(blob), blob]
-        if len(_decode_cache) > _DECODE_CACHE_MAX:
-            _decode_cache.popitem(last=False)
+        _lru_put(_decode_cache, key, [marshal.loads(blob), blob])
     return obj
 
 
@@ -413,15 +514,12 @@ def decode_shared(data: bytes) -> dict:
     if not isinstance(data, (bytes, bytearray)):
         raise DecodeError(f"expected bytes, got {type(data).__name__}")
     key = bytes(data)
-    entry = _decode_cache.get(key)
+    entry = _lru_get(_decode_cache, key)
     if entry is not None:
         COUNTERS.decode_cache_hits += 1
-        _decode_cache.move_to_end(key)
         return entry[0]
     COUNTERS.decodes += 1
     obj = _decode_message(key)
     if len(key) <= _DECODE_CACHE_VALUE_LIMIT:
-        _decode_cache[key] = [obj, None]
-        if len(_decode_cache) > _DECODE_CACHE_MAX:
-            _decode_cache.popitem(last=False)
+        _lru_put(_decode_cache, key, [obj, None])
     return obj

@@ -270,6 +270,45 @@ def test_two_executors_in_one_process_share_a_store(serial_store, tmp_path):
     assert len(store.shard_keys()) < len(tasks)  # batches were coalesced
 
 
+def test_two_campaigns_on_two_threads_give_the_serial_digest(tmp_path):
+    # Campaigns run as threads of one process in the service.  Both simulate
+    # through the process-wide codec caches (decode cache, encode memo, the
+    # seed hand-off), whose hits must tolerate the other thread evicting or
+    # replacing entries between any two bytecodes.  Benchmark-shaped: all
+    # three workloads, at the benchmark's plan seed.
+    config = CampaignConfig(
+        workloads=(WorkloadKind.DEPLOY, WorkloadKind.SCALE_UP, WorkloadKind.FAILOVER),
+        golden_runs=1,
+        max_experiments_per_workload=1,
+        seed=7,
+        workers=1,
+    )
+    Campaign(config).run(results_dir=str(tmp_path / "serial"))
+    serial = ShardedResultStore(str(tmp_path / "serial")).results_digest()
+    errors: list[BaseException] = []
+
+    def run(name: str) -> None:
+        try:
+            Campaign(config).run(results_dir=str(tmp_path / name))
+        except BaseException as error:  # noqa: BLE001 - surfaced in the assert below
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in ("a", "b")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for name in ("a", "b"):
+        assert ShardedResultStore(str(tmp_path / name)).results_digest() == serial
+
+
 # --------------------------------------------------------------------- CLI
 
 
