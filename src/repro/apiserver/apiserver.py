@@ -155,6 +155,14 @@ class APIServer:
         self.restart_count += 1
         self.record_event("ApiserverRestart", "apiserver restarted, cache dropped")
 
+    def read_token(self, kinds: tuple[str, ...]) -> tuple:
+        """The restart count and the store revision of the last write to each
+        of ``kinds``.  While the token is unchanged, every read of those kinds
+        returns the same objects: the store changes only through watched
+        writes, and a restart (which drops the cache) bumps the count."""
+        revs = self._kind_write_revs
+        return (self.restart_count, *[revs.get(kind, 0) for kind in kinds])
+
     # ------------------------------------------------------------- public API
 
     def create(self, kind: str, obj: dict, actor: str = "user") -> dict:

@@ -65,6 +65,7 @@ class DaemonSetController(Controller):
     """Reconcile DaemonSets: one matching Pod per eligible Node."""
 
     name = "daemonset"
+    watches = ("DaemonSet", "Node", "Pod")
 
     def __init__(self, sim, client):
         super().__init__(sim, client)

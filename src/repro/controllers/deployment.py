@@ -32,6 +32,7 @@ class DeploymentController(Controller):
     """Reconcile Deployments by managing their ReplicaSets."""
 
     name = "deployment"
+    watches = ("Deployment", "ReplicaSet")
 
     def reconcile_all(self) -> None:
         deployments = self.client.list("Deployment")

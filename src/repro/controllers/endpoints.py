@@ -22,6 +22,7 @@ class EndpointsController(Controller):
     """Reconcile Endpoints objects from Services and ready Pods."""
 
     name = "endpoints"
+    watches = ("Service", "Pod", "Endpoints")
 
     def reconcile_all(self) -> None:
         # Read-only refs (informer contract): the desired Endpoints object is

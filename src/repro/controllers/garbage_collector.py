@@ -20,6 +20,10 @@ class GarbageCollector(Controller):
     """Cascade deletion through controller owner references."""
 
     name = "garbage-collector"
+    # Level-triggered: the pass reads every kind, Lease included, and the
+    # component leader and node heartbeat renewals move the Lease revision on
+    # every tick.
+    watches = ()
 
     def __init__(self, sim, client):
         super().__init__(sim, client)

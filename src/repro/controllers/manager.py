@@ -5,6 +5,15 @@ holding the leader-election lease, and supports being restarted — a stateless
 component that, on restart, simply re-observes the cluster state from the
 data store (paper §II-D).  Losing (or never acquiring) leadership stalls
 every controller at once, one of the Stall causes in the paper's results.
+
+Leader renewal runs on every tick; a controller's pass runs only when it may
+have something to do (:class:`~repro.controllers.base.ChangeGate`): a watched
+kind was written or the Apiserver restarted since its last pass, that pass
+sent a request, or a key is backed off.  The renewal's ``get`` and ``update``
+at the same instant are what make a skipped pass safe with respect to
+availability: an unreadable store fails the renewal first.  NodeLifecycle
+(heartbeats are read against the clock), Namespace and GarbageCollector (both
+read Leases, which move every tick) stay level-triggered.
 """
 
 from __future__ import annotations

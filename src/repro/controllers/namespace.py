@@ -21,6 +21,9 @@ class NamespaceController(Controller):
     """Delete the contents of namespaces that no longer exist."""
 
     name = "namespace"
+    # Level-triggered: the pass reads every namespaced kind, Lease included,
+    # and the node heartbeat renewals move the Lease revision on every tick.
+    watches = ()
 
     def __init__(self, sim, client):
         super().__init__(sim, client)

@@ -15,10 +15,12 @@ the paper's outage analysis hinges on:
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.apiserver.errors import ApiError
 from repro.controllers.base import Controller
 from repro.controllers.daemonset import tolerates_taints
-from repro.objects.meta import controller_owner
+from repro.objects.meta import controller_owner, deep_copy
 
 #: Seconds without a heartbeat before a node is marked NotReady
 #: (kube-controller-manager's default node-monitor-grace-period).
@@ -34,6 +36,9 @@ class NodeLifecycleController(Controller):
     """Mark unhealthy nodes and evict their pods."""
 
     name = "node-lifecycle"
+    # Level-triggered: heartbeat freshness compares Lease ``renewTime`` with
+    # ``sim.now``, so the pass's output moves with the clock alone.
+    watches = ()
 
     def __init__(
         self,
@@ -50,11 +55,11 @@ class NodeLifecycleController(Controller):
         self.full_disruption_mode = False
 
     def reconcile_all(self) -> None:
-        nodes = self.client.list("Node")
+        # Read-only refs (informer contract): evictions go through the API and
+        # ``_set_ready_condition`` copies the one node whose condition flips.
+        nodes = self.client.list("Node", copy=False)
         if not nodes:
             return
-        # Leases and pods are only read (evictions go through the API);
-        # nodes are copied because ``_set_ready_condition`` mutates them.
         leases = {
             lease.get("metadata", {}).get("name"): lease
             for lease in self.client.list("Lease", namespace="kube-node-lease", copy=False)
@@ -109,25 +114,30 @@ class NodeLifecycleController(Controller):
             return False
         return self.sim.now - renew <= self.grace_period
 
-    def _set_ready_condition(self, node: dict, healthy: bool) -> None:
-        status = node.get("status")
-        if not isinstance(status, dict):
-            return
+    @staticmethod
+    def _ready_condition(status: dict) -> Optional[dict]:
         conditions = status.get("conditions")
-        if not isinstance(conditions, list):
-            conditions = []
-            status["conditions"] = conditions
-        ready = None
-        for condition in conditions:
-            if isinstance(condition, dict) and condition.get("type") == "Ready":
-                ready = condition
-                break
-        if ready is None:
-            ready = {"type": "Ready", "status": "Unknown", "lastHeartbeatTime": 0.0}
-            conditions.append(ready)
-        new_value = "True" if healthy else "False"
-        if ready.get("status") == new_value:
+        if isinstance(conditions, list):
+            for condition in conditions:
+                if isinstance(condition, dict) and condition.get("type") == "Ready":
+                    return condition
+        return None
+
+    def _set_ready_condition(self, node: dict, healthy: bool) -> None:
+        if not isinstance(node.get("status"), dict):
             return
+        new_value = "True" if healthy else "False"
+        ready = self._ready_condition(node["status"])
+        if ready is not None and ready.get("status") == new_value:
+            return
+        node = deep_copy(node)  # listed refs are read-only
+        status = node["status"]
+        ready = self._ready_condition(status)
+        if ready is None:
+            if not isinstance(status.get("conditions"), list):
+                status["conditions"] = []
+            ready = {"type": "Ready", "status": "Unknown", "lastHeartbeatTime": 0.0}
+            status["conditions"].append(ready)
         ready["status"] = new_value
         self.actions += 1
         try:

@@ -51,6 +51,7 @@ class ReplicaSetController(Controller):
     """Reconcile ReplicaSets against the Pods that match their selectors."""
 
     name = "replicaset"
+    watches = ("ReplicaSet", "Pod")
 
     def __init__(self, sim, client, pod_name_suffix_source=None):
         super().__init__(sim, client)

@@ -15,6 +15,7 @@ from typing import Optional
 from repro.apiserver.apiserver import APIServer
 from repro.apiserver.client import APIClient
 from repro.apiserver.errors import ApiError
+from repro.controllers.base import ChangeGate
 from repro.controllers.daemonset import tolerates_taints
 from repro.controllers.leaderelection import LeaderElector
 from repro.objects.meta import deep_copy
@@ -47,6 +48,8 @@ class Scheduler:
         self.preemptions = 0
         self.unschedulable_pods = 0
         self._task = None
+        #: Skips a pass when no Pod or Node changed since one that sent nothing.
+        self.gate = ChangeGate(self.client, ("Pod", "Node"))
 
     # ---------------------------------------------------------------- control
 
@@ -70,19 +73,24 @@ class Scheduler:
     # ------------------------------------------------------------------- loop
 
     def tick(self) -> None:
-        """One scheduling pass over all pending pods."""
+        """Renew leadership, then one scheduling pass over all pending pods
+        unless no Pod or Node changed since a pass that sent nothing."""
         if self.sim.now < self._restarting_until:
             return
         if not self.elector.try_acquire_or_renew():
             return
         try:
-            # Read-only refs (informer contract); pending pods are copied
-            # below because binding mutates ``spec.nodeName``.
-            pods = self.client.list("Pod", copy=False)
-            nodes = self.client.list("Node", copy=False)
+            # The assumed-binding cache is the pass's one input besides the
+            # store; it changes only by a bind (a request) or a restart.
+            self.gate.run(self._schedule_pending, extra=(self.restart_count,))
         except ApiError:
             return
 
+    def _schedule_pending(self) -> None:
+        # Read-only refs (informer contract); pending pods are copied below
+        # because binding mutates ``spec.nodeName``.
+        pods = self.client.list("Pod", copy=False)
+        nodes = self.client.list("Node", copy=False)
         self._check_cache_consistency(pods, nodes)
 
         pending = [deep_copy(pod) for pod in pods if self._is_pending(pod)]
@@ -302,6 +310,8 @@ class Scheduler:
     def stats(self) -> dict:
         """Return scheduling counters."""
         return {
+            "syncs": self.gate.passes,
+            "skipped": self.gate.skipped,
             "scheduled": self.pods_scheduled,
             "preemptions": self.preemptions,
             "unschedulable": self.unschedulable_pods,

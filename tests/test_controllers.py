@@ -3,6 +3,7 @@ minimal control plane (no other component loops running)."""
 
 
 from repro.apiserver.client import APIClient
+from repro.controllers.base import backoff_delay
 from repro.controllers.daemonset import DaemonSetController, tolerates_taints
 from repro.controllers.deployment import DeploymentController, template_hash
 from repro.controllers.endpoints import EndpointsController
@@ -11,7 +12,6 @@ from repro.controllers.leaderelection import LeaderElector
 from repro.controllers.namespace import NamespaceController
 from repro.controllers.node_lifecycle import NodeLifecycleController
 from repro.controllers.replicaset import ReplicaSetController, pod_is_active, pod_is_ready
-from repro.controllers.workqueue import RateLimitedQueue
 from repro.objects.kinds import (
     make_daemonset,
     make_deployment,
@@ -57,38 +57,36 @@ def _write_corrupted(apiserver, kind, obj, mutate):
         apiserver.set_etcd_write_hook(None)
 
 
-# ---------------------------------------------------------------- workqueue
+# ------------------------------------------------------------------ backoff
 
 
-def test_workqueue_dedup_and_fifo():
-    queue = RateLimitedQueue()
-    queue.add("a")
-    queue.add("b")
-    queue.add("a")
-    assert len(queue) == 2
-    assert queue.pop_ready(0.0) == "a"
-    assert queue.pop_ready(0.0) == "b"
-    assert queue.pop_ready(0.0) is None
-
-
-def test_workqueue_backoff_grows_exponentially_and_resets():
-    queue = RateLimitedQueue(base_delay=1.0, max_delay=8.0)
+def test_backoff_doubles_caps_and_resets_on_success(control_plane):
+    controller = ReplicaSetController(control_plane.sim, _client(control_plane))
     observed = []
-    for _ in range(5):
-        observed.append(queue.add_after_failure("k", 0.0))
-        queue.pop_ready(100.0)
-    assert observed == [1.0, 2.0, 4.0, 8.0, 8.0]
-    queue.forget("k")
-    assert queue.failure_count("k") == 0
-    assert queue.add_after_failure("k", 0.0) == 1.0
+    for _ in range(7):
+        controller.record_key_failure("k")
+        observed.append(controller._skip_until["k"] - control_plane.sim.now)
+    assert observed == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
+    assert [backoff_delay(n) for n in (1, 2, 6)] == [1.0, 2.0, 30.0]
+    controller.record_key_success("k")
+    assert "k" not in controller._skip_until
+    controller.record_key_failure("k")
+    assert controller._skip_until["k"] - control_plane.sim.now == 1.0
+    assert controller.error_count == 8
 
 
-def test_workqueue_respects_not_before():
-    queue = RateLimitedQueue(base_delay=5.0)
-    queue.add_after_failure("k", now=10.0)
-    assert queue.pop_ready(12.0) is None
-    assert queue.pop_ready(15.0) == "k"
-    assert queue.drain_ready(100.0) == []
+def test_backoff_key_active_until_expiry_exactly(control_plane):
+    controller = ReplicaSetController(control_plane.sim, _client(control_plane))
+    control_plane.sim.run_for(10.0)
+    controller.record_key_failure("k")
+    controller.record_key_failure("k")
+    assert controller.key_backoff_active("k")
+    control_plane.sim.run_for(1.5)
+    assert controller.key_backoff_active("k")
+    control_plane.sim.run_for(0.5)
+    # Expired at exactly now + 2 s, but remembered until the key reconciles.
+    assert not controller.key_backoff_active("k")
+    assert "k" in controller._skip_until
 
 
 # ---------------------------------------------------------- leader election

@@ -1,77 +1,69 @@
-"""Edge-case tests for the rate-limited work queue and leader election.
+"""Edge-case tests for per-key reconcile backoff and leader election.
 
-The basics (dedup/FIFO, backoff growth, acquire/renew/release) live in
+The basics (backoff schedule, acquire/renew/release) live in
 ``test_controllers.py``; these tests pin down the corner cases the
-controllers rely on: re-adding a key while it is being processed, backoff
-accounting for keys that are already queued, and leases that expire while
-the holder believes it is still renewing.
+controllers rely on: a failure while already backed off, a backed-off key
+not holding up the others, and leases that expire while the holder believes
+it is still renewing.
 """
 
 from __future__ import annotations
 
 from repro.apiserver.client import APIClient
+from repro.apiserver.errors import ServerUnavailableError
 from repro.controllers.leaderelection import LeaderElector
-from repro.controllers.workqueue import RateLimitedQueue
+from repro.controllers.replicaset import ReplicaSetController
+from repro.objects.kinds import make_replicaset
 
 
 def _client(control_plane, name="kube-controller-manager"):
     return APIClient(control_plane.apiserver, component=name)
 
 
-# ------------------------------------------------------------- work queue
+# ---------------------------------------------------------------- backoff
 
 
-def test_workqueue_readd_while_processing_requeues():
-    # Popping removes the key from the dedup set, so a watch event arriving
-    # while the key is being reconciled queues another round — the event is
-    # not lost.
-    queue = RateLimitedQueue()
-    queue.add("deploy/webapp")
-    assert queue.pop_ready(0.0) == "deploy/webapp"
-    queue.add("deploy/webapp", now=1.0)
-    assert len(queue) == 1
-    assert queue.pop_ready(1.0) == "deploy/webapp"
-    assert queue.pop_ready(1.0) is None
+def test_backoff_failure_while_backed_off_extends_from_now(control_plane):
+    # A key can fail again (e.g. reconciled by hand) before its backoff has
+    # expired; the failure count grows and the new deadline counts from now.
+    controller = ReplicaSetController(control_plane.sim, _client(control_plane))
+    controller.record_key_failure("k")
+    control_plane.sim.run_for(0.5)
+    controller.record_key_failure("k")
+    assert controller._skip_until["k"] == control_plane.sim.now + 2.0
+    assert controller._failures["k"] == 2
 
 
-def test_workqueue_failure_while_queued_counts_but_does_not_duplicate():
-    # A key can fail reconciliation while a retry of it is already queued;
-    # the failure count (and therefore the next delay) grows, but no second
-    # entry appears.
-    queue = RateLimitedQueue(base_delay=1.0, max_delay=60.0)
-    queue.add_after_failure("k", now=0.0)
-    assert len(queue) == 1
-    delay = queue.add_after_failure("k", now=0.0)
-    assert len(queue) == 1
-    assert delay == 2.0
-    assert queue.failure_count("k") == 2
-    # The queued entry keeps its original (earlier) deadline.
-    assert queue.pop_ready(1.0) == "k"
+def test_backed_off_key_does_not_block_other_keys(control_plane, monkeypatch):
+    client = _client(control_plane)
+    controller = ReplicaSetController(control_plane.sim, client)
+    for name in ("slow", "fast"):
+        client.create("ReplicaSet", make_replicaset(name, replicas=1, labels={"app": name}))
+    reconcile_one = controller._reconcile_one
+
+    def failing_slow(replicaset, pods):
+        if replicaset["metadata"]["name"] == "slow":
+            raise ServerUnavailableError("injected")
+        reconcile_one(replicaset, pods)
+
+    monkeypatch.setattr(controller, "_reconcile_one", failing_slow)
+    controller.sync()
+    assert controller.key_backoff_active("default/slow")
+    assert [pod["metadata"]["labels"]["app"] for pod in client.list("Pod")] == ["fast"]
+    monkeypatch.undo()
+    control_plane.sim.run_for(0.5)
+    controller.sync()  # still backed off: skipped inside the pass
+    assert len(client.list("Pod")) == 1
+    control_plane.sim.run_for(0.5)
+    controller.sync()
+    assert sorted(pod["metadata"]["labels"]["app"] for pod in client.list("Pod")) == ["fast", "slow"]
+    assert controller._skip_until == {}
 
 
-def test_workqueue_pop_skips_backed_off_key_in_fifo_order():
-    # A backed-off key at the head must not block ready keys behind it.
-    queue = RateLimitedQueue(base_delay=10.0)
-    queue.add_after_failure("slow", now=0.0)
-    queue.add("fast", now=0.0)
-    assert queue.pop_ready(1.0) == "fast"
-    assert queue.pop_ready(1.0) is None
-    assert queue.pop_ready(10.0) == "slow"
-
-
-def test_workqueue_drain_ready_respects_limit_and_order():
-    queue = RateLimitedQueue()
-    for key in ("a", "b", "c", "d"):
-        queue.add(key)
-    assert queue.drain_ready(0.0, limit=2) == ["a", "b"]
-    assert queue.drain_ready(0.0) == ["c", "d"]
-    assert len(queue) == 0
-
-
-def test_workqueue_forget_unknown_key_is_noop():
-    queue = RateLimitedQueue()
-    queue.forget("never-seen")
-    assert queue.failure_count("never-seen") == 0
+def test_backoff_success_on_unknown_key_is_noop(control_plane):
+    controller = ReplicaSetController(control_plane.sim, _client(control_plane))
+    controller.record_key_success("never-seen")
+    assert controller._failures == {} and controller._skip_until == {}
 
 
 # -------------------------------------------------------- leader election
