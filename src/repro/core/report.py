@@ -110,9 +110,13 @@ STORE_DOCUMENT_SCHEMA = 1
 
 
 def fold_store(store) -> tuple[CampaignResult, str]:
-    """The tally and the results digest of a store from one plan-order pass:
-    every shard is read once, where a tally pass followed by a digest pass
-    reads (and on an object store, downloads) each of them twice."""
+    """The tally and the results digest of a store from one plan-order pass,
+    where a tally pass followed by a digest pass would make two.  A cold
+    store of two or more shards still decompresses and parses every shard
+    twice: the index scan behind ``completed_indexes`` parses each shard,
+    the one-shard read cache keeps only the last one scanned, and by the
+    time the plan-order digest pass reaches that one it has evicted it
+    (docs/PERFORMANCE.md, "Shard encode")."""
     tally = CampaignTally()
 
     def fold(index: int, record: dict) -> None:

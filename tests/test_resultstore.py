@@ -11,6 +11,8 @@ count while reading at most one shard at a time.
 from __future__ import annotations
 
 import dataclasses
+import gzip
+import io
 import json
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterConfig
+from repro.core import resultstore
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.classification import (
     ClientFailure,
@@ -34,6 +37,7 @@ from repro.core.experiment import (
     ExperimentTask,
     RecordedField,
 )
+from repro.core.federate import federate_stores
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
 from repro.core.parallel import (
     WorkloadPrep,
@@ -484,9 +488,6 @@ def test_record_with_index_but_no_result_ends_the_readable_prefix(tmp_path):
     # yield an empty dict that exploded much later as a KeyError deep inside
     # result_from_dict during aggregation; it is a truncation like any
     # other — the shard ends at the last complete record before it.
-    import gzip
-    import io
-
     store = ShardedResultStore(str(tmp_path / "store"))
     store.open("fp", total=3)
     good = json.dumps({"index": 0, "result": result_to_dict(_full_result(0))})
@@ -502,6 +503,32 @@ def test_record_with_index_but_no_result_ends_the_readable_prefix(tmp_path):
     assert store.load_result(0) == _full_result(0)
     assert len(store.results_digest()) == 64  # aggregation no longer explodes
     assert list(store.iter_all()) == [_full_result(0)]
+
+
+def _gzip_member(records: list[tuple[int, dict]], level: int = 9) -> bytes:
+    """One shard member written by ``GzipFile`` at ``level``, mtime 0.  The
+    default, gzip's level 9, is how stores were written before
+    ``SHARD_GZIP_LEVEL``."""
+    buffer = io.BytesIO()
+    with gzip.GzipFile(filename="", mode="wb", fileobj=buffer, mtime=0, compresslevel=level) as stream:
+        for index, data in records:
+            stream.write(canonical_bytes({"index": index, "result": data}) + b"\n")
+    return buffer.getvalue()
+
+
+def test_shard_with_a_member_failing_its_crc_yields_no_record(tmp_path):
+    # A damaged byte can leave every line of a member parseable: here one
+    # digit of a stored (uncompressed) member.  Only the member's CRC tells,
+    # and it is checked after the member's last line, so the shard hands out
+    # nothing rather than the altered record; resume re-runs all four.
+    store = ShardedResultStore(str(tmp_path))
+    store.open("fp", total=4)
+    records = [(index, result_to_dict(_full_result(index))) for index in range(4)]
+    intact = _gzip_member(records[2:], level=0)
+    damaged = intact.replace(b'"seed":1002', b'"seed":1009')
+    assert damaged != intact and len(damaged) == len(intact)
+    store.transport.put("shards/shard-00000000-00000003.jsonl.gz", _gzip_member(records[:2]) + damaged)
+    assert store.completed_indexes() == {}
 
 
 def test_scan_leaves_fresh_shard_in_read_cache(tmp_path, monkeypatch):
@@ -828,6 +855,48 @@ def test_batched_writer_replaces_a_fully_torn_namesake(tmp_path):
     assert fresh.stored_record_count() == 2
     for index in range(2):
         assert fresh.load_result(index) == _full_result(index)
+
+
+def test_level9_members_and_fast_members_share_one_store(tmp_path, monkeypatch):
+    # A store begun at level 9 keeps working under the fast level: a batched
+    # group opened with a level-9 member takes a fast member appended to the
+    # same object, plain shards of both levels sit side by side, and the
+    # federated result is indistinguishable from an all-new store.
+    records = [(index, result_to_dict(_full_result(index))) for index in range(10)]
+    new = ShardedResultStore(str(tmp_path / "new"))
+    new.open("fp", total=10)
+    for start in range(0, 10, 2):
+        new.write_shard_dicts(records[start : start + 2])
+
+    mixed = ShardedResultStore(str(tmp_path / "mixed"))
+    mixed.open("fp", total=10)
+    mixed.transport.put("shards/shard-00000000-00000001.jsonl.gz", _gzip_member(records[0:2]))
+    writer = mixed.batched_writer(4)
+    with monkeypatch.context() as patch:
+        patch.setattr(resultstore, "_encode_member", _gzip_member)
+        writer.write_dicts(records[2:4])
+    writer.write_dicts(records[4:6])  # appended to the level-9 object
+    mixed.write_shard_dicts(records[6:8])
+    group = mixed.transport.get("shards/shard-00000002-00000003.jsonl.gz")
+    head = _gzip_member(records[2:4])
+    assert group[: len(head)] == head
+    assert group[len(head) :] == resultstore._encode_member(records[4:6])
+    assert group[len(head) :] != _gzip_member(records[4:6])
+
+    rest = ShardedResultStore(str(tmp_path / "rest"))
+    rest.open("fp", total=10)
+    rest.write_shard_dicts(records[8:10])
+    federated = str(tmp_path / "federated")
+    federate_stores(federated, [str(tmp_path / "mixed"), str(tmp_path / "rest")])
+
+    for root in (str(tmp_path / "mixed"), federated):
+        store = ShardedResultStore(root)
+        for index, data in records[: store.record_count()]:
+            assert store.load_record(index) == data
+    merged = ShardedResultStore(federated)
+    assert (merged.results_digest(), merged.record_count(), merged.stored_record_count()) == (
+        new.results_digest(), new.record_count(), new.stored_record_count(),
+    )
 
 
 def test_batched_writer_abandons_a_replaced_shard_group(tmp_path):
