@@ -112,11 +112,12 @@ STORE_DOCUMENT_SCHEMA = 1
 def fold_store(store) -> tuple[CampaignResult, str]:
     """The tally and the results digest of a store from one plan-order pass,
     where a tally pass followed by a digest pass would make two.  A cold
-    store of two or more shards still decompresses and parses every shard
-    twice: the index scan behind ``completed_indexes`` parses each shard,
-    the one-shard read cache keeps only the last one scanned, and by the
-    time the plan-order digest pass reaches that one it has evicted it
-    (docs/PERFORMANCE.md, "Shard encode")."""
+    store of two or more shards still parses every record twice: the index
+    scan behind ``completed_indexes`` validates each shard, the one-shard
+    read cache keeps only the last one scanned parsed, and the plan-order
+    digest pass, having evicted it by the time it gets there, re-reads each
+    shard and parses each record again as it hashes it (docs/PERFORMANCE.md,
+    "Point reads")."""
     tally = CampaignTally()
 
     def fold(index: int, record: dict) -> None:

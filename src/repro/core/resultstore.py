@@ -286,6 +286,38 @@ def _parse_shard_line(raw: bytes) -> Optional[tuple[int, dict]]:
     return int(record["index"]), result
 
 
+def _shard_lines(payload: bytes, parse: Callable[[bytes], Any]) -> list:
+    """What ``parse`` makes of each line of a shard's readable prefix.
+
+    A shard truncated mid-write yields its readable prefix: the gzip stream
+    may end abruptly (EOFError), or ``parse`` may map a line to ``None``
+    (cut short, or cut between its ``"index"`` and its ``"result"``); each
+    simply ends the shard.  A shard with a damaged member yields nothing.
+    The list is returned only once the whole stream has been read, so every
+    CRC has been checked first.
+    """
+    items: list = []
+    try:
+        with gzip.GzipFile(fileobj=io.BytesIO(payload), mode="rb") as stream:
+            for raw in stream:
+                item = parse(raw)
+                if item is None:
+                    while stream.read(1 << 16):  # still check the CRCs
+                        pass
+                    break
+                items.append(item)
+    except EOFError:
+        pass  # a torn trailing member: its complete lines are the prefix
+    except (OSError, zlib.error):
+        # A member failed its CRC or its deflate stream is damaged.  A
+        # flipped byte can leave every line parseable (another key, another
+        # digit), and GzipFile reports the mismatch only after the member's
+        # last line, so no line of this shard is trusted; a resume re-runs
+        # its records.
+        return []
+    return items
+
+
 def _shard_key_for(records: list[tuple[int, dict]]) -> str:
     """The shard key a batch lands under (named by the batch's index span;
     a batched shard keeps the name of its *first* batch as later batches
@@ -305,7 +337,12 @@ class ShardedResultStore:
     The store is safe for the executor's access pattern: many writers each
     append *distinct* shards (one per completed batch, atomic rename), one
     reader scans/merges.  Readers never hold more than one decompressed
-    shard in memory.
+    shard in memory: the read cache keeps one shard's CRC-checked lines,
+    and a point read parses only the line it asks for (then keeps that
+    record parsed), so a read costs one record's parse, not a shard's.  A
+    cold multi-shard :meth:`results_digest` still parses each record
+    twice: once as the index scan validates its shard, once as it is
+    hashed.
     """
 
     def __init__(self, root: str, shard_cache: Optional[dict] = None):
@@ -315,9 +352,10 @@ class ShardedResultStore:
         #: ``(shard key, generation)`` pairs of the scan that built it.
         self._index_map: Optional[dict[int, str]] = None
         self._scanned: tuple[tuple[str, str], ...] = ()
-        #: One-shard read cache: (key, {index: result dict}).
+        #: One-shard read cache: (key, {index: result dict, or the raw line
+        #: holding it until it is first read}).
         self._cached_key: Optional[str] = None
-        self._cached_shard: dict[int, dict] = {}
+        self._cached_shard: dict[int, Any] = {}
         #: Per-shard parse cache: key -> (generation token, record indexes).
         #: A shard's content is stable for a given generation, so a repeat
         #: scan (the distributed coordinator/workers poll the store every
@@ -474,43 +512,16 @@ class ShardedResultStore:
         """All shard addresses (paths/URLs), in name (== first-index) order."""
         return [self.transport.locate(key) for key in self.shard_keys()]
 
-    def _iter_shard_records(self, key: str) -> Iterator[tuple[int, dict]]:
-        """Yield the complete ``(index, result dict)`` records of one shard.
-
-        A shard truncated mid-write yields its readable prefix: the gzip
-        stream may end abruptly (EOFError), the last line may be cut short
-        (json error), or a record may have been cut between its ``"index"``
-        and its ``"result"``; each simply ends the shard.  A shard with a
-        damaged member yields nothing.  Records are yielded only once the
-        whole stream has been read, so every CRC has been checked first.
-        """
+    def _get_shard(self, key: str) -> Optional[tuple[bytes, str]]:
+        """One shard's bytes and the generation *of those bytes* (one
+        ``get_with_stat``), or ``None`` when the key is absent (raced a
+        reclaim) or transiently unreadable (networked shared filesystem
+        hiccup): skipped now, rescanned next poll."""
         try:
-            payload = self.transport.get(key)
+            payload, stat = self.transport.get_with_stat(key)
         except (TransportKeyError, OSError):
-            # Absent (raced a reclaim) or transiently unreadable (networked
-            # shared filesystem hiccup): skipped now, rescanned next poll —
-            # the historical tolerance of the gzip.open path.
-            return
-        records: list[tuple[int, dict]] = []
-        try:
-            with gzip.GzipFile(fileobj=io.BytesIO(payload), mode="rb") as stream:
-                for raw in stream:
-                    record = _parse_shard_line(raw)
-                    if record is None:
-                        while stream.read(1 << 16):  # still check the CRCs
-                            pass
-                        break
-                    records.append(record)
-        except EOFError:
-            pass  # a torn trailing member: its complete lines are the prefix
-        except (OSError, zlib.error):
-            # A member failed its CRC or its deflate stream is damaged.  A
-            # flipped byte can leave every line parseable (another key,
-            # another digit), and GzipFile reports the mismatch only after
-            # the member's last line, so no record of this shard is trusted;
-            # a resume re-runs them.
-            return
-        yield from records
+            return None
+        return payload, stat.generation
 
     def refresh(self) -> None:
         """Drop the cached index map (new shards may have appeared).
@@ -526,26 +537,33 @@ class ShardedResultStore:
 
     def _shard_indexes(self, key: str) -> Optional[tuple[str, list[int]]]:
         """``(generation, record indexes)`` of one shard, ``None`` when the
-        key vanished (cached; a shard's content is fixed per generation)."""
+        key vanished (cached; a shard's content is fixed per generation).
+
+        The indexes are listed in line order, so the entry also says which
+        line of that generation's bytes holds each record.  It is therefore
+        keyed by the generation of the bytes actually parsed: a shard that
+        gains a member between the ``stat`` and the read is cached under
+        its new generation, never its old one."""
         stat = self.transport.stat(key)
         if stat is None:
             return None
         cached = self.shard_cache.get(key)
         if cached is not None and cached[0] == stat.generation:
             return cached
-        indexes: list[int] = []
-        records: dict[int, dict] = {}
-        for index, data in self._iter_shard_records(key):
-            indexes.append(index)
-            records[index] = data
-        self.shard_cache[key] = (stat.generation, indexes)
-        # Hand the decompressed records to the one-shard read cache: the
-        # common next step (the coordinator folding the indexes this scan
-        # just discovered) then reads them without gunzipping the shard a
-        # second time.  Memory stays bounded by one shard as before.
+        read = self._get_shard(key)
+        if read is None:
+            return None
+        payload, generation = read
+        records = _shard_lines(payload, _parse_shard_line)
+        entry = (generation, [index for index, _ in records])
+        self.shard_cache[key] = entry
+        # Hand the parsed records to the one-shard read cache: the common
+        # next step (the coordinator folding the indexes this scan just
+        # discovered) then reads them without gunzipping the shard a second
+        # time.  Memory stays bounded by one shard as before.
         self._cached_key = key
-        self._cached_shard = records
-        return stat.generation, indexes
+        self._cached_shard = dict(records)
+        return entry
 
     def completed_indexes(self) -> dict[int, str]:
         """Map every completed plan index onto the shard key that holds it.
@@ -579,27 +597,51 @@ class ShardedResultStore:
 
     # -------------------------------------------------------------- reading
 
-    def _load_shard(self, key: str) -> dict[int, dict]:
-        """Decompress one shard into an index->dict map (the unit of caching)."""
-        return {index: data for index, data in self._iter_shard_records(key)}
+    def _load_shard(self, key: str) -> dict[int, Any]:
+        """Decompress one shard into the read cache's index -> record map
+        (the unit of caching; the last occurrence of an index wins).
 
-    def _shard_for(self, index: int) -> dict[int, dict]:
+        When the bytes read are the generation the scan validated, the
+        ``shard_cache`` entry already says which line holds each record, so
+        the lines stay raw (CRC-checked) and :meth:`_record` parses only the
+        ones asked for.  Any other generation is validated line by line
+        here, as the scan would."""
+        read = self._get_shard(key)
+        if read is None:
+            return {}
+        payload, generation = read
+        cached = self.shard_cache.get(key)
+        if cached is not None and cached[0] == generation:
+            return dict(zip(cached[1], _shard_lines(payload, bytes)))
+        return dict(_shard_lines(payload, _parse_shard_line))
+
+    def _record(self, index: int) -> dict:
         key = self.completed_indexes().get(index)
         if key is None:
             raise KeyError(f"result index {index} is not in the store {self.root!r}")
         if key != self._cached_key:
             self._cached_shard = self._load_shard(key)
             self._cached_key = key
-        return self._cached_shard
+        record = self._cached_shard.get(index)
+        if isinstance(record, bytes):
+            # A raw line the scan validated: parsed once, then kept parsed.
+            parsed = _parse_shard_line(record)
+            record = self._cached_shard[index] = None if parsed is None else parsed[1]
+        if record is None:
+            raise KeyError(
+                f"result index {index} is no longer in shard {key!r} of the store "
+                f"{self.root!r}: the shard changed after the scan"
+            )
+        return record
 
     def load_record(self, index: int) -> dict:
         """One result's canonical dict form (no object reconstruction) —
         what :meth:`results_digest` hashes and federation copies."""
-        return self._shard_for(index)[index]
+        return self._record(index)
 
     def load_result(self, index: int) -> ExperimentResult:
         """Load one result by plan index (caches the containing shard)."""
-        return result_from_dict(self._shard_for(index)[index])
+        return result_from_dict(self._record(index))
 
     def iter_results(self, indexes: Iterable[int]) -> Iterator[ExperimentResult]:
         """Yield results for ``indexes`` in the given order.
@@ -660,7 +702,7 @@ class ShardedResultStore:
         digest = hashlib.sha256()
         index_map = self.completed_indexes()
         for index in sorted(index_map):
-            data = self._shard_for(index)[index]
+            data = self._record(index)
             if visit is not None:
                 visit(index, data)
             digest.update(_canonical_line(index, data))
@@ -758,7 +800,8 @@ class BatchedShardWriter:
             # batch, skip the write outright (deterministic results make
             # the bytes interchangeable); otherwise rewrite the readable
             # records and this batch together, each index exactly once.
-            existing = dict(self.store._iter_shard_records(key))
+            read = self.store._get_shard(key)
+            existing = dict(_shard_lines(read[0], _parse_shard_line)) if read else {}
             ours = dict(records)
             self._key = None
             self._generation = None

@@ -14,6 +14,7 @@ import dataclasses
 import gzip
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -428,13 +429,13 @@ def test_refresh_only_parses_new_shards(tmp_path, monkeypatch):
     store.write_shard([(index, _full_result(index)) for index in range(0, 2)])
 
     parses: list[str] = []
-    original = ShardedResultStore._iter_shard_records
+    original = ShardedResultStore._get_shard
 
     def counting(self, key):
         parses.append(key)
         return original(self, key)
 
-    monkeypatch.setattr(ShardedResultStore, "_iter_shard_records", counting)
+    monkeypatch.setattr(ShardedResultStore, "_get_shard", counting)
     assert set(store.completed_indexes()) == {0, 1}
     assert len(parses) == 1
     store.write_shard([(index, _full_result(index)) for index in range(2, 4)])
@@ -581,6 +582,197 @@ def test_streaming_pass_memory_is_bounded_by_one_shard(tmp_path):
     # with experiment size — never accumulate.  5x headroom keeps the
     # assertion robust across allocator details.
     assert streaming_peak < materialized_peak / 5
+
+
+def test_random_point_reads_memory_is_bounded_by_one_shard(tmp_path):
+    # The read cache keeps one shard's raw lines and parses only the records
+    # asked for: 200 reads in random order over 100 shards × 20 records peak
+    # below holding two shards' records.
+    import random
+    import tracemalloc
+
+    store = ShardedResultStore(str(tmp_path / "store"))
+    store.open("fp", total=2000)
+    for start in range(0, 2000, 20):
+        store.write_shard([(index, _full_result(index)) for index in range(start, start + 20)])
+
+    reader = ShardedResultStore(str(tmp_path / "store"))
+    reader.completed_indexes()
+    tracemalloc.start()
+    two_shards = [reader.load_record(index) for index in range(40)]
+    _, two_shards_peak = tracemalloc.get_traced_memory()
+    del two_shards
+    tracemalloc.stop()
+
+    reader.refresh()
+    reader.completed_indexes()
+    rng = random.Random(7)
+    tracemalloc.start()
+    for _ in range(200):
+        reader.load_record(rng.randrange(2000))
+    _, reads_peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert reads_peak < two_shards_peak
+
+
+def _two_shard_store(root: str) -> tuple[ShardedResultStore, list[tuple[int, dict]]]:
+    store = ShardedResultStore(root)
+    store.open("fp", total=6)
+    records = [(index, result_to_dict(_full_result(index))) for index in range(6)]
+    store.write_shard_dicts(records[:3])
+    store.write_shard_dicts(records[3:])
+    return store, records
+
+
+def test_a_point_read_parses_one_line_and_a_repeat_read_none(tmp_path, monkeypatch):
+    store, records = _two_shard_store(str(tmp_path))
+    assert len(store.completed_indexes()) == 6  # leaves the second shard parsed
+    parsed: list[bytes] = []
+    original = resultstore._parse_shard_line
+
+    def counting(raw):
+        parsed.append(raw)
+        return original(raw)
+
+    monkeypatch.setattr(resultstore, "_parse_shard_line", counting)
+    assert store.load_record(1) == records[1][1]  # the first shard: read raw
+    assert len(parsed) == 1
+    assert store.load_record(1) == records[1][1]
+    assert len(parsed) == 1
+    assert store.load_result(2) == _full_result(2)
+    assert len(parsed) == 2
+
+
+class _AppendingBeforeRead:
+    """A transport that appends one member to ``key`` just before the first
+    read of it: a worker's append landing between a scan's stat and get."""
+
+    def __init__(self, inner, key: str, member: bytes):
+        self._inner = inner
+        self._key = key
+        self._member: bytes | None = member
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def _append_once(self, key: str) -> None:
+        if key == self._key and self._member is not None:
+            member, self._member = self._member, None
+            assert self._inner.append(key, member, self._inner.stat(key).generation)
+
+    def get(self, key: str) -> bytes:
+        self._append_once(key)
+        return self._inner.get(key)
+
+    def get_with_stat(self, key: str):
+        self._append_once(key)
+        return self._inner.get_with_stat(key)
+
+
+def test_scan_caches_the_generation_of_the_bytes_it_parsed(tmp_path):
+    # The parse cache's index list is also the line position of each record
+    # for positional reads, so it must be keyed by the generation of the
+    # bytes it came from, not by a stat taken before the read.
+    store = ShardedResultStore(str(tmp_path))
+    store.open("fp", total=4)
+    records = [(index, result_to_dict(_full_result(index))) for index in range(4)]
+    store.write_shard_dicts(records[:2])
+    (key,) = store.shard_keys()
+    store.transport = _AppendingBeforeRead(store.transport, key, resultstore._encode_member(records[2:]))
+    assert set(store.completed_indexes()) == {0, 1, 2, 3}
+    assert store.shard_cache[key] == (store.transport.stat(key).generation, [0, 1, 2, 3])
+    store.refresh()  # drop the scan's parsed records: reads go by position
+    for index, data in reversed(records):
+        assert store.load_record(index) == data
+
+
+def test_a_read_after_the_shard_changed_names_the_index_and_the_shard(tmp_path):
+    store, records = _two_shard_store(str(tmp_path))
+    first, second = store.shard_keys()
+    assert len(store.completed_indexes()) == 6
+    # The first shard is rewritten without index 0: a new generation, read
+    # through the validating parser, which no longer finds the index.
+    store.transport.put(first, resultstore._encode_member(records[1:3]))
+    with pytest.raises(KeyError, match=rf"index 0 .*{re.escape(first)}"):
+        store.load_record(0)
+    assert store.load_record(1) == records[1][1]
+    store.transport.delete(second)
+    with pytest.raises(KeyError, match=rf"index 4 .*{re.escape(second)}"):
+        store.load_record(4)
+    with pytest.raises(KeyError, match="index 9 is not in the store"):
+        store.load_record(9)
+
+
+def _layout_member(shard: int, member: int, lines: list, damaged: bool) -> bytes:
+    """One gzip member of the property's layouts: ``("record", n)`` lines
+    carry a result naming where they were written, ``("lost", n)`` lines
+    are ``{"index": n}`` and end the readable prefix.  A damaged member is
+    stored (level 0) with one character of a record changed, so every line
+    still parses and only the CRC tells."""
+    raw = [
+        canonical_bytes(
+            {"index": index}
+            if kind == "lost"
+            else {"index": index, "result": {"seed": index, "writer": f"s{shard}m{member}p{position}"}}
+        )
+        + b"\n"
+        for position, (kind, index) in enumerate(lines)
+    ]
+    buffer = io.BytesIO()
+    with gzip.GzipFile(filename="", mode="wb", fileobj=buffer, mtime=0, compresslevel=0 if damaged else 3) as stream:
+        stream.write(b"".join(raw))
+    payload = buffer.getvalue()
+    return payload.replace(b'"writer":"s', b'"writer":"S', 1) if damaged else payload
+
+
+_layout_lines = st.tuples(st.sampled_from(["record", "record", "record", "lost"]), st.integers(0, 7))
+_layout_shards = st.fixed_dictionaries(
+    {
+        "members": st.lists(st.lists(_layout_lines, min_size=1, max_size=4), min_size=1, max_size=3),
+        "torn": st.none() | st.floats(0.05, 0.95),
+        "damaged": st.none() | st.integers(0, 2),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_layout_shards, min_size=1, max_size=4), st.lists(st.integers(0, 8), max_size=30))
+def test_point_reads_equal_a_full_parse_in_any_order(layout, reads):
+    # Plain and batched shards, indexes repeated within and across shards,
+    # torn trailing members, lines that end the readable prefix and members
+    # failing their CRC, read in any order: every read equals a full parse
+    # of the shards in key order (later shards win), and the digest holds.
+    import hashlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as root:
+        writer = ShardedResultStore(root)
+        for number, shard in enumerate(layout):
+            members = [
+                _layout_member(number, position, lines, shard["damaged"] == position)
+                for position, lines in enumerate(shard["members"])
+            ]
+            if shard["torn"] is not None:
+                members[-1] = members[-1][: max(1, int(len(members[-1]) * shard["torn"]))]
+            writer.transport.put(f"shards/shard-{number:08d}-{number:08d}.jsonl.gz", b"".join(members))
+
+        reference: dict[int, dict] = {}
+        for key in writer.shard_keys():
+            reference.update(resultstore._shard_lines(writer.transport.get(key), resultstore._parse_shard_line))
+        expected = hashlib.sha256()
+        for index in sorted(reference):
+            expected.update(canonical_bytes({"index": index, "result": reference[index]}) + b"\n")
+
+        store = ShardedResultStore(root)
+        for index in reads:
+            if index in reference:
+                assert store.load_record(index) == reference[index]
+            else:
+                with pytest.raises(KeyError):
+                    store.load_record(index)
+        assert set(store.completed_indexes()) == set(reference)
+        assert store.results_digest() == expected.hexdigest()
+        assert ShardedResultStore(root).results_digest() == expected.hexdigest()
 
 
 # ------------------------------------------------- store-backed campaigns
