@@ -8,14 +8,19 @@ the client wrapper used by components — the two communication channels the
 Mutiny injector can tamper with.
 """
 
-from repro.apiserver.apiserver import APIServer
-from repro.apiserver.client import APIClient
-from repro.apiserver.errors import (
-    ApiError,
-    ConflictError,
-    InvalidObjectError,
-    NotFoundError,
-    ServerUnavailableError,
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "APIServer": "repro.apiserver.apiserver",
+        "APIClient": "repro.apiserver.client",
+        "ApiError": "repro.apiserver.errors",
+        "ConflictError": "repro.apiserver.errors",
+        "InvalidObjectError": "repro.apiserver.errors",
+        "NotFoundError": "repro.apiserver.errors",
+        "ServerUnavailableError": "repro.apiserver.errors",
+    },
 )
 
 __all__ = [

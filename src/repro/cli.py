@@ -67,6 +67,10 @@ object-store listings paginate transparently (server ``--max-page``, client
 ``MUTINY_OBJSTORE_PAGE``), and ``--shard-batch N`` on ``campaign``/``worker``
 coalesces N finished batches into one stored shard object via conditional
 appends — same results, same digests, 1/N the objects.
+
+Each subcommand imports what it runs inside its handler; the module level
+holds only what :func:`build_parser` needs, so ``objstore`` or ``submit``
+starts without loading the simulator.
 """
 
 from __future__ import annotations
@@ -76,45 +80,27 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.distributed import (
-    DistributedTimeoutError,
-    DistributedWorker,
-    render_provenance,
-)
-from repro.core.report import (
-    document_to_bytes,
-    fold_store,
-    render_campaign_summary,
-    render_critical_fields,
-    render_figure6,
-    render_figure7,
-    render_store_summary,
-    render_table3,
-    render_table4,
-    render_table5,
-    render_table6,
-    store_document,
-)
-from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore
-from repro.core.transport import TransportError, resolve_store_url
-from repro.lint import (
-    EXPLANATIONS,
-    KNOWN_CODES,
-    TITLES,
-    BaselineError,
-    LintUsageError,
-    lint_paths,
-)
-from repro.lint import baseline as lint_baseline
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.handle import CampaignHandle
-from repro.service.spec import CampaignSpec, SpecError
+from repro.lint import KNOWN_CODES
 from repro.workloads.workload import WorkloadKind
 
+if TYPE_CHECKING:
+    from repro.core.campaign import CampaignConfig
+
 _WORKLOADS = {kind.value: kind for kind in WorkloadKind}
+
+#: Errors :func:`main` reports as one ``error:`` line with exit code 2, by
+#: defining module.  A module no handler has imported cannot have raised
+#: its error, so only loaded ones are looked up (see :func:`_usage_errors`).
+_USAGE_ERRORS = (
+    ("repro.core.resultstore", "ResultStoreMismatchError"),
+    ("repro.core.distributed", "DistributedTimeoutError"),
+    ("repro.core.transport", "TransportError"),
+    ("repro.service.spec", "SpecError"),
+    ("repro.service.client", "ServiceError"),
+    ("repro.lint", "LintUsageError"),
+)
 
 #: Components the propagation experiments know how to hook.  A bare
 #: "kubelet" targets every kubelet; "kubelet-<node>" pins one node's kubelet.
@@ -311,6 +297,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, results_dir_required: b
 
 
 def _make_config(args: argparse.Namespace, max_experiments: Optional[int]) -> CampaignConfig:
+    from repro.core.campaign import CampaignConfig
+
     return CampaignConfig(
         workloads=args.workloads,
         golden_runs=getattr(args, "golden_runs", 2),
@@ -338,6 +326,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # service speaks: flags become a CampaignSpec (the one validation
     # path), the spec becomes a CampaignHandle, and the handle runs the
     # engine.  SpecError surfaces through main()'s shared handler.
+    from repro.core.report import (
+        render_campaign_summary,
+        render_critical_fields,
+        render_figure6,
+        render_figure7,
+        render_table3,
+        render_table4,
+        render_table5,
+    )
+    from repro.core.transport import resolve_store_url
+    from repro.service.handle import CampaignHandle
+    from repro.service.spec import CampaignSpec
+
     if args.results_dir:
         args.results_dir = resolve_store_url(args.results_dir, option="--results-dir")
     spec = CampaignSpec.from_cli_args(args)
@@ -369,6 +370,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     """Summarize a sharded result store without running any experiment."""
+    from repro.core.distributed import render_provenance
+    from repro.core.report import (
+        document_to_bytes,
+        fold_store,
+        render_store_summary,
+        store_document,
+    )
+    from repro.core.resultstore import ShardedResultStore
+    from repro.core.transport import resolve_store_url
+
     root = resolve_store_url(args.results_dir, option="RESULTS_DIR")
     store = ShardedResultStore(root)
     if not store.has_manifest():
@@ -409,6 +420,9 @@ def _worker_log_printer(quiet: bool):
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     """Run one distributed campaign worker against a shared result store."""
+    from repro.core.distributed import DistributedWorker
+    from repro.core.transport import resolve_store_url
+
     worker = DistributedWorker(
         resolve_store_url(args.results_dir, option="--results-dir"),
         worker_id=args.worker_id,
@@ -436,6 +450,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_federate(args: argparse.Namespace) -> int:
     """Merge several stores of one campaign into a single store."""
     from repro.core.federate import federate_stores
+    from repro.core.transport import resolve_store_url
 
     progress = None
     if not args.quiet:
@@ -458,6 +473,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
 def _cmd_autofederate(args: argparse.Namespace) -> int:
     """Watch several stores and fold new shards into one destination."""
     from repro.core.federate import autofederate_stores
+    from repro.core.transport import resolve_store_url
 
     progress = None
     if not args.quiet:
@@ -501,6 +517,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit a campaign spec to a running service over HTTP."""
+    from repro.core.transport import resolve_store_url
+    from repro.service.client import ServiceClient
+    from repro.service.spec import CampaignSpec
+
     if args.results_dir:
         args.results_dir = resolve_store_url(args.results_dir, option="--results-dir")
     spec = CampaignSpec.from_cli_args(args)
@@ -540,6 +560,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import io
     import pstats
 
+    from repro.core.campaign import Campaign, CampaignConfig
     from repro.hotpath import COUNTERS
 
     config = CampaignConfig(
@@ -582,6 +603,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_propagation(args: argparse.Namespace) -> int:
+    from repro.core.campaign import Campaign
+    from repro.core.report import render_table6
+
     config = _make_config(args, max_experiments=None)
     campaign = Campaign(config)
     rows = campaign.run_propagation(
@@ -594,6 +618,9 @@ def _cmd_propagation(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint import EXPLANATIONS, TITLES, BaselineError, LintUsageError, lint_paths
+    from repro.lint import baseline as lint_baseline
+
     if args.explain is not None:
         code = args.explain.strip().upper()
         explanation = EXPLANATIONS.get(code)
@@ -1119,6 +1146,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """The loaded classes of :data:`_USAGE_ERRORS` (evaluated when one is raised)."""
+    return tuple(
+        getattr(sys.modules[module], name) for module, name in _USAGE_ERRORS if module in sys.modules
+    )
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Entry point of ``python -m repro.cli`` and the console script."""
     args = build_parser().parse_args(argv)
@@ -1126,14 +1160,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.max_experiments = None
     try:
         return args.func(args)
-    except (
-        ResultStoreMismatchError,
-        DistributedTimeoutError,
-        TransportError,
-        SpecError,
-        ServiceError,
-        LintUsageError,
-    ) as error:
+    except _usage_errors() as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -15,14 +15,34 @@
 * :mod:`repro.core.analysis` — critical-field, user-error and propagation
   analyses (F2, F4, Table VI, Figures 6 and 7).
 * :mod:`repro.core.report` — renderers for every table and figure.
+
+The names below are imported on first access, like the package root's.
 """
 
-from repro.core.campaign import Campaign, CampaignConfig, CampaignResult
-from repro.core.classification import ClientFailure, GoldenBaseline, OrchestratorFailure
-from repro.core.experiment import ExperimentResult, ExperimentRunner
-from repro.core.injector import FaultSpec, FaultType, InjectionChannel, MutinyInjector
-from repro.core.parallel import CampaignExecutor, ExperimentTask
-from repro.core.resultstore import ResultStoreMismatchError, ShardedResultStore, StoredResults
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "Campaign": "repro.core.campaign",
+        "CampaignConfig": "repro.core.campaign",
+        "CampaignResult": "repro.core.campaign",
+        "ClientFailure": "repro.core.classification",
+        "GoldenBaseline": "repro.core.classification",
+        "OrchestratorFailure": "repro.core.classification",
+        "ExperimentResult": "repro.core.experiment",
+        "ExperimentRunner": "repro.core.experiment",
+        "FaultSpec": "repro.core.injector",
+        "FaultType": "repro.core.injector",
+        "InjectionChannel": "repro.core.injector",
+        "MutinyInjector": "repro.core.injector",
+        "CampaignExecutor": "repro.core.parallel",
+        "ExperimentTask": "repro.core.parallel",
+        "ResultStoreMismatchError": "repro.core.resultstore",
+        "ShardedResultStore": "repro.core.resultstore",
+        "StoredResults": "repro.core.resultstore",
+    },
+)
 
 __all__ = [
     "Campaign",

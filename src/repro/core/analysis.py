@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import numpy as np
-
+from repro.core import stats
 from repro.core.classification import ClientFailure, OrchestratorFailure
 from repro.core.experiment import ExperimentResult
 
@@ -163,12 +162,11 @@ class ClientImpactReport:
         for failure, scores in self.zscores.items():
             if not scores:
                 continue
-            array = np.array(scores, dtype=float)
             out[failure] = {
                 "count": float(len(scores)),
-                "median": float(np.median(array)),
-                "p90": float(np.percentile(array, 90)),
-                "max": float(np.max(array)),
+                "median": stats.median(scores),
+                "p90": stats.percentile(scores, 90),
+                "max": float(max(scores)),
             }
         return out
 

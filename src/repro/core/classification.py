@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import zip_longest
 from typing import Optional, Sequence
 
-import numpy as np
+from repro.core import stats
 
 
 class OrchestratorFailure(Enum):
@@ -75,14 +76,11 @@ def mean_absolute_error(series: Sequence[float], baseline: Sequence[float]) -> f
     Series are aligned by request index; the shorter one is padded with
     zeros (a missing request is a failed request).
     """
-    length = max(len(series), len(baseline))
-    if length == 0:
+    if not series and not baseline:
         return 0.0
-    padded_series = np.zeros(length)
-    padded_series[: len(series)] = series
-    padded_baseline = np.zeros(length)
-    padded_baseline[: len(baseline)] = baseline
-    return float(np.mean(np.abs(padded_series - padded_baseline)))
+    return stats.mean(
+        [abs(run - base) for run, base in zip_longest(series, baseline, fillvalue=0.0)]
+    )
 
 
 @dataclass
@@ -121,14 +119,7 @@ class GoldenBaseline:
         client_errors: Optional[list[int]] = None,
     ) -> "GoldenBaseline":
         """Build the baseline from the observables of the golden runs."""
-        length = max((len(run) for run in series), default=0)
-        if length:
-            matrix = np.zeros((len(series), length))
-            for row, run in enumerate(series):
-                matrix[row, : len(run)] = run
-            baseline_series = np.mean(matrix, axis=0).tolist()  # plain floats
-        else:
-            baseline_series = []
+        baseline_series = stats.column_means(series)
         baseline = cls(
             workload=workload,
             baseline_series=baseline_series,
@@ -137,14 +128,14 @@ class GoldenBaseline:
         )
         baseline.golden_maes = [mean_absolute_error(run, baseline_series) for run in series]
         if pods_created:
-            baseline.pods_created_mean = float(np.mean(pods_created))
-            baseline.pods_created_std = float(max(np.std(pods_created), 0.5))
+            baseline.pods_created_mean = stats.mean(pods_created)
+            baseline.pods_created_std = max(stats.std(pods_created), 0.5)
         if settle_times:
-            baseline.settle_time_mean = float(np.mean(settle_times))
-            baseline.settle_time_std = float(max(np.std(settle_times), 0.5))
+            baseline.settle_time_mean = stats.mean(settle_times)
+            baseline.settle_time_std = max(stats.std(settle_times), 0.5)
         if client_errors:
-            baseline.client_errors_mean = float(np.mean(client_errors))
-            baseline.client_errors_std = float(max(np.std(client_errors), 1.0))
+            baseline.client_errors_mean = stats.mean(client_errors)
+            baseline.client_errors_std = max(stats.std(client_errors), 1.0)
         return baseline
 
     def mae_zscore(self, series: Sequence[float]) -> float:
@@ -157,8 +148,8 @@ class GoldenBaseline:
         mae = mean_absolute_error(series, self.baseline_series)
         if not self.golden_maes:
             return 0.0
-        mean = float(np.mean(self.golden_maes))
-        std = float(np.std(self.golden_maes))
+        mean = stats.mean(self.golden_maes)
+        std = stats.std(self.golden_maes)
         std = max(std, 0.25 * mean, 0.008)
         return (mae - mean) / std
 

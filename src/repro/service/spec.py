@@ -18,11 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.campaign import CampaignConfig
 from repro.core.transport import StoreURLError, resolve_store_url
 from repro.workloads.workload import WorkloadKind
+
+if TYPE_CHECKING:
+    from repro.core.campaign import CampaignConfig
 
 #: Execution backends a spec may name (mirrors ``Campaign.run``).
 BACKENDS = ("local", "distributed")
@@ -210,6 +212,8 @@ class CampaignSpec:
 
     def to_config(self) -> CampaignConfig:
         """The engine-facing configuration this spec describes."""
+        from repro.core.campaign import CampaignConfig  # the client never needs the engine
+
         return CampaignConfig(
             workloads=self.workload_kinds(),
             golden_runs=self.golden_runs,

@@ -8,9 +8,18 @@ application and records per-request latencies — the raw material of the
 client-level failure classification.
 """
 
-from repro.workloads.appclient import ApplicationClient, RequestSample
-from repro.workloads.scenario import ServiceApplication
-from repro.workloads.workload import KbenchDriver, WorkloadKind
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "ApplicationClient": "repro.workloads.appclient",
+        "RequestSample": "repro.workloads.appclient",
+        "ServiceApplication": "repro.workloads.scenario",
+        "KbenchDriver": "repro.workloads.workload",
+        "WorkloadKind": "repro.workloads.workload",
+    },
+)
 
 __all__ = [
     "ApplicationClient",

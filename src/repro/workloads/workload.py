@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.apiserver.client import APIClient
 from repro.apiserver.errors import ApiError
-from repro.sim.engine import Simulation
-from repro.workloads.scenario import ServiceApplication
+
+if TYPE_CHECKING:  # annotations only: WorkloadKind alone must not load the simulator
+    from repro.apiserver.client import APIClient
+    from repro.sim.engine import Simulation
+    from repro.workloads.scenario import ServiceApplication
 
 
 class WorkloadKind(Enum):

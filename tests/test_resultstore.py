@@ -16,7 +16,6 @@ import io
 import json
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,8 +212,9 @@ _configs = st.builds(
 
 @st.composite
 def _baselines(draw):
-    """Baselines built the way production builds them: ``np.mean`` over the
-    golden runs' series, so whatever numpy leaves in the lists is in here."""
+    """Baselines built the way production builds them, through
+    ``GoldenBaseline.from_golden_runs``, so whatever it leaves in the lists
+    is in here."""
     runs = draw(st.integers(1, 4))
     latency = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
     return GoldenBaseline.from_golden_runs(
@@ -266,6 +266,7 @@ def test_fingerprint_does_not_depend_on_numpy_scalar_types():
         "deploy", [[1.0, 1.5], [1.5, 1.0]], 6, 6, [10, 12], [30.0, 31.0], [0, 1]
     )
     assert all(type(value) is float for value in baseline.baseline_series)
+    np = pytest.importorskip("numpy")
     as_numpy = dataclasses.replace(
         baseline, baseline_series=[np.float64(value) for value in baseline.baseline_series]
     )
