@@ -417,10 +417,9 @@ class ExperimentRunner:
         observations.app_pod_restarts = restarts
         observations.unreachable_running_pods = unreachable_running
 
-        # Client-level observations.
-        result.latency_series = client.time_series()
+        # Client-level observations; one latency series under both names.
         client_observations = result.client_observations
-        client_observations.latency_series = result.latency_series
+        client_observations.latency_series = result.latency_series = client.time_series()
         client_observations.error_count = len(client.error_samples())
         client_observations.error_bursts = client.error_burst_count()
         client_observations.total_requests = len(client.samples)

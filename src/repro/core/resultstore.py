@@ -21,6 +21,8 @@ common filesystem.  Layout of a store, in transport keys::
     <root>/shards/shard-<first>-<last>.jsonl.gz
 
 Every shard line is ``{"index": <plan index>, "result": <result dict>}``.
+The result dict holds the client latency series once, as ``latency_series``
+(format 3); ``client_observations`` omits its copy of that same list.
 A shard that was truncated mid-write (e.g. the machine died) is readable up
 to its last complete record; the missing experiments are simply re-run into
 a fresh shard on resume.
@@ -64,8 +66,9 @@ from repro.core.transport import TransportKeyError, transport_for
 from repro.workloads.workload import WorkloadKind
 
 #: Format version of the store layout (bumped on layout changes; 2 = prep
-#: as canonical JSON and fingerprints hashed over the codec's bytes).
-STORE_VERSION = 2
+#: as canonical JSON and fingerprints hashed over the codec's bytes; 3 = one
+#: latency series per record).
+STORE_VERSION = 3
 
 _MANIFEST_NAME = "MANIFEST.json"
 PREP_NAME = "prep.json"
@@ -185,7 +188,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
-    """JSON-serializable form of one experiment result (all fields)."""
+    """JSON-serializable form of one experiment result (all fields), with
+    the latency series once: ``client_observations`` omits its copy, and a
+    result whose two copies differ raises ``ValueError``."""
+    observations = _dataclass_to_dict(result.client_observations)
+    if observations.pop("latency_series") != result.latency_series:
+        raise ValueError("client_observations.latency_series differs from latency_series")
     return {
         "workload": result.workload.value,
         "fault": fault_to_dict(result.fault),
@@ -199,7 +207,7 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "client_failure": result.client_failure.value if result.client_failure else None,
         "client_zscore": result.client_zscore,
         "orchestrator_observations": _dataclass_to_dict(result.orchestrator_observations),
-        "client_observations": _dataclass_to_dict(result.client_observations),
+        "client_observations": observations,
         "latency_series": result.latency_series,
         "user_error_count": result.user_error_count,
         "user_request_count": result.user_request_count,
@@ -212,7 +220,8 @@ def result_to_dict(result: ExperimentResult) -> dict:
 
 
 def result_from_dict(data: dict) -> ExperimentResult:
-    """Inverse of :func:`result_to_dict`."""
+    """Inverse of :func:`result_to_dict`: both names hold the one series."""
+    series = data["latency_series"]
     return ExperimentResult(
         workload=WorkloadKind(data["workload"]),
         fault=fault_from_dict(data["fault"]),
@@ -232,8 +241,10 @@ def result_from_dict(data: dict) -> ExperimentResult:
         orchestrator_observations=OrchestratorObservations(
             **data["orchestrator_observations"]
         ),
-        client_observations=ClientObservations(**data["client_observations"]),
-        latency_series=data["latency_series"],
+        client_observations=ClientObservations(
+            **{**data["client_observations"], "latency_series": series}
+        ),
+        latency_series=series,
         user_error_count=data["user_error_count"],
         user_request_count=data["user_request_count"],
         component_error_count=data["component_error_count"],

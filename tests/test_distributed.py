@@ -622,35 +622,22 @@ def test_cli_inspect_reports_provenance_and_outstanding_leases(
     assert payload["stored_records"] == 0  # no shards in this toy store
 
 
-def test_format_1_store_is_refused_untouched_but_still_inspectable(
-    serial_reference, tmp_path, recorded_ops, capsys
+def _assert_refused_untouched_and_inspectable(
+    root, serial_root, found, expected_digest, tmp_path, recorded_ops, capsys
 ):
-    """A store of the previous format (manifest version 1: fingerprint a
-    function of numpy's scalar repr, prep and plan as pickles) cannot be
-    resumed — its identity cannot be recomputed — so it is refused by name
-    before a single mutating op reaches it, and stays readable."""
-    import shutil
-
+    """A store of another format cannot be resumed, appended to or
+    federated: each is refused by name before a single mutating op reaches
+    it, and ``inspect`` still reads the store and prints its digest."""
     from repro.cli import main
     from repro.core.federate import federate_stores
 
-    serial_root, serial_result = serial_reference
-    root = str(tmp_path / "legacy")
-    shutil.copytree(serial_root, root)
-    os.remove(os.path.join(root, "prep.json"))
-    for name in ("prep.pkl", "PLAN.pkl"):
-        atomic_write_bytes(os.path.join(root, name), b"\x80\x04legacy pickle")
-    manifest = {"version": 1, "fingerprint": "f" * 64, "total": len(serial_result.results)}
-    atomic_write_bytes(
-        os.path.join(root, "MANIFEST.json"), json.dumps(manifest).encode("utf-8")
-    )
-
+    refusal = f"store format {found}, this code reads {resultstore.STORE_VERSION}"
     for backend in ("local", "distributed"):
-        with pytest.raises(ResultStoreMismatchError, match="store format 1, this code reads 2"):
+        with pytest.raises(ResultStoreMismatchError, match=refusal):
             Campaign(_tiny_config()).run(results_dir=root, backend=backend)
-    with pytest.raises(ResultStoreMismatchError, match="store format 1, this code reads 2"):
+    with pytest.raises(ResultStoreMismatchError, match=refusal):
         federate_stores(str(tmp_path / "merged"), [root])
-    with pytest.raises(ResultStoreMismatchError, match="store format 1, this code reads 2"):
+    with pytest.raises(ResultStoreMismatchError, match=refusal):
         federate_stores(str(tmp_path / "merged"), [serial_root, root])
     reads = {"get", "get_with_stat", "stat", "list", "list_iter", "locate"}
     assert {op for op, _ in recorded_ops} <= reads, recorded_ops
@@ -658,7 +645,82 @@ def test_format_1_store_is_refused_untouched_but_still_inspectable(
 
     assert main(["inspect", root]) == 0
     out = capsys.readouterr().out
-    assert ShardedResultStore(serial_root).results_digest()[:16] in out
+    assert expected_digest[:16] in out
+
+
+def _write_manifest(root: str, version: int, total: int) -> None:
+    manifest = {"version": version, "fingerprint": "f" * 64, "total": total}
+    atomic_write_bytes(
+        os.path.join(root, "MANIFEST.json"), json.dumps(manifest).encode("utf-8")
+    )
+
+
+def test_format_1_store_is_refused_untouched_but_still_inspectable(
+    serial_reference, tmp_path, recorded_ops, capsys
+):
+    """A store of format 1 (manifest version 1: fingerprint a function of
+    numpy's scalar repr, prep and plan as pickles) cannot be resumed — its
+    identity cannot be recomputed."""
+    import shutil
+
+    serial_root, serial_result = serial_reference
+    root = str(tmp_path / "legacy")
+    shutil.copytree(serial_root, root)
+    os.remove(os.path.join(root, "prep.json"))
+    for name in ("prep.pkl", "PLAN.pkl"):
+        atomic_write_bytes(os.path.join(root, name), b"\x80\x04legacy pickle")
+    _write_manifest(root, 1, len(serial_result.results))
+
+    _assert_refused_untouched_and_inspectable(
+        root,
+        serial_root,
+        1,
+        ShardedResultStore(serial_root).results_digest(),
+        tmp_path,
+        recorded_ops,
+        capsys,
+    )
+
+
+def test_format_2_store_is_refused_untouched_but_still_inspectable(
+    serial_reference, tmp_path, recorded_ops, capsys
+):
+    """A store of format 2 holds each latency series twice (its records
+    also carry ``client_observations.latency_series``): refused for resume,
+    append and federation, and ``inspect`` prints the digest of its own
+    records, not the digest format 3 gives the same results."""
+    import hashlib
+    import shutil
+
+    serial_root, serial_result = serial_reference
+    root = str(tmp_path / "legacy")
+    shutil.copytree(serial_root, root, ignore=shutil.ignore_patterns("shard-*"))
+    serial = ShardedResultStore(serial_root)
+    records = []
+    expected = hashlib.sha256()
+    for index in sorted(serial.completed_indexes()):
+        record = serial.load_record(index)
+        assert "latency_series" not in record["client_observations"]
+        record = dict(
+            record,
+            client_observations=dict(
+                record["client_observations"], latency_series=record["latency_series"]
+            ),
+        )
+        records.append((index, record))
+        expected.update(resultstore.canonical_bytes({"index": index, "result": record}) + b"\n")
+    ShardedResultStore(root).write_shard_dicts(records)
+    prep_path = os.path.join(root, "prep.json")
+    with open(prep_path, "rb") as handle:
+        prep = json.loads(handle.read())
+    atomic_write_bytes(prep_path, resultstore.canonical_bytes(dict(prep, version=2)))
+    _write_manifest(root, 2, len(serial_result.results))
+    recorded_ops.clear()  # the set-up above wrote; from here on nothing may
+
+    assert expected.hexdigest() != serial.results_digest()
+    _assert_refused_untouched_and_inspectable(
+        root, serial_root, 2, expected.hexdigest(), tmp_path, recorded_ops, capsys
+    )
 
 
 # ------------------------------------- paginated + batched object-store runs

@@ -156,6 +156,92 @@ def test_golden_result_with_defaults_round_trips():
     assert clone == original
 
 
+# Record format 3 stores the latency series once.  One real run per
+# injection channel and one golden run, against format 2 rebuilt from the
+# result's own fields (not from the codec under test).
+
+_REAL_RUNS = {
+    "golden": (WorkloadKind.DEPLOY, None, 7),
+    InjectionChannel.APISERVER_TO_ETCD.value: (
+        WorkloadKind.DEPLOY,
+        FaultSpec(
+            channel=InjectionChannel.APISERVER_TO_ETCD,
+            kind="Deployment",
+            field_path="spec.replicas",
+            fault_type=FaultType.BIT_FLIP,
+        ),
+        7,
+    ),
+    InjectionChannel.COMPONENT_TO_APISERVER.value: (
+        WorkloadKind.FAILOVER,
+        FaultSpec(
+            channel=InjectionChannel.COMPONENT_TO_APISERVER,
+            kind="Pod",
+            field_path="spec.nodeName",
+            component="kube-scheduler",
+            fault_type=FaultType.BIT_FLIP,
+        ),
+        8,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def real_results() -> dict[str, ExperimentResult]:
+    runner = ExperimentRunner()
+    return {
+        name: runner.run_golden(workload, seed=seed)
+        if fault is None
+        else runner.run_experiment(workload, fault, seed=seed)
+        for name, (workload, fault, seed) in _REAL_RUNS.items()
+    }
+
+
+def _format_2_dict(result: ExperimentResult) -> dict:
+    """A record as store format 2 wrote it: every field of the result, enums
+    by value, and the series under both names."""
+    data = {field.name: getattr(result, field.name) for field in dataclasses.fields(result)}
+    data.update(
+        workload=result.workload.value,
+        fault=resultstore.fault_to_dict(result.fault),
+        orchestrator_failure=result.orchestrator_failure and result.orchestrator_failure.value,
+        client_failure=result.client_failure and result.client_failure.value,
+        orchestrator_observations=dataclasses.asdict(result.orchestrator_observations),
+        client_observations=dataclasses.asdict(result.client_observations),
+    )
+    return data
+
+
+def test_real_runs_cover_every_injection_channel(real_results):
+    injected = [result for result in real_results.values() if result.fault is not None]
+    assert {result.fault.channel for result in injected} == set(InjectionChannel)
+    assert all(result.injected and result.latency_series for result in injected)
+
+
+@pytest.mark.parametrize("name", list(_REAL_RUNS))
+def test_format_3_record_is_format_2_minus_the_nested_series(real_results, name):
+    result = real_results[name]
+    expected = _format_2_dict(result)
+    assert expected["client_observations"].pop("latency_series") == result.latency_series
+    assert result_to_dict(result) == expected
+
+
+@pytest.mark.parametrize("name", list(_REAL_RUNS))
+def test_format_2_and_format_3_records_decode_to_equal_results(real_results, name):
+    result = real_results[name]
+    from_2 = result_from_dict(json.loads(json.dumps(_format_2_dict(result))))
+    from_3 = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
+    assert from_2 == from_3 == result
+    assert from_3.client_observations.latency_series is from_3.latency_series
+
+
+def test_result_to_dict_refuses_divergent_series():
+    result = _full_result()
+    result.client_observations.latency_series = [0.01, 0.0, 0.5]
+    with pytest.raises(ValueError, match="latency_series"):
+        result_to_dict(result)
+
+
 # One serialization: every campaign object survives the JSON round trip
 # exactly, and its identity (the fingerprint) survives with it.
 
@@ -779,11 +865,18 @@ def test_point_reads_equal_a_full_parse_in_any_order(layout, reads):
 # ------------------------------------------------- store-backed campaigns
 
 
-def test_streaming_campaign_matches_in_memory_and_resumes(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def streamed_campaign(tmp_path_factory):
+    """One small serial campaign run in memory and into a store."""
     config = _tiny_config(workers=1, chunk_size=2)
     in_memory = Campaign(config).run()
-    root = str(tmp_path / "results")
+    root = str(tmp_path_factory.mktemp("streamed") / "results")
     streamed = Campaign(config).run(results_dir=root)
+    return config, in_memory, root, streamed
+
+
+def test_streaming_campaign_matches_in_memory_and_resumes(streamed_campaign, monkeypatch):
+    config, in_memory, root, streamed = streamed_campaign
     assert list(streamed.results) == in_memory.results
     # StoredResults compares element-wise against plain lists too, so whole
     # CampaignResult comparisons work whether a campaign streamed or not.
@@ -805,6 +898,24 @@ def test_streaming_campaign_matches_in_memory_and_resumes(tmp_path, monkeypatch)
     total = len(in_memory.results)
     assert calls == [(total, total)]
     assert list(resumed.results) == in_memory.results
+
+
+def test_tables_folded_from_the_store_equal_the_in_memory_tables(streamed_campaign):
+    """The science guard of the record format: the paper's tables folded
+    from the store, whose records hold each latency series once, are the
+    in-memory run's tables byte for byte."""
+    from repro.core import report
+
+    _, in_memory, root, _ = streamed_campaign
+    store = ShardedResultStore(root)
+    assert all(
+        "latency_series" not in store.load_record(index)["client_observations"]
+        for index in store.completed_indexes()
+    )
+    folded, _ = report.fold_store(store)
+    assert canonical_bytes(report.tables_document(folded)) == canonical_bytes(
+        report.tables_document(in_memory)
+    )
 
 
 def test_streaming_campaign_resumes_after_truncated_shard(tmp_path):
