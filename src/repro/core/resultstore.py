@@ -22,7 +22,9 @@ common filesystem.  Layout of a store, in transport keys::
 
 Every shard line is ``{"index": <plan index>, "result": <result dict>}``.
 The result dict holds the client latency series once, as ``latency_series``
-(format 3); ``client_observations`` omits its copy of that same list.
+(``client_observations`` omits its copy), packed since format 4: the base64
+text of its little-endian float64 bytes, so the 600 samples are exact and
+cost no float formatting or parsing.
 A shard that was truncated mid-write (e.g. the machine died) is readable up
 to its last complete record; the missing experiments are simply re-run into
 a fresh shard on resume.
@@ -38,10 +40,12 @@ stream, and a torn trailing member reads as an ordinary truncated shard.
 
 from __future__ import annotations
 
+import base64
 import gzip
 import hashlib
 import io
 import json
+import struct
 import threading
 import zlib
 from dataclasses import fields as dataclass_fields
@@ -67,8 +71,8 @@ from repro.workloads.workload import WorkloadKind
 
 #: Format version of the store layout (bumped on layout changes; 2 = prep
 #: as canonical JSON and fingerprints hashed over the codec's bytes; 3 = one
-#: latency series per record).
-STORE_VERSION = 3
+#: latency series per record; 4 = that series packed as float64 bytes).
+STORE_VERSION = 4
 
 _MANIFEST_NAME = "MANIFEST.json"
 PREP_NAME = "prep.json"
@@ -219,9 +223,40 @@ def result_to_dict(result: ExperimentResult) -> dict:
     }
 
 
+def _pack_series(series: list) -> str:
+    """A latency series as record format 4 stores it: base64 of its
+    little-endian float64 bytes, exact for every double."""
+    return base64.b64encode(struct.pack(f"<{len(series)}d", *series)).decode("ascii")
+
+
+def _unpack_series(packed: str) -> list:
+    """Inverse of :func:`_pack_series`; raises ``ValueError`` on text that
+    is not base64 of a whole number of doubles."""
+    try:
+        raw = base64.b64decode(packed, validate=True)
+    except ValueError as error:
+        raise ValueError(f"latency_series is not base64: {error}") from error
+    if len(raw) % 8:
+        raise ValueError(f"latency_series holds {len(raw)} bytes, not whole doubles")
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
+def _stored_dict(result: ExperimentResult) -> dict:
+    """The record a result is stored as: :func:`result_to_dict` with the
+    series packed."""
+    data = result_to_dict(result)
+    data["latency_series"] = _pack_series(data["latency_series"])
+    return data
+
+
 def result_from_dict(data: dict) -> ExperimentResult:
-    """Inverse of :func:`result_to_dict`: both names hold the one series."""
+    """Inverse of :func:`result_to_dict` and of a stored record (packed
+    series): both names hold the one series."""
     series = data["latency_series"]
+    if isinstance(series, str):
+        series = _unpack_series(series)
+    elif not isinstance(series, list):
+        raise ValueError(f"latency_series is a {type(series).__name__}, not a str or list")
     return ExperimentResult(
         workload=WorkloadKind(data["workload"]),
         fault=fault_from_dict(data["fault"]),
@@ -482,9 +517,7 @@ class ShardedResultStore:
         stream is written with ``mtime=0`` so identical results produce
         byte-identical shards.
         """
-        return self.write_shard_dicts(
-            [(index, result_to_dict(result)) for index, result in records]
-        )
+        return self.write_shard_dicts([(index, _stored_dict(result)) for index, result in records])
 
     def write_shard_dicts(self, records: list[tuple[int, dict]]) -> str:
         """:meth:`write_shard` for records already in their canonical dict
@@ -771,9 +804,7 @@ class BatchedShardWriter:
     def write(self, records: list[tuple[int, ExperimentResult]]) -> str:
         """Persist one finished batch (durable on return); returns the
         address of the shard object holding it."""
-        return self.write_dicts(
-            [(index, result_to_dict(result)) for index, result in records]
-        )
+        return self.write_dicts([(index, _stored_dict(result)) for index, result in records])
 
     def write_dicts(self, records: list[tuple[int, dict]]) -> str:
         if not records:

@@ -11,9 +11,11 @@ re-publish) is exercised edge by edge.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import pickle
+import struct
 import threading
 import time
 
@@ -682,18 +684,21 @@ def test_format_1_store_is_refused_untouched_but_still_inspectable(
     )
 
 
-def test_format_2_store_is_refused_untouched_but_still_inspectable(
-    serial_reference, tmp_path, recorded_ops, capsys
-):
-    """A store of format 2 holds each latency series twice (its records
-    also carry ``client_observations.latency_series``): refused for resume,
-    append and federation, and ``inspect`` prints the digest of its own
-    records, not the digest format 3 gives the same results."""
+def _listed_series(packed: str) -> list:
+    """A stored (format-4) series as the list formats 1-3 stored, decoded
+    without the codec under test."""
+    raw = base64.b64decode(packed)
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
+def _legacy_store(serial_root: str, root: str, version: int, total: int) -> str:
+    """A copy of the serial store as store format ``version`` (2 or 3) wrote
+    it: each series a JSON list, held twice in format 2 (its records also
+    carry ``client_observations.latency_series``).  Returns the digest of
+    the copy's own records."""
     import hashlib
     import shutil
 
-    serial_root, serial_result = serial_reference
-    root = str(tmp_path / "legacy")
     shutil.copytree(serial_root, root, ignore=shutil.ignore_patterns("shard-*"))
     serial = ShardedResultStore(serial_root)
     records = []
@@ -701,25 +706,53 @@ def test_format_2_store_is_refused_untouched_but_still_inspectable(
     for index in sorted(serial.completed_indexes()):
         record = serial.load_record(index)
         assert "latency_series" not in record["client_observations"]
-        record = dict(
-            record,
-            client_observations=dict(
-                record["client_observations"], latency_series=record["latency_series"]
-            ),
-        )
+        series = _listed_series(record["latency_series"])
+        record = dict(record, latency_series=series)
+        if version == 2:
+            record["client_observations"] = dict(
+                record["client_observations"], latency_series=series
+            )
         records.append((index, record))
         expected.update(resultstore.canonical_bytes({"index": index, "result": record}) + b"\n")
     ShardedResultStore(root).write_shard_dicts(records)
     prep_path = os.path.join(root, "prep.json")
     with open(prep_path, "rb") as handle:
         prep = json.loads(handle.read())
-    atomic_write_bytes(prep_path, resultstore.canonical_bytes(dict(prep, version=2)))
-    _write_manifest(root, 2, len(serial_result.results))
+    atomic_write_bytes(prep_path, resultstore.canonical_bytes(dict(prep, version=version)))
+    _write_manifest(root, version, total)
+    assert expected.hexdigest() != serial.results_digest()
+    return expected.hexdigest()
+
+
+def test_format_2_store_is_refused_untouched_but_still_inspectable(
+    serial_reference, tmp_path, recorded_ops, capsys
+):
+    """A store of format 2 holds each latency series twice: refused for
+    resume, append and federation, and ``inspect`` prints the digest of its
+    own records, not the digest format 4 gives the same results."""
+    serial_root, serial_result = serial_reference
+    root = str(tmp_path / "legacy")
+    digest = _legacy_store(serial_root, root, 2, len(serial_result.results))
     recorded_ops.clear()  # the set-up above wrote; from here on nothing may
 
-    assert expected.hexdigest() != serial.results_digest()
     _assert_refused_untouched_and_inspectable(
-        root, serial_root, 2, expected.hexdigest(), tmp_path, recorded_ops, capsys
+        root, serial_root, 2, digest, tmp_path, recorded_ops, capsys
+    )
+
+
+def test_format_3_store_is_refused_untouched_but_still_inspectable(
+    serial_reference, tmp_path, recorded_ops, capsys
+):
+    """A store of format 3 holds each latency series once, as a JSON list of
+    decimal floats: refused for resume, append and federation, and
+    ``inspect`` prints the digest of its own records."""
+    serial_root, serial_result = serial_reference
+    root = str(tmp_path / "legacy")
+    digest = _legacy_store(serial_root, root, 3, len(serial_result.results))
+    recorded_ops.clear()  # the set-up above wrote; from here on nothing may
+
+    _assert_refused_untouched_and_inspectable(
+        root, serial_root, 3, digest, tmp_path, recorded_ops, capsys
     )
 
 

@@ -15,9 +15,10 @@ import gzip
 import io
 import json
 import re
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterConfig
@@ -242,6 +243,52 @@ def test_result_to_dict_refuses_divergent_series():
         result_to_dict(result)
 
 
+# Record format 4 stores the series packed: base64 of its little-endian
+# float64 bytes.  Series are drawn as raw 64-bit patterns, so every double
+# (-0.0, subnormals, infinities, NaN payloads) is reachable, and compared as
+# struct bytes, since NaN != NaN.
+
+
+def _doubles(bits: list[int]) -> list[float]:
+    return list(struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}Q", *bits)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=64))
+@example([])
+@example([0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF])  # -0.0, subnormals
+@example([0x7FF0000000000000, 0xFFF0000000000000])  # +inf, -inf
+@example([0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8DEADBEEF0001])  # NaN payloads
+def test_packed_series_round_trip_is_bit_exact(bits):
+    series = _doubles(bits)
+    packed = resultstore._pack_series(series)
+    assert isinstance(packed, str)
+    unpacked = resultstore._unpack_series(json.loads(json.dumps(packed)))
+    assert struct.pack(f"<{len(bits)}Q", *bits) == struct.pack(f"<{len(unpacked)}d", *unpacked)
+
+
+@pytest.mark.parametrize("name", list(_REAL_RUNS))
+def test_packed_and_list_records_decode_to_equal_results(real_results, name):
+    result = real_results[name]
+    stored = resultstore._stored_dict(result)
+    assert stored["latency_series"] == resultstore._pack_series(result.latency_series)
+    assert dict(stored, latency_series=result.latency_series) == result_to_dict(result)
+    from_list = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
+    from_packed = result_from_dict(json.loads(json.dumps(stored)))
+    assert from_packed == from_list == result
+    assert from_packed.client_observations.latency_series is from_packed.latency_series
+
+
+@pytest.mark.parametrize(
+    "series",
+    ["not base64!", "AAAA", resultstore._pack_series([1.0])[:-4], 0.5, None, {"0": 1.0}, (1.0,)],
+    ids=["not-base64", "3-bytes", "cut-double", "float", "none", "dict", "tuple"],
+)
+def test_malformed_series_raises_value_error_naming_it(series):
+    with pytest.raises(ValueError, match="latency_series"):
+        result_from_dict(dict(result_to_dict(_full_result()), latency_series=series))
+
+
 # One serialization: every campaign object survives the JSON round trip
 # exactly, and its identity (the fingerprint) survives with it.
 
@@ -380,6 +427,27 @@ def test_store_round_trip_through_gzip_shards(tmp_path):
     assert list(store.iter_all()) == [result for _, result in records]
     assert store.load_result(3) == records[3][1]
     assert store.compressed_bytes() > 0
+
+
+def test_result_writers_pack_the_series_and_the_dict_writer_copies_verbatim(tmp_path):
+    """``write_shard`` and ``BatchedShardWriter.write`` store the series
+    packed; ``write_shard_dicts`` (federation's path) writes the dict it is
+    given, list series and all, byte for byte."""
+    store = ShardedResultStore(str(tmp_path / "store"))
+    store.open("fp", total=3)
+    store.write_shard([(0, _full_result(0))])
+    store.batched_writer(2).write([(1, _full_result(1))])
+    listed = result_to_dict(_full_result(2))
+    path = store.write_shard_dicts([(2, listed)])
+    for index in (0, 1):
+        record = store.load_record(index)
+        assert record["latency_series"] == resultstore._pack_series([0.01, 0.0, 0.25])
+        assert store.load_result(index) == _full_result(index)
+    with open(path, "rb") as handle:
+        assert gzip.decompress(handle.read()) == canonical_bytes(
+            {"index": 2, "result": listed}
+        ) + b"\n"
+    assert store.load_result(2) == _full_result(2)
 
 
 def test_store_shard_bytes_are_deterministic(tmp_path):
@@ -902,15 +970,17 @@ def test_streaming_campaign_matches_in_memory_and_resumes(streamed_campaign, mon
 
 def test_tables_folded_from_the_store_equal_the_in_memory_tables(streamed_campaign):
     """The science guard of the record format: the paper's tables folded
-    from the store, whose records hold each latency series once, are the
-    in-memory run's tables byte for byte."""
+    from the store, whose records hold each latency series once and packed,
+    are the in-memory run's tables byte for byte."""
     from repro.core import report
 
     _, in_memory, root, _ = streamed_campaign
     store = ShardedResultStore(root)
+    records = [store.load_record(index) for index in store.completed_indexes()]
     assert all(
-        "latency_series" not in store.load_record(index)["client_observations"]
-        for index in store.completed_indexes()
+        "latency_series" not in record["client_observations"]
+        and isinstance(record["latency_series"], str)
+        for record in records
     )
     folded, _ = report.fold_store(store)
     assert canonical_bytes(report.tables_document(folded)) == canonical_bytes(
