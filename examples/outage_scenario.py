@@ -62,11 +62,11 @@ def main() -> None:
     cluster_b.run_for(20.0)
     for kubelet in cluster_b.kubelets:
         kubelet.stop()
+    controller = next(c for c in cluster_b.kcm.controllers if c.name == "node-lifecycle")
     for _ in range(4):
         cluster_b.run_for(30.0)
         ready, total = node_ready_counts(cluster_b)
         pods = cluster_b.client.list("Pod", namespace="default")
-        controller = cluster_b.kcm.get_controller("node-lifecycle")
         print(
             f"t={cluster_b.sim.now:6.1f}s  ready nodes={ready}/{total}  "
             f"application pods={len(pods)}  full-disruption mode={controller.full_disruption_mode}"

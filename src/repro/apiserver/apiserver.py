@@ -196,10 +196,7 @@ class APIServer:
             blobs = self._obj_blobs
             blob = blobs.get(key)
             if blob is None:
-                try:
-                    blob = marshal.dumps(self._cache[key])
-                except ValueError:
-                    return deep_copy(self._cache[key])
+                blob = marshal.dumps(self._cache[key])
                 if len(blobs) >= 4096:
                     blobs.clear()
                 blobs[key] = blob
@@ -262,10 +259,7 @@ class APIServer:
         if snapshot[1] is None:
             # First copying read of this snapshot: one C-level dumps, after
             # which every copying read is one ``loads`` of independent trees.
-            try:
-                snapshot[1] = marshal.dumps(snapshot[2])
-            except ValueError:  # non-marshallable value (never produced by decode)
-                return [deep_copy(obj) for obj in snapshot[2]]
+            snapshot[1] = marshal.dumps(snapshot[2])
         return marshal.loads(snapshot[1])
 
     def _select(
@@ -530,13 +524,3 @@ class APIServer:
     def user_errors(self, actor: str = "user") -> list[RequestRecord]:
         """Return the failed requests issued by the given actor."""
         return [record for record in self.request_log if record.actor == actor and record.error]
-
-    def stats(self) -> dict:
-        """Return request-path statistics."""
-        return {
-            "requests": len(self.request_log),
-            "errors": sum(1 for record in self.request_log if record.error),
-            "events": len(self.events),
-            "cache_size": len(self._cache),
-            "restarts": self.restart_count,
-        }

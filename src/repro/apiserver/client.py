@@ -78,10 +78,6 @@ class APIClient:
             copy=copy,
         )
 
-    def watch(self, kind: str, handler) -> None:
-        """Register a watch handler for a resource kind."""
-        self.apiserver.add_watch_handler(kind, handler)
-
     # ----------------------------------------------------------------- writes
 
     def create(self, kind: str, obj: dict) -> dict:

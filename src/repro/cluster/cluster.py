@@ -232,16 +232,3 @@ class Cluster:
     def run_for(self, seconds: float, max_events: Optional[int] = None) -> None:
         """Advance the simulation by the given number of seconds."""
         self.sim.run_for(seconds, max_events=max_events)
-
-    def stats(self) -> dict:
-        """Aggregate statistics from every component."""
-        return {
-            "time": self.sim.now,
-            "store": self.store.stats(),
-            "raft": self.raft.stats(),
-            "apiserver": self.apiserver.stats(),
-            "kcm": self.kcm.stats(),
-            "scheduler": self.scheduler.stats(),
-            "network": self.network.stats(),
-            "kubelets": [kubelet.stats() for kubelet in self.kubelets],
-        }

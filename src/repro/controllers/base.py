@@ -92,7 +92,6 @@ class Controller:
         self.sim = sim
         self.client = client
         self.error_count = 0
-        self.actions = 0
         self.gate = ChangeGate(client, self.watches)
         #: Consecutive reconcile failures and backoff expiry per key.
         self._failures: dict[str, int] = {}
@@ -146,5 +145,4 @@ class Controller:
             "syncs": self.gate.passes,
             "skipped": self.gate.skipped,
             "errors": self.error_count,
-            "actions": self.actions,
         }

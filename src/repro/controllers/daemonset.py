@@ -71,7 +71,6 @@ class DaemonSetController(Controller):
         super().__init__(sim, client)
         self._suffix_counter = 0
         self.pods_created = 0
-        self.pods_deleted = 0
 
     def reconcile_all(self) -> None:
         # Read-only refs (informer contract); the status-update path copies
@@ -176,14 +175,11 @@ class DaemonSetController(Controller):
             tolerations=template_spec.get("tolerations") if isinstance(template_spec, dict) else None,
             owner_references=[make_owner_reference(daemonset)],
         )
-        self.actions += 1
         self.pods_created += 1
         self.client.create("Pod", pod)
 
     def _delete_pod(self, pod: dict) -> None:
         metadata = pod.get("metadata", {})
-        self.actions += 1
-        self.pods_deleted += 1
         try:
             self.client.delete(
                 "Pod", metadata.get("name", ""), namespace=metadata.get("namespace", "kube-system")

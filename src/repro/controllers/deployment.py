@@ -112,7 +112,6 @@ class DeploymentController(Controller):
         )
         # The ReplicaSet's own labels carry the template hash, but its selector
         # and template are taken verbatim from the Deployment spec.
-        self.actions += 1
         try:
             return self.client.create("ReplicaSet", replicaset)
         except ApiError:
@@ -140,7 +139,6 @@ class DeploymentController(Controller):
 
         if target_new != current_new:
             new_spec["replicas"] = target_new
-            self.actions += 1
             self.client.update("ReplicaSet", new_rs)
 
         if old_rs:
@@ -164,7 +162,6 @@ class DeploymentController(Controller):
                 reduce_by = min(current, budget)
                 spec_old["replicas"] = current - reduce_by
                 budget -= reduce_by
-                self.actions += 1
                 try:
                     self.client.update("ReplicaSet", replicaset)
                 except ApiError:

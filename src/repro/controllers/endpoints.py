@@ -101,7 +101,6 @@ class EndpointsController(Controller):
                 port=target_port,
                 owner_references=[make_owner_reference(service)],
             )
-            self.actions += 1
             self.client.create("Endpoints", endpoints)
             return
 
@@ -112,5 +111,4 @@ class EndpointsController(Controller):
         if subsets == desired_subsets:
             return
         existing["subsets"] = desired_subsets
-        self.actions += 1
         self.client.update("Endpoints", existing)

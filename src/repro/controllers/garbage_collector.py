@@ -58,7 +58,6 @@ class GarbageCollector(Controller):
             if not isinstance(metadata, dict):
                 continue
             self.collected += 1
-            self.actions += 1
             try:
                 self.client.delete(
                     kind, metadata.get("name", ""), namespace=metadata.get("namespace", "default")

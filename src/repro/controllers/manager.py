@@ -79,12 +79,6 @@ class ControllerManager:
         """Start the periodic sync loop."""
         self._task = self.sim.call_every(period, self.tick, delay=period, label="kcm-sync")
 
-    def stop(self) -> None:
-        """Stop the sync loop (component crash)."""
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-
     def restart(self, reelection_delay: float = RESTART_REELECTION_DELAY) -> None:
         """Restart the component: drop leadership and pause reconciliation."""
         self.restart_count += 1
@@ -106,13 +100,6 @@ class ControllerManager:
     def is_leader(self) -> bool:
         """Whether this replica currently holds the leader lease."""
         return self.elector.is_leader
-
-    def get_controller(self, name: str) -> Optional[Controller]:
-        """Return the controller with the given name, if present."""
-        for controller in self.controllers:
-            if controller.name == name:
-                return controller
-        return None
 
     def stats(self) -> dict:
         """Return per-controller counters."""

@@ -52,7 +52,6 @@ class NamespaceController(Controller):
                 if namespace in namespaces or not isinstance(namespace, str):
                     continue
                 self.cascaded_deletes += 1
-                self.actions += 1
                 try:
                     self.client.delete(kind, metadata.get("name", ""), namespace=namespace)
                 except ApiError:

@@ -139,7 +139,6 @@ class NodeLifecycleController(Controller):
             ready = {"type": "Ready", "status": "Unknown", "lastHeartbeatTime": 0.0}
             status["conditions"].append(ready)
         ready["status"] = new_value
-        self.actions += 1
         try:
             self.client.update_status("Node", node)
         except ApiError:
@@ -156,7 +155,6 @@ class NodeLifecycleController(Controller):
                 continue
             metadata = pod.get("metadata", {})
             self.evictions += 1
-            self.actions += 1
             try:
                 self.client.delete(
                     "Pod", metadata.get("name", ""), namespace=metadata.get("namespace", "default")
@@ -190,7 +188,6 @@ class NodeLifecycleController(Controller):
                 continue
             metadata = pod.get("metadata", {})
             self.evictions += 1
-            self.actions += 1
             try:
                 self.client.delete(
                     "Pod", metadata.get("name", ""), namespace=metadata.get("namespace", "default")

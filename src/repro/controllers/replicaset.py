@@ -57,7 +57,6 @@ class ReplicaSetController(Controller):
         super().__init__(sim, client)
         self._suffix_counter = 0
         self.pods_created = 0
-        self.pods_deleted = 0
 
     def reconcile_all(self) -> None:
         # Read-only refs (informer contract); the adoption and status-update
@@ -128,7 +127,6 @@ class ReplicaSetController(Controller):
             pod["metadata"]["ownerReferences"] = []
         pod["metadata"]["ownerReferences"].append(make_owner_reference(replicaset))
         try:
-            self.actions += 1
             return self.client.update("Pod", pod)
         except ApiError:
             return None
@@ -153,14 +151,11 @@ class ReplicaSetController(Controller):
             volumes=template_spec.get("volumes") if isinstance(template_spec, dict) else None,
             owner_references=[make_owner_reference(replicaset)],
         )
-        self.actions += 1
         self.pods_created += 1
         self.client.create("Pod", pod)
 
     def _delete_pod(self, pod: dict) -> None:
         metadata = pod.get("metadata", {})
-        self.actions += 1
-        self.pods_deleted += 1
         self.client.delete(
             "Pod", metadata.get("name", ""), namespace=metadata.get("namespace", "default")
         )

@@ -105,11 +105,6 @@ class EtcdStore:
         return self._bytes_used
 
     @property
-    def quota_bytes(self) -> int:
-        """The storage quota after which writes are refused."""
-        return self._quota_bytes
-
-    @property
     def alarm_active(self) -> bool:
         """True once the space alarm has fired; writes are refused while set."""
         return self._alarm_active

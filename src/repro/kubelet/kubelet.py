@@ -85,7 +85,6 @@ class Kubelet:
         self.client = APIClient(apiserver, component=f"kubelet-{node_name}")
         self._local: dict[str, LocalPodState] = {}
         self._ip_counter = 0
-        self.healthy = True
         #: Shared registry the workloads use to inject container-level
         #: failures (e.g. a crashing image) keyed by image name.
         self.failure_registry = failure_registry if failure_registry is not None else {}
@@ -111,7 +110,6 @@ class Kubelet:
 
     def stop(self) -> None:
         """Stop the kubelet loops (node failure)."""
-        self.healthy = False
         for task in self._tasks:
             task.stop()
         self._tasks.clear()
@@ -120,8 +118,6 @@ class Kubelet:
 
     def heartbeat(self) -> None:
         """Renew the node Lease and the Ready condition heartbeat timestamp."""
-        if not self.healthy:
-            return
         lease_name = self.node_name
         try:
             try:
@@ -152,8 +148,6 @@ class Kubelet:
 
     def sync_pods(self) -> None:
         """Reconcile the pods bound to this node with local container state."""
-        if not self.healthy:
-            return
         try:
             # Field-selected list, as the real kubelet does: the apiserver
             # filters to this node's pods (and can serve them from one small
@@ -449,13 +443,3 @@ class Kubelet:
     def local_pods(self) -> list[LocalPodState]:
         """Return the kubelet's local pod bookkeeping (for tests)."""
         return list(self._local.values())
-
-    def stats(self) -> dict:
-        """Return admission counters."""
-        return {
-            "node": self.node_name,
-            "admitted": self.pods_admitted,
-            "rejected": self.pods_rejected,
-            "preempted": self.pods_preempted,
-            "local_pods": len(self._local),
-        }

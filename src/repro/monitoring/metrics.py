@@ -66,12 +66,6 @@ class MetricsCollector:
         """Start the scrape loop."""
         self._task = self.sim.call_every(period, self.scrape, delay=period, label="metrics-scrape")
 
-    def stop(self) -> None:
-        """Stop the scrape loop."""
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-
     def scrape(self) -> MetricsSample:
         """Take one sample of cluster state and append it to the series."""
         sample = MetricsSample(time=self.sim.now)

@@ -64,26 +64,19 @@ class ClusterNetwork:
         self.teardowns = 0
         self._task = None
         #: Bumped whenever the programmed-route state may have changed; part
-        #: of the memo keys below.
+        #: of the memo key below.
         self._routes_epoch = 0
         #: ``(service, namespace) -> (state_key, backends)`` memo — exact
         #: while the store revision, route state and apiserver health are
         #: unchanged (reads have no side effects at an unchanged revision:
         #: any purge-on-read already happened on the first, uncached call).
         self._backends_memo: dict[tuple[str, str], tuple[tuple, list]] = {}
-        self._dns_memo: Optional[tuple[tuple, bool]] = None
 
     # ---------------------------------------------------------------- control
 
     def start(self, period: float = NETWORK_SYNC_PERIOD) -> None:
         """Start the periodic route-programming loop."""
         self._task = self.sim.call_every(period, self.sync, delay=0.5, label="network-sync")
-
-    def stop(self) -> None:
-        """Stop the route-programming loop."""
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
 
     # ------------------------------------------------------------------- sync
 
@@ -190,15 +183,6 @@ class ClusterNetwork:
 
     def dns_available(self) -> bool:
         """True if at least one ready DNS pod is reachable."""
-        state = self._state_key()
-        memo = self._dns_memo
-        if memo is not None and memo[0] == state:
-            return memo[1]
-        available = self._dns_available_uncached()
-        self._dns_memo = (state, available)
-        return available
-
-    def _dns_available_uncached(self) -> bool:
         key, value = DNS_LABEL
         try:
             pods = self.client.list("Pod", namespace="kube-system", copy=False)
@@ -293,11 +277,3 @@ class ClusterNetwork:
         latency = base_latency * load_factor + jitter
         backend_ip = backend.get("status", {}).get("podIP")
         return RequestOutcome(success=True, latency=latency, backend_ip=backend_ip)
-
-    def stats(self) -> dict:
-        """Return route-programming statistics."""
-        return {
-            "programmed_pods": len(self._programmed_pods),
-            "programmed_nodes": len(self._programmed_nodes),
-            "teardowns": self.teardowns,
-        }

@@ -8,7 +8,6 @@ manipulate that section.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import marshal
 import threading
@@ -116,27 +115,10 @@ def deep_copy(obj: Any) -> Any:
     API objects are JSON-shaped trees — dicts, lists, tuples and immutable
     scalars — copied on every Apiserver read and write.  ``marshal`` copies
     such trees in C, several times faster than any Python-level recursion
-    (and than :func:`copy.deepcopy`'s generic memo machinery); trees holding
-    values marshal cannot serialize fall back to a direct recursive copy
-    with identical semantics.
+    (and than :func:`copy.deepcopy`'s generic memo machinery).  A tree
+    holding a value marshal cannot serialize raises ``ValueError``.
     """
-    try:
-        return marshal.loads(marshal.dumps(obj))
-    except ValueError:
-        return _deep_copy_fallback(obj)
-
-
-def _deep_copy_fallback(obj: Any) -> Any:
-    kind = type(obj)
-    if kind is dict:
-        return {key: _deep_copy_fallback(value) for key, value in obj.items()}
-    if kind is list:
-        return [_deep_copy_fallback(value) for value in obj]
-    if kind is str or kind is int or kind is float or kind is bool or obj is None:
-        return obj
-    if kind is tuple:
-        return tuple(_deep_copy_fallback(value) for value in obj)
-    return copy.deepcopy(obj)
+    return marshal.loads(marshal.dumps(obj))
 
 
 def object_key(obj: dict) -> str:

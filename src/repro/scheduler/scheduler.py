@@ -57,12 +57,6 @@ class Scheduler:
         """Start the periodic scheduling loop."""
         self._task = self.sim.call_every(period, self.tick, delay=period, label="scheduler")
 
-    def stop(self) -> None:
-        """Stop the scheduling loop (component crash)."""
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-
     def restart(self, reelection_delay: float = RESTART_REELECTION_DELAY) -> None:
         """Restart the scheduler: drop the cache and leadership, pause scheduling."""
         self.restart_count += 1

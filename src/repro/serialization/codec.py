@@ -155,16 +155,6 @@ class EncodeError(ValueError):
     """Raised when an object contains values the wire format cannot represent."""
 
 
-def _copy_tree(node: Any) -> Any:
-    """Deep-copy a decoded tree (dicts, lists and immutable scalars only)."""
-    kind = type(node)
-    if kind is dict:
-        return {key: _copy_tree(value) for key, value in node.items()}
-    if kind is list:
-        return [_copy_tree(value) for value in node]
-    return node
-
-
 _SMALL_VARINTS = [bytes([value]) for value in range(0x80)]
 
 
@@ -228,10 +218,9 @@ def _encode_str(value: str) -> bytes:
 def _encode_value_into(value: Any, out: bytearray) -> None:
     """Append the tagged encoding of ``value`` to ``out``.
 
-    Exact-type dispatch first (the only types API objects contain), then the
-    original ``isinstance`` chain for subclasses — the produced bytes are
-    identical either way, the writer style just avoids one intermediate
-    ``bytes`` allocation per node.
+    Dispatch is on the exact type: API objects contain only these types, and
+    a subclass (an ``IntEnum``, a ``str`` subclass) raises ``EncodeError``.
+    The writer style avoids one intermediate ``bytes`` allocation per node.
     """
     kind = type(value)
     if kind is str:
@@ -259,41 +248,6 @@ def _encode_value_into(value: Any, out: bytearray) -> None:
         out += payload
         return
     if kind is list or kind is tuple:
-        parts = bytearray()
-        parts += _encode_varint(len(value))
-        for item in value:
-            _encode_value_into(item, parts)
-        out.append(_TYPE_LIST)
-        out += _encode_varint(len(parts))
-        out += parts
-        return
-    # Subclasses (IntEnum, str subclasses, …): the original isinstance order,
-    # bool before int.
-    if isinstance(value, bool):
-        out.append(_TYPE_BOOL)
-        out.append(1 if value else 0)
-        return
-    if isinstance(value, int):
-        out.append(_TYPE_INT)
-        out += _encode_varint(_encode_zigzag(value))
-        return
-    if isinstance(value, float):
-        out.append(_TYPE_FLOAT)
-        out += struct.pack("<d", value)
-        return
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_TYPE_STR)
-        out += _encode_varint(len(raw))
-        out += raw
-        return
-    if isinstance(value, dict):
-        payload = _encode_message(value)
-        out.append(_TYPE_MESSAGE)
-        out += _encode_varint(len(payload))
-        out += payload
-        return
-    if isinstance(value, (list, tuple)):
         parts = bytearray()
         parts += _encode_varint(len(value))
         for item in value:
@@ -425,8 +379,9 @@ def encode(obj: dict) -> bytes:
 
     Memoised on ``marshal.dumps(obj)``: equal ``marshal`` bytes are the same
     tree down to every type and key order, so the memoised bytes are exactly
-    what encoding ``obj`` would produce.  A tree ``marshal`` refuses (a
-    subclass, too deep) is encoded plainly and memoises nothing.
+    what encoding ``obj`` would produce.  A tree ``marshal`` refuses (too
+    deep, or holding a type the codec rejects as well) is encoded plainly
+    and memoises nothing.
     """
     global _last_seedable
     if not isinstance(obj, dict):

@@ -92,9 +92,6 @@ class CompiledPath:
             parts.append((text, index))
         self.parts = tuple(parts)
 
-    def __repr__(self) -> str:
-        return f"CompiledPath({self.path!r})"
-
     # ----------------------------------------------------------------- access
 
     def _descend(self, node: Any, text: str, index: Optional[int]) -> Any:

@@ -38,9 +38,6 @@ class Event:
         self.label = label
         self.cancelled = False
 
-    def __repr__(self) -> str:
-        return f"Event(time={self.time!r}, seq={self.seq!r}, label={self.label!r})"
-
     def cancel(self) -> None:
         """Prevent the event from running when its time comes."""
         self.cancelled = True
@@ -56,17 +53,6 @@ class RecurringTask:
         self._label = label
         self._stopped = False
         self._pending: Optional[Event] = None
-
-    @property
-    def period(self) -> float:
-        """Current period between invocations, in simulated seconds."""
-        return self._period
-
-    @period.setter
-    def period(self, value: float) -> None:
-        if value <= 0:
-            raise SimulationError("recurring task period must be positive")
-        self._period = value
 
     def stop(self) -> None:
         """Stop the task; the currently pending occurrence is cancelled."""

@@ -304,11 +304,39 @@ def test_daemonset_corrupted_selector_spawns_every_sync(control_plane):
     assert len(client.list("Pod", namespace="kube-system")) == 3
 
 
+def test_daemonset_deletes_duplicate_pods_and_pods_on_ineligible_nodes(control_plane):
+    client = _client(control_plane)
+    controller = DaemonSetController(control_plane.sim, client)
+    for index in range(2):
+        client.create("Node", make_node(f"worker-{index}"))
+    client.create("DaemonSet", make_daemonset("net", labels={"app": "net"}))
+    controller.sync()
+    # An orphan matching the selector is adopted as a second pod on worker-0.
+    client.create(
+        "Pod", make_pod("net-extra", namespace="kube-system", labels={"app": "net"}, node_name="worker-0")
+    )
+    node = client.get("Node", "worker-1")
+    node["spec"]["unschedulable"] = True
+    client.update("Node", node)
+    controller.sync()
+    pods = client.list("Pod", namespace="kube-system")
+    assert [pod["spec"]["nodeName"] for pod in pods] == ["worker-0"]
+
+
 def test_tolerations_matching():
     taint = {"key": "node.kubernetes.io/unreachable", "effect": "NoExecute"}
     assert tolerates_taints({"tolerations": [{"operator": "Exists"}]}, [taint])
     assert not tolerates_taints({"tolerations": []}, [taint])
     assert tolerates_taints({"tolerations": []}, [])
+    assert tolerates_taints({"tolerations": []}, [{"key": "soft", "effect": "PreferNoSchedule"}])
+    exists = {"key": taint["key"], "operator": "Exists"}
+    assert tolerates_taints({"tolerations": [exists]}, [taint])
+    assert not tolerates_taints({"tolerations": [dict(exists, effect="NoSchedule")]}, [taint])
+    assert not tolerates_taints({"tolerations": [{"key": "other", "operator": "Exists"}]}, [taint])
+    valued = {"key": "dedicated", "value": "infra", "effect": "NoSchedule"}
+    assert tolerates_taints({"tolerations": [dict(valued, operator="Equal")]}, [valued])
+    assert not tolerates_taints({"tolerations": [dict(valued, value="web")]}, [valued])
+    assert not tolerates_taints({"tolerations": "corrupted"}, [taint])
 
 
 # ---------------------------------------------------------------- endpoints

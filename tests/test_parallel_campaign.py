@@ -11,9 +11,12 @@ it is only what cancellation leaves behind.
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +310,31 @@ def test_two_campaigns_on_two_threads_give_the_serial_digest(tmp_path):
     assert errors == []
     for name in ("a", "b"):
         assert ShardedResultStore(str(tmp_path / name)).results_digest() == serial
+
+
+def test_digest_does_not_depend_on_the_hash_seed(serial_store, tmp_path):
+    # str hashes are salted per process, so a set or dict whose iteration
+    # order reaches a result would give each process its own digest.  Two CLI
+    # runs of the serial store's campaign under different fixed seeds must
+    # both give the in-process digest.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "repro.cli", "campaign", "--workloads", "deploy"]
+    argv += ["--golden-runs", "1", "--max-experiments", "12", "--seed", "3", "--workers", "1"]
+    runs = {
+        hash_seed: subprocess.Popen(
+            argv + ["--quiet", "--results-dir", str(tmp_path / hash_seed)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for hash_seed in ("0", "1")
+    }
+    for hash_seed, process in runs.items():
+        _, stderr = process.communicate(timeout=300)
+        assert process.returncode == 0, stderr
+        store = ShardedResultStore(str(tmp_path / hash_seed))
+        assert store.results_digest() == serial_store.results_digest(), hash_seed
 
 
 # --------------------------------------------------------------------- CLI
