@@ -47,7 +47,7 @@ __getattr__ = lazy_exports(
     globals(),
     {
         "Cluster": "repro.cluster.cluster",
-        "ClusterConfig": "repro.cluster.cluster",
+        "ClusterConfig": "repro.cluster.config",
         "Campaign": "repro.core.campaign",
         "CampaignConfig": "repro.core.campaign",
         "CampaignResult": "repro.core.campaign",

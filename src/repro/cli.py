@@ -82,7 +82,6 @@ import sys
 import time
 from typing import TYPE_CHECKING, Optional
 
-from repro.lint import KNOWN_CODES
 from repro.workloads.workload import WorkloadKind
 
 if TYPE_CHECKING:
@@ -99,7 +98,7 @@ _USAGE_ERRORS = (
     ("repro.core.transport", "TransportError"),
     ("repro.service.spec", "SpecError"),
     ("repro.service.client", "ServiceError"),
-    ("repro.lint", "LintUsageError"),
+    ("repro.lint.runner", "LintUsageError"),
 )
 
 #: Components the propagation experiments know how to hook.  A bare
@@ -324,8 +323,8 @@ def _progress_printer(quiet: bool, started_at: float):
 def _cmd_campaign(args: argparse.Namespace) -> int:
     # The CLI is a thin client of the same programmatic API the HTTP
     # service speaks: flags become a CampaignSpec (the one validation
-    # path), the spec becomes a CampaignHandle, and the handle runs the
-    # engine.  SpecError surfaces through main()'s shared handler.
+    # path), and the spec runs itself, as in the service's coordinator
+    # processes.  SpecError surfaces through main()'s shared handler.
     from repro.core.report import (
         render_campaign_summary,
         render_critical_fields,
@@ -336,14 +335,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         render_table5,
     )
     from repro.core.transport import resolve_store_url
-    from repro.service.handle import CampaignHandle
     from repro.service.spec import CampaignSpec
 
     if args.results_dir:
         args.results_dir = resolve_store_url(args.results_dir, option="--results-dir")
     spec = CampaignSpec.from_cli_args(args)
-    handle = CampaignHandle(spec)
-    result = handle.run(progress=_progress_printer(args.quiet, time.monotonic()))
+    result = spec.run(progress=_progress_printer(args.quiet, time.monotonic()))
     print(render_campaign_summary(result))
     if args.tables:
         for text in (
@@ -617,8 +614,17 @@ def _cmd_propagation(args: argparse.Namespace) -> int:
     return 0
 
 
+class _KnownCodes:
+    """The lint codes as help text, loading the analyzer only when printed."""
+
+    def __str__(self) -> str:
+        from repro.lint import KNOWN_CODES
+
+        return ", ".join(KNOWN_CODES)
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import EXPLANATIONS, TITLES, BaselineError, LintUsageError, lint_paths
+    from repro.lint import EXPLANATIONS, KNOWN_CODES, TITLES, BaselineError, LintUsageError, lint_paths
     from repro.lint import baseline as lint_baseline
 
     if args.explain is not None:
@@ -1102,14 +1108,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: the installed repro "
         "package)",
     )
-    lint.add_argument(
+    codes = lint.add_argument(
         "--codes",
         action="append",
         default=None,
         metavar="MUTnnn[,MUTnnn...]",
         help="restrict to these codes (repeatable or comma-separated; "
-        f"known: {', '.join(KNOWN_CODES)})",
+        "known: %(known_codes)s)",
     )
+    # Rendered only when the help is: the codes come from the analyzer.
+    codes.known_codes = _KnownCodes()
     lint.add_argument(
         "--format",
         choices=("text", "json", "github"),

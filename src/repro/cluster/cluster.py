@@ -10,12 +10,12 @@ update bounds) enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.apiserver.admission import AdmissionChain
 from repro.apiserver.apiserver import APIServer
 from repro.apiserver.client import APIClient
+from repro.cluster.config import ClusterConfig
 from repro.controllers.manager import ControllerManager
 from repro.etcd.raft import RaftGroup
 from repro.etcd.store import EtcdStore
@@ -36,30 +36,6 @@ from repro.objects.meta import reset_uid_counter
 from repro.scheduler.scheduler import Scheduler
 from repro.sim.engine import Simulation
 from repro.sim.rng import DeterministicRNG
-
-
-@dataclass
-class ClusterConfig:
-    """Parameters of the simulated cluster."""
-
-    #: Number of worker nodes (the paper uses 4, one reserved for monitoring).
-    worker_nodes: int = 4
-    #: Number of control-plane nodes (1 by default, 3 for the HA rerun).
-    control_plane_nodes: int = 1
-    #: Node size (the paper's VMs: 8 CPUs, 4 GiB RAM).
-    node_cpu: str = "8"
-    node_memory: str = "4Gi"
-    max_pods_per_node: int = 110
-    #: Data-store quota; small enough that runaway replication fills it.
-    etcd_quota_bytes: int = EtcdStore.DEFAULT_QUOTA_BYTES
-    #: Seconds a NotReady node keeps its pods before eviction.
-    pod_eviction_timeout: float = 60.0
-    #: Seed for all stochastic behaviour in the simulation.
-    seed: int = 0
-    #: Number of coreDNS replicas.
-    dns_replicas: int = 2
-    #: Serve Apiserver reads from its watch cache (Kubernetes default).
-    apiserver_cache: bool = True
 
 
 class Cluster:

@@ -10,9 +10,9 @@ runs are the same flow without arming the injector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.config import ClusterConfig
 from repro.core.classification import (
     ClientFailure,
     ClientObservations,
@@ -23,11 +23,15 @@ from repro.core.classification import (
     classify_orchestrator,
     detect_unreachable_tail,
 )
-from repro.core.injector import FaultSpec, InjectionChannel, MutinyInjector
+from repro.core.injector import FaultSpec, InjectionChannel
 from repro.hotpath import COUNTERS
-from repro.workloads.appclient import ApplicationClient
-from repro.workloads.scenario import SERVICE_NAME, ServiceApplication
-from repro.workloads.workload import KbenchDriver, WorkloadKind
+from repro.workloads.workload import WorkloadKind
+
+if TYPE_CHECKING:
+    from repro.cluster.cluster import Cluster
+    from repro.core.injector import MutinyInjector
+    from repro.workloads.appclient import ApplicationClient
+    from repro.workloads.workload import KbenchDriver
 
 
 @dataclass
@@ -136,7 +140,12 @@ class GoldenRunStats:
 
 
 class ExperimentRunner:
-    """Runs golden runs and injection experiments."""
+    """Runs golden runs and injection experiments.
+
+    The simulator is imported by the methods that build a cluster, so a
+    process that only stores, reads or serves results (``serve``,
+    ``inspect``, ``federate``) never loads it.
+    """
 
     def __init__(self, config: Optional[ExperimentConfig] = None):
         self.config = config if config is not None else ExperimentConfig()
@@ -223,6 +232,11 @@ class ExperimentRunner:
         seed: int,
         etcd_observer=None,
     ) -> ExperimentResult:
+        from repro.cluster.cluster import Cluster
+        from repro.workloads.appclient import ApplicationClient
+        from repro.workloads.scenario import ServiceApplication
+        from repro.workloads.workload import KbenchDriver
+
         COUNTERS.experiments += 1
         config = self.config
         cluster_config = ClusterConfig(**vars(config.cluster))
@@ -297,6 +311,8 @@ class ExperimentRunner:
         return result
 
     def _arm(self, cluster: Cluster, fault: FaultSpec) -> MutinyInjector:
+        from repro.core.injector import MutinyInjector
+
         injector = MutinyInjector()
         injector.arm(fault)
         sim = cluster.sim
@@ -341,6 +357,8 @@ class ExperimentRunner:
         expected_replicas: int,
         result: ExperimentResult,
     ) -> None:
+        from repro.workloads.scenario import SERVICE_NAME
+
         observations = result.orchestrator_observations
         samples = [
             sample for sample in cluster.metrics.samples if sample.time >= workload_start - 1.0

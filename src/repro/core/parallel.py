@@ -281,6 +281,10 @@ class CampaignExecutor:
 
     def _get_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Imported before the fork, so the pool's children inherit the
+            # simulator instead of each importing it.
+            import repro.cluster.cluster  # noqa: F401
+
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 

@@ -30,33 +30,41 @@ comprehensions are skipped as functions — what they contain is attributed
 inline to the function they are written in.  A findings baseline
 (``lint-baseline.json``) ratchets adoption: default runs fail only on
 findings not recorded there, and stale entries must be removed.
-Stdlib-only by design; run via ``repro.cli lint``.
+Stdlib-only by design; run via ``repro.cli lint``.  The names below are
+imported on first access, so no other subcommand loads the analyzer.
 """
 
-from repro.lint.baseline import BaselineError, BaselineResult
-from repro.lint.callgraph import ProjectGraph, Resolution, build_graph
-from repro.lint.framework import (
-    HYGIENE_CODE,
-    Checker,
-    Diagnostic,
-    LintFile,
-    Suppression,
-    is_suppressed,
-    parse_suppressions,
+from repro import lazy_exports
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "BaselineError": "repro.lint.baseline",
+        "BaselineResult": "repro.lint.baseline",
+        "ProjectGraph": "repro.lint.callgraph",
+        "Resolution": "repro.lint.callgraph",
+        "build_graph": "repro.lint.callgraph",
+        "HYGIENE_CODE": "repro.lint.framework",
+        "Checker": "repro.lint.framework",
+        "Diagnostic": "repro.lint.framework",
+        "LintFile": "repro.lint.framework",
+        "Suppression": "repro.lint.framework",
+        "is_suppressed": "repro.lint.framework",
+        "parse_suppressions": "repro.lint.framework",
+        "ALL_CHECKERS": "repro.lint.runner",
+        "EXPLANATIONS": "repro.lint.runner",
+        "GRAPH_CHECKERS": "repro.lint.runner",
+        "JSON_SCHEMA_VERSION": "repro.lint.runner",
+        "KNOWN_CODES": "repro.lint.runner",
+        "TITLES": "repro.lint.runner",
+        "LintReport": "repro.lint.runner",
+        "LintUsageError": "repro.lint.runner",
+        "lint_paths": "repro.lint.runner",
+        "select_codes": "repro.lint.runner",
+        "ModuleSummary": "repro.lint.symbols",
+        "index_module": "repro.lint.symbols",
+    },
 )
-from repro.lint.runner import (
-    ALL_CHECKERS,
-    EXPLANATIONS,
-    GRAPH_CHECKERS,
-    JSON_SCHEMA_VERSION,
-    KNOWN_CODES,
-    TITLES,
-    LintReport,
-    LintUsageError,
-    lint_paths,
-    select_codes,
-)
-from repro.lint.symbols import ModuleSummary, index_module
 
 __all__ = [
     "ALL_CHECKERS",

@@ -2,9 +2,9 @@
 
 The engine's one public submission surface: :class:`CampaignSpec` describes
 a campaign (dict/JSON round-trippable, one validation path for CLI and
-HTTP), :class:`CampaignHandle` executes one (submit/poll/result/cancel),
-and :mod:`repro.service.server` multiplexes many handles behind a stateless
-``/v1`` JSON API whose only persistence is the transport-backed store.
+HTTP) and runs it in-process, and :mod:`repro.service.server` runs many,
+each coordinator a child process, behind a stateless ``/v1`` JSON API whose
+only persistence is the transport-backed store.
 
 The names below are imported on first access, so a client process never
 loads the server or the campaign engine.
@@ -17,7 +17,6 @@ __getattr__ = lazy_exports(
     {
         "ServiceClient": "repro.service.client",
         "ServiceError": "repro.service.client",
-        "CampaignHandle": "repro.service.handle",
         "CampaignService": "repro.service.server",
         "CampaignServiceServer": "repro.service.server",
         "ServiceQuotaError": "repro.service.server",
@@ -29,7 +28,6 @@ __getattr__ = lazy_exports(
 )
 
 __all__ = [
-    "CampaignHandle",
     "CampaignService",
     "CampaignServiceServer",
     "CampaignSpec",

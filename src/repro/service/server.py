@@ -22,10 +22,10 @@ rebuilds its registry, and resumes any campaign whose store is incomplete;
 the resume replays zero experiments because that is the store's guarantee,
 so the final digest is byte-identical to an uninterrupted run.
 
-Execution happens on background :class:`~repro.service.handle.CampaignHandle`
-threads.  A per-service quota caps *concurrently running* campaigns;
-submissions beyond it get ``429`` with a ``Retry-After`` header rather than
-queueing unboundedly — the client owns the retry policy.
+Each campaign's coordinator is a child process (:mod:`repro.service.run`).
+A per-service quota caps *concurrently running* campaigns; submissions
+beyond it get ``429`` with a ``Retry-After`` header rather than queueing
+unboundedly — the client owns the retry policy.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import threading
 import time
 import urllib.parse
 from http.server import ThreadingHTTPServer
+from multiprocessing.process import BaseProcess
 from typing import Optional
 
 from repro.core.distributed import SliceLeases
@@ -45,12 +46,9 @@ from repro.core.transport import (
     resolve_store_url,
     transport_for,
 )
-from repro.service.handle import CampaignHandle
+from repro.service import run
 from repro.service.spec import CampaignSpec, SpecError
 from repro.service.storeview import StoreView
-
-#: Prefix of the index records in the service's state store.
-CAMPAIGN_INDEX_PREFIX = "campaigns/"
 
 #: Default cap on concurrently running campaigns per service process.
 DEFAULT_MAX_CAMPAIGNS = 4
@@ -68,15 +66,18 @@ class UnknownCampaignError(KeyError):
 
 
 class ManagedCampaign:
-    """One campaign the service knows about: its index record + runner, and
-    the generation-validated view every read of its store goes through."""
+    """One campaign the service knows about: its index record, its
+    coordinator process, and the view every read of its store goes through."""
 
-    def __init__(self, record: dict, spec: CampaignSpec, handle: Optional[CampaignHandle]):
+    def __init__(self, record: dict, spec: CampaignSpec, idle_state: str):
         if not spec.store_url:
             raise SpecError("a managed campaign needs a store_url: its store is its only state")
         self.record = record
         self.spec = spec
-        self.handle = handle
+        #: None while ``idle_state``: pending (admitted, not yet started),
+        #: or complete/cancelled (rehydrated with nothing left to run).
+        self.child: Optional[BaseProcess] = None
+        self.idle_state = idle_state
         self.view = StoreView(spec.store_url)
 
     @property
@@ -85,29 +86,31 @@ class ManagedCampaign:
 
     @property
     def state(self) -> str:
-        if self.handle is not None:
-            return self.handle.state
-        # Rehydration only skips the runner for campaigns that need none.
-        return "cancelled" if self.record.get("cancelled") else "complete"
+        """From the coordinator's exit code and the index record: a
+        SIGKILLed or crashed coordinator is "failed"."""
+        if self.child is None:
+            return self.idle_state
+        code = run.exit_code(self.child)
+        if code is None:
+            return "running"
+        if code == 0:
+            return "complete"
+        return "cancelled" if self.record.get("cancelled") else "failed"
 
-    @property
-    def active(self) -> bool:
-        """Whether this campaign occupies a quota slot right now."""
-        return self.state in ("pending", "running")
-
-    def summary(self) -> dict:
+    def summary(self, **extra) -> dict:
+        """What the campaign list and ``status`` both report, plus ``extra``."""
         info = {
             "id": self.campaign_id,
             "fingerprint": self.record["fingerprint"],
             "store_url": self.spec.store_url,
             "backend": self.spec.backend,
             "state": self.state,
-            "submitted_at": self.record.get("submitted_at"),
             "cancelled": bool(self.record.get("cancelled")),
+            **extra,
         }
+        if info["state"] == "failed":
+            info["error"] = f"coordinator exited with code {self.child and run.exit_code(self.child)}"
         info.update(self.view.progress())
-        if self.handle is not None and self.handle.error is not None:
-            info["error"] = str(self.handle.error)
         return info
 
 
@@ -146,43 +149,34 @@ class CampaignService:
         """Rebuild the registry from the persisted index (startup / restart).
 
         Campaigns whose stores are already complete (or that were cancelled)
-        come back as terminal records with no runner; anything in flight when
-        the previous process died gets a fresh handle and *resumes* — the
-        store scan skips every completed shard, so nothing replays.  Returns
-        the number of campaigns recovered.
+        come back as terminal records with no coordinator; anything in
+        flight when the previous process died gets a fresh coordinator and
+        *resumes* — the store scan skips every completed shard, so nothing
+        replays.  Returns the number of campaigns recovered.
         """
         recovered = 0
-        for key in self.transport.list(CAMPAIGN_INDEX_PREFIX):
+        for key in self.transport.list(run.CAMPAIGN_INDEX_PREFIX):
             if not key.endswith(".json"):
                 continue
             try:
                 record = json.loads(self.transport.get(key))
                 # summary(), _response() and status() index both keys.
                 campaign_id, _ = record["id"], record["fingerprint"]
-                spec_data = record["spec"]
-                # Records persisted before the `checkpoint` spec field was
-                # removed carry `"checkpoint": null`; tolerate exactly that.
-                if (
-                    isinstance(spec_data, dict)
-                    and "checkpoint" in spec_data
-                    and spec_data["checkpoint"] is None
-                ):
-                    del spec_data["checkpoint"]
-                spec = CampaignSpec.from_dict(spec_data)
-                managed = ManagedCampaign(record, spec, None)
+                managed = ManagedCampaign(record, run.spec_of(record), "pending")
             except (TransportKeyError, SpecError, KeyError, ValueError):
                 continue  # a torn or foreign record must not block startup
             # The completeness probe reads the campaign's store — transport
             # round-trips that must not run under the registry lock (every
             # handler thread would stall behind startup I/O).  It also warms
             # the view, so the first poll after a restart downloads nothing.
-            terminal = bool(record.get("cancelled")) or managed.view.complete()
+            if record.get("cancelled") or managed.view.complete():
+                managed.idle_state = "cancelled" if record.get("cancelled") else "complete"
             with self._lock:
                 if campaign_id in self._campaigns:
                     continue
-                if not terminal:
-                    managed.handle = CampaignHandle(spec).start()
                 self._campaigns[campaign_id] = managed
+            if managed.idle_state == "pending":
+                self._launch(managed)
             recovered += 1
         self._ready.set()
         return recovered
@@ -204,11 +198,10 @@ class CampaignService:
                 "and a campaign's results must live in a transport-backed store"
             )
         campaign_id = spec.campaign_id()
-        # Admission, registry mutation, and the (cheap) handle start happen
-        # under the lock so quota accounting and idempotency stay atomic;
-        # the index-record transport round-trip happens *after* release —
-        # a slow or faulty state store must never stall every other
-        # handler thread behind `self._lock` (mutiny-lint MUT007).
+        # Admission and registry mutation happen under the lock so quota
+        # accounting and idempotency stay atomic; the index-record transport
+        # round-trip and the coordinator's start happen *after* release
+        # (mutiny-lint MUT007): no handler waits behind the state store.
         with self._lock:
             existing = self._campaigns.get(campaign_id)
             if existing is not None:
@@ -216,7 +209,7 @@ class CampaignService:
                     return 200, self._response(existing)
                 self._admit_locked()
                 existing.record["cancelled"] = False
-                existing.handle = CampaignHandle(spec).start()
+                existing.child, existing.idle_state = None, "pending"
                 managed, status, created = existing, 200, False
             else:
                 self._admit_locked()
@@ -227,26 +220,42 @@ class CampaignService:
                     "submitted_at": time.time(),
                     "cancelled": False,
                 }
-                managed = ManagedCampaign(record, spec, CampaignHandle(spec).start())
+                managed = ManagedCampaign(record, spec, "pending")
                 self._campaigns[campaign_id] = managed
                 status, created = 201, True
         try:
+            # Written before the coordinator, which reads its spec from it.
             # Restarts overwrite their own record; fresh submissions defer
             # to a replica that indexed the same content-derived id first.
             self._persist_record(managed.record, overwrite=not created)
         except TransportError:
             # Un-admit: a campaign the index cannot name would be orphaned
-            # by the next rehydration, so stop the runner, free the quota
-            # slot, and surface the store failure to the client.
-            managed.handle.cancel()
+            # by the next rehydration, so free the quota slot and surface
+            # the store failure to the client.
             with self._lock:
+                managed.idle_state = "failed"
                 if created:
                     self._campaigns.pop(campaign_id, None)
             raise
+        self._launch(managed)
         return status, self._response(managed)
 
+    def _launch(self, managed: ManagedCampaign) -> None:
+        """Start the coordinator of a pending campaign; a cancel that landed
+        while it was pending stops it at once."""
+        try:
+            child = run.start(self.state_root, managed.campaign_id)
+        except BaseException:
+            managed.idle_state = "failed"
+            raise
+        with self._lock:
+            managed.child = child
+            cancelled = bool(managed.record.get("cancelled"))
+        if cancelled:
+            child.terminate()
+
     def _admit_locked(self) -> None:
-        running = sum(1 for campaign in self._campaigns.values() if campaign.active)
+        running = sum(1 for campaign in self._campaigns.values() if campaign.state in ("pending", "running"))
         if running >= self.max_campaigns:
             raise ServiceQuotaError(
                 f"campaign quota exhausted: {running} of {self.max_campaigns} "
@@ -254,7 +263,7 @@ class CampaignService:
             )
 
     def _persist_record(self, record: dict, overwrite: bool) -> None:
-        key = f"{CAMPAIGN_INDEX_PREFIX}{record['id']}.json"
+        key = run.index_key(record["id"])
         payload = json.dumps(record, sort_keys=True).encode("utf-8")
         if overwrite:
             self.transport.put(key, payload)
@@ -289,24 +298,34 @@ class CampaignService:
         with self._lock:
             campaigns = list(self._campaigns.values())
         campaigns.sort(key=lambda managed: (managed.record.get("submitted_at") or 0.0))
-        return {"campaigns": [managed.summary() for managed in campaigns]}
+        return {"campaigns": [each.summary(submitted_at=each.record.get("submitted_at")) for each in campaigns]}
 
     def describe(self, campaign_id: str) -> dict:
         return self._response(self._get(campaign_id))
 
     def cancel(self, campaign_id: str) -> dict:
         """Request cancellation and persist the intent, so a restarted
-        service will not resurrect the campaign."""
+        service will not resurrect the campaign.  The coordinator gets
+        SIGTERM and stops at its next batch or poll round."""
         managed = self._get(campaign_id)
-        if managed.handle is not None:
-            managed.handle.cancel()
         with self._lock:
             managed.record["cancelled"] = True
+            child = managed.child
+        if child is not None:
+            child.terminate()
         # Persist the intent off-lock: the registry flip above is what other
         # handler threads need, and the index write is a transport
         # round-trip that must not hold them up (mutiny-lint MUT007).
         self._persist_record(managed.record, overwrite=True)
         return {"id": campaign_id, "state": managed.state, "cancelled": True}
+
+    def close(self) -> None:
+        """Stop every coordinator as this process's death would (a restart
+        resumes them); multiprocessing joins them at interpreter exit."""
+        with self._lock:
+            children = [managed.child for managed in self._campaigns.values()]
+        for child in filter(None, children):
+            child.terminate()
 
     def document_bytes(self, campaign_id: str) -> Optional[bytes]:
         """The campaign's canonical inspect document, or ``None`` while the
@@ -320,17 +339,9 @@ class CampaignService:
         """Live distributed-run introspection: what ``inspect`` prints as
         provenance, as JSON — slices done, leases outstanding, counts."""
         managed = self._get(campaign_id)
-        info = {
-            "id": campaign_id,
-            "fingerprint": managed.record["fingerprint"],
-            "store_url": managed.spec.store_url,
-            "backend": managed.spec.backend,
-            "state": managed.state,
-            "cancelled": bool(managed.record.get("cancelled")),
-        }
-        if managed.handle is not None:
-            info.update(managed.handle.poll())
-        info.update(managed.view.progress())
+        info = managed.summary()
+        if managed.child is not None:
+            info["cancel_requested"] = info["cancelled"]
         plan = managed.view.plan_summary()
         if plan is not None:
             info["plan"] = plan
@@ -385,6 +396,7 @@ class CampaignServiceServer(ThreadingHTTPServer):
             self._thread.join()
             self._thread = None
         self.server_close()
+        self.service.close()
 
 
 class _Handler(ResponseHandler):
@@ -515,4 +527,5 @@ def serve(
         pass
     finally:
         server.server_close()
+        service.close()
     return server

@@ -24,7 +24,10 @@ from repro.core.transport import StoreURLError, resolve_store_url
 from repro.workloads.workload import WorkloadKind
 
 if TYPE_CHECKING:
-    from repro.core.campaign import CampaignConfig
+    import threading
+
+    from repro.core.campaign import CampaignConfig, CampaignResult
+    from repro.core.parallel import ProgressCallback
 
 #: Execution backends a spec may name (mirrors ``Campaign.run``).
 BACKENDS = ("local", "distributed")
@@ -234,4 +237,16 @@ class CampaignSpec:
             slice_size=self.slice_size,
             poll_interval=self.poll_interval,
             timeout=self.timeout,
+        )
+
+    def run(
+        self, progress: Optional[ProgressCallback] = None, cancel: Optional[threading.Event] = None
+    ) -> CampaignResult:
+        """Run this campaign to completion in this process, as ``repro.cli
+        campaign`` and every service coordinator do (see ``Campaign.run``)."""
+        from repro.core.campaign import Campaign
+
+        return Campaign(self.to_config()).run(
+            progress=progress, results_dir=self.store_url, backend=self.backend,
+            distributed=self.distributed_settings(), cancel=cancel,
         )

@@ -11,7 +11,8 @@ distributed``, or ``serve`` + ``submit``), a ``--stall-after-batches 1``
 victim SIGKILLed while it holds its lease, two rescue workers, and one byte
 comparison of the final document.  It is parametrized only by where the
 store lives (a directory, ``objstore://``) and who coordinates (the CLI, or
-a service that is itself SIGKILLed and restarted on the same ``--state``).
+a service that is itself SIGKILLed and restarted on the same ``--state``,
+whose new coordinator process is then SIGKILLed and resubmitted).
 :func:`resume` reruns a finished store three ways and expects no experiment
 to run.  CI calls this file once per scenario; the tier-1 suite calls the
 same functions.
@@ -31,6 +32,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -121,6 +123,37 @@ class Child:
         """SIGKILL: no handler runs, no lease is released, no index is flushed."""
         self.process.kill()
         self.exit_code()
+
+
+def _live_parents() -> dict[int, int]:
+    """``{pid: parent pid}`` of every process that has not exited (Linux)."""
+    parents = {}
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # gone since the listing
+        state, parent = stat[stat.rindex(")") + 2 :].split()[:2]
+        if state != "Z":
+            parents[int(entry)] = int(parent)
+    return parents
+
+
+def coordinators(serve: Child) -> list[int]:
+    """Pids of ``serve``'s campaign coordinators: its forkserver's children."""
+    parents = _live_parents()
+    children = {pid for pid, parent in parents.items() if parent == serve.process.pid}
+    return sorted(pid for pid, parent in parents.items() if parent in children)
+
+
+def exits_within(pid: int, seconds: float) -> bool:
+    """Whether process ``pid`` is gone (or a zombie) within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while pid in _live_parents():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 class Smoke:
@@ -295,10 +328,23 @@ def reclaim(
     smoke.check(0 < survivors < TOTAL, f"{survivors} of {TOTAL} experiments stored at the kill")
 
     if service:
-        # A new process on a new port, pointed at the same state store, must
-        # rehydrate (/readyz) and go on coordinating.
+        # The coordinator runs in a process of its own; with its service
+        # SIGKILLed it stops at its next poll round.  A new service on a new
+        # port, pointed at the same state store, must rehydrate (/readyz)
+        # and go on coordinating.
+        (coordinator_pid,) = coordinators(control_plane)
         control_plane.kill()
+        smoke.check(exits_within(coordinator_pid, 5.0), "the coordinator outlived its service")
         control_plane, client = smoke.serve("service-restarted", state)
+        # SIGKILL that coordinator: the campaign reads "failed", and a
+        # resubmission resumes it.
+        (coordinator_pid,) = coordinators(control_plane)
+        os.kill(coordinator_pid, signal.SIGKILL)
+        deadline = time.monotonic() + DEADLINE_S
+        while client.status(campaign_id)["state"] != "failed":
+            smoke.check(time.monotonic() < deadline, "a SIGKILLed coordinator never read as failed")
+            time.sleep(0.05)
+        smoke.run("resubmit", "submit", "--server", client.base_url, *campaign)
 
     rescue = [
         smoke.spawn(

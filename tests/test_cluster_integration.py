@@ -3,11 +3,18 @@
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.controllers.replicaset import pod_is_ready
+from repro.etcd.store import EtcdStore
 from repro.workloads.appclient import ApplicationClient
 from repro.workloads.scenario import SERVICE_NAME, ServiceApplication
 from repro.workloads.workload import KbenchDriver, WorkloadKind
 
 # ----------------------------------------------------------------- boot
+
+
+def test_cluster_config_defaults_to_the_etcd_store_quota():
+    # ClusterConfig lives apart from the components; its copy of the
+    # default must not drift from the store's own.
+    assert ClusterConfig().etcd_quota_bytes == EtcdStore.DEFAULT_QUOTA_BYTES
 
 
 def test_boot_creates_nodes_and_system_namespaces(booted_cluster):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cluster.cluster as cluster_module
 from repro.apiserver.client import APIClient
 from repro.cluster.cluster import ClusterConfig
 from repro.controllers.base import ChangeGate
 from repro.controllers.deployment import DeploymentController
 from repro.controllers.replicaset import ReplicaSetController
-from repro.core import experiment
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
 from repro.objects.kinds import make_deployment, make_pod, make_replicaset, make_service
@@ -30,7 +30,7 @@ def _run(monkeypatch, workload, fault, seed, force=False, config=None, restarts=
     taking the cluster) pairs scheduled on the simulated clock."""
     clusters = []
 
-    class RecordingCluster(experiment.Cluster):
+    class RecordingCluster(cluster_module.Cluster):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             clusters.append(self)
@@ -38,7 +38,7 @@ def _run(monkeypatch, workload, fault, seed, force=False, config=None, restarts=
                 self.sim.call_at(when, lambda action=action: action(self))
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiment, "Cluster", RecordingCluster)
+        patch.setattr(cluster_module, "Cluster", RecordingCluster)
         if force:
             patch.setattr(ChangeGate, "should_skip", lambda self, token, backed_off: False)
         ExperimentRunner(config).run_experiment(workload, fault, seed=seed)

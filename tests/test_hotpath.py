@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cluster.cluster as cluster_module
 import repro.core.experiment as experiment
 from repro.apiserver.apiserver import APIServer
 from repro.apiserver.client import APIClient
@@ -418,12 +419,12 @@ _WRITE_COUNTS = [
 def test_experiment_write_count_is_pinned(monkeypatch, workload, fault, seed, expected):
     clusters = []
 
-    class RecordingCluster(experiment.Cluster):
+    class RecordingCluster(cluster_module.Cluster):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             clusters.append(self)
 
-    monkeypatch.setattr(experiment, "Cluster", RecordingCluster)
+    monkeypatch.setattr(cluster_module, "Cluster", RecordingCluster)
     before = COUNTERS.snapshot()
     result = experiment.ExperimentRunner().run_experiment(workload, fault, seed=seed)
     delta = {name: COUNTERS.snapshot()[name] - before[name] for name in before}

@@ -21,7 +21,7 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 _PROBE = r"""
 import contextlib, io, json, sys
 
-HEAVY = ("numpy", "repro.cluster", "repro.core.campaign")
+HEAVY = ("numpy", "repro.cluster", "repro.core.campaign", "repro.lint")
 found = {}
 
 def loaded(step):
@@ -74,4 +74,63 @@ def test_entry_points_load_only_what_they_run():
         "objstore --help": [],
         "import repro.service.client": [],
         "numpy after Campaign.run": [],
+    }
+
+
+#: What a simulated cluster is made of; ``serve`` loads none of it, because
+#: each campaign's coordinator runs in a forkserver child that preloads it.
+SIMULATOR = (
+    "repro.apiserver.apiserver",
+    "repro.cluster.cluster",
+    "repro.controllers",
+    "repro.etcd",
+    "repro.kubelet",
+    "repro.monitoring",
+    "repro.network",
+    "repro.scheduler",
+    "repro.sim.engine",
+    "repro.workloads.appclient",
+    "repro.workloads.scenario",
+)
+
+_SERVE_PROBE = r"""
+import json, sys
+
+from repro.service.client import ServiceClient
+from repro.service.server import CampaignService, CampaignServiceServer
+from repro.service.spec import CampaignSpec
+
+server = CampaignServiceServer(("127.0.0.1", 0), CampaignService(sys.argv[1] + "/state")).start()
+client = ServiceClient(server.url)
+client.wait_ready(timeout=60)
+spec = CampaignSpec(
+    workloads=("deploy",), golden_runs=1, max_experiments=1, seed=3, workers=1,
+    store_url=sys.argv[1] + "/store",
+)
+campaign_id = client.submit(spec)["id"]
+status = client.wait(campaign_id, timeout=300, poll_interval=0.1)
+document = json.loads(client.document(campaign_id))
+server.stop()
+print(json.dumps({
+    "state": status["state"],
+    "stored_records": document["stored_records"],
+    "loaded": sorted(
+        name for name in sys.modules
+        if name in ("numpy", "repro.lint") or name.startswith(tuple(sys.argv[2:]))
+    ),
+}))
+"""
+
+
+def test_serve_runs_campaigns_without_loading_the_simulator(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run(
+        [sys.executable, "-c", _SERVE_PROBE, str(tmp_path), *SIMULATOR],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout.splitlines()[-1]) == {
+        "state": "complete",
+        "stored_records": 1,
+        "loaded": [],
     }

@@ -16,6 +16,7 @@ import io
 import json
 import re
 import struct
+import zlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -685,6 +686,77 @@ def test_shard_with_a_member_failing_its_crc_yields_no_record(tmp_path):
     assert damaged != intact and len(damaged) == len(intact)
     store.transport.put("shards/shard-00000000-00000003.jsonl.gz", _gzip_member(records[:2]) + damaged)
     assert store.completed_indexes() == {}
+
+
+def _gzipfile_lines(payload: bytes, parse) -> list:
+    """The shard reader as it was written over ``gzip.GzipFile``: the
+    reference :func:`resultstore._shard_lines` must match byte for byte."""
+    items: list = []
+    try:
+        with gzip.GzipFile(fileobj=io.BytesIO(payload), mode="rb") as stream:
+            for raw in stream:
+                item = parse(raw)
+                if item is None:
+                    while stream.read(1 << 16):
+                        pass
+                    break
+                items.append(item)
+    except EOFError:
+        pass
+    except (OSError, zlib.error):
+        return []
+    return items
+
+
+def _shard_shapes() -> dict[str, bytes]:
+    """Three members, then every byte shape a reader must agree on."""
+    records = [(index, result_to_dict(_full_result(index))) for index in range(5)]
+    members = [resultstore._encode_member(records[:2]), resultstore._encode_member(records[2:4]),
+               resultstore._encode_member(records[4:])]
+    whole = b"".join(members)
+    head = len(members[0]) + len(members[1])
+    shapes = {"whole": whole}
+    # Torn trailing member: every cut through the last member and its header
+    # (a cut after its first byte leaves a lone magic byte: garbage, below).
+    for cut in range(2, len(members[2])):
+        shapes[f"torn at {cut}"] = whole[: head + cut]
+    # CRC or deflate failure in each member: one flipped bit anywhere.
+    start = 0
+    for number, member in enumerate(members):
+        for offset in range(10, len(member), 7):
+            damaged = bytearray(whole)
+            damaged[start + offset] ^= 0x10
+            shapes[f"member {number} bit at {offset}"] = bytes(damaged)
+        damaged = bytearray(whole)
+        damaged[start + len(member) - 8] ^= 0x01  # the CRC32 of the trailer
+        shapes[f"member {number} crc"] = bytes(damaged)
+        start += len(member)
+    # Zero padding between (and after) members.
+    shapes["padded"] = members[0] + b"\0" * 3 + members[1] + b"\0" + members[2] + b"\0" * 5
+    # Trailing garbage, including a lone magic byte and a bare magic.
+    for garbage in (b"x", b"\x1f", b"\x1f\x8b", b"\x1f\x8b\x08", b"garbage", b"\0\0\x1f", b"\x1f\x8bjunkjunkjunk"):
+        shapes[f"trailing {garbage!r}"] = whole + garbage
+    return shapes
+
+
+@pytest.mark.parametrize("chunk", [7, 300, resultstore._INFLATE_CHUNK])
+def test_shard_reader_matches_gzipfile_on_every_byte_shape(monkeypatch, chunk):
+    # Small chunks cut lines, headers and trailers at every kind of boundary.
+    monkeypatch.setattr(resultstore, "_INFLATE_CHUNK", chunk)
+    shapes = _shard_shapes()
+    for name, payload in shapes.items():
+        for parse in (bytes, resultstore._parse_shard_line):
+            assert resultstore._shard_lines(payload, parse) == _gzipfile_lines(payload, parse), name
+    # The four contracts, spelled out.
+    def indexes(name: str) -> list[int]:
+        return [index for index, _ in resultstore._shard_lines(shapes[name], resultstore._parse_shard_line)]
+
+    assert indexes("whole") == indexes("padded") == [0, 1, 2, 3, 4]
+    for name in shapes:
+        if name.startswith("torn"):
+            assert indexes(name) in ([0, 1, 2, 3], [0, 1, 2, 3, 4]), name
+        elif name.endswith("crc") or name == "trailing b'garbage'":
+            assert indexes(name) == [], name
 
 
 def test_scan_leaves_fresh_shard_in_read_cache(tmp_path, monkeypatch):

@@ -18,8 +18,10 @@ Three contracts under test:
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import signal
 import sys
 import threading
 import time
@@ -33,7 +35,6 @@ from repro.core.report import STORE_DOCUMENT_SCHEMA, document_to_bytes, store_do
 from repro.core.resultstore import ShardedResultStore
 from repro.core.transport import StoreURLError, resolve_store_url, transport_for
 from repro.service import (
-    CampaignHandle,
     CampaignService,
     CampaignServiceServer,
     CampaignSpec,
@@ -73,7 +74,7 @@ def _tiny_spec(store_url: str, **overrides) -> CampaignSpec:
 def serial_reference(tmp_path_factory):
     """One serial run of the tiny campaign: (store root, digest)."""
     root = str(tmp_path_factory.mktemp("serial-ref") / "store")
-    CampaignHandle(_tiny_spec(root)).run()
+    _tiny_spec(root).run()
     return root, ShardedResultStore(root).results_digest()
 
 
@@ -357,9 +358,9 @@ class TestServiceAPI:
         assert summary["id"] == "0123456789abcdef" != spec.campaign_id()
         assert service.describe("0123456789abcdef")["spec"] == spec.to_dict()
         # In flight when the old process died: the new one resumes it.
-        handle = service._get("0123456789abcdef").handle
-        assert handle is not None and handle.wait(timeout=300)
-        assert handle.state == "complete"
+        managed = service._get("0123456789abcdef")
+        managed.child.join(timeout=300)
+        assert managed.state == "complete"
 
     def test_unknown_campaign_is_404(self, service_server):
         _, client = service_server
@@ -718,3 +719,91 @@ def test_service_restart_mid_campaign_digest_identical_to_serial(
         document = json.loads(client.document(campaign_id))
         assert document["results_digest"] == serial_digest
         assert document["stored_records"] == document["experiments"] == 6
+
+
+# --------------------------------------------------------------------------
+# Coordinator processes: every managed campaign's coordinator is a child of
+# serve's forkserver, stopped by SIGTERM (cancel) or by serve's death
+# --------------------------------------------------------------------------
+
+#: Poll interval of the distributed specs below, seconds.
+POLL_S = 0.5
+
+
+def _distributed_spec(store: str) -> CampaignSpec:
+    return _tiny_spec(store, backend="distributed", slice_size=3, poll_interval=POLL_S)
+
+
+def _wait_for(predicate, what: str, timeout: float = 300.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.05)
+
+
+def test_cancel_survives_a_serve_sigkill_and_its_coordinator_exits(tmp_path):
+    state, store = str(tmp_path / "state"), str(tmp_path / "store")
+    with smoke.Smoke(tmp_path, "cancel") as scenario:
+        process, client = scenario.serve("service", state)
+        # No workers: without the cancel this coordinator would poll forever.
+        campaign_id = client.submit(_distributed_spec(store))["id"]
+        (coordinator,) = smoke.coordinators(process)
+        assert client.cancel(campaign_id)["cancelled"] is True
+        process.kill()
+        process, client = scenario.serve("service-restarted", state)
+        assert client.status(campaign_id)["state"] == "cancelled"
+        assert smoke.exits_within(coordinator, 60.0)
+        assert smoke.coordinators(process) == []
+
+
+def test_sigkilled_serve_stops_its_coordinator_and_a_restart_resumes(tmp_path, serial_reference):
+    _, serial_digest = serial_reference
+    state, store = str(tmp_path / "state"), str(tmp_path / "store")
+    with smoke.Smoke(tmp_path, "orphan") as scenario:
+        process, client = scenario.serve("service", state)
+        campaign_id = client.submit(_distributed_spec(store))["id"]
+        # Published: the coordinator is in its poll loop, waiting for workers.
+        _wait_for(lambda: "plan" in client.status(campaign_id), "the plan")
+        (coordinator,) = smoke.coordinators(process)
+        killed = time.monotonic()
+        process.kill()
+        assert smoke.exits_within(coordinator, 30.0)
+        # One poll interval, plus the round in flight and process teardown.
+        assert time.monotonic() - killed < POLL_S + 2.5
+
+        process, client = scenario.serve("service-restarted", state)
+        scenario.spawn(
+            "worker", "worker", "--results-dir", store, "--worker-id", "w",
+            "--poll-interval", "0.2", "--wait-timeout", "120",
+        )
+        status = client.wait(campaign_id, timeout=300)
+        assert status["state"] == "complete"
+        assert status["stored_records"] == status["total"] == 6
+        assert json.loads(client.document(campaign_id))["results_digest"] == serial_digest
+
+
+def test_sigkilled_coordinator_reads_failed_and_a_resubmit_resumes(
+    service_server, tmp_path, serial_reference
+):
+    server, client = service_server
+    _, serial_digest = serial_reference
+    store = str(tmp_path / "store")
+    spec = _tiny_spec(store)
+    campaign_id = client.submit(spec)["id"]
+    reader = ShardedResultStore(store)
+
+    def stored() -> int:
+        reader.refresh()
+        return reader.record_count() if reader.has_manifest() else 0
+
+    _wait_for(lambda: stored() > 0, "a stored shard")
+    os.kill(server.service._get(campaign_id).child.pid, signal.SIGKILL)
+    _wait_for(lambda: client.status(campaign_id)["state"] == "failed", "the failed state", 30.0)
+    assert "error" in client.status(campaign_id)
+
+    assert client.submit(spec)["state"] in ("pending", "running")
+    status = client.wait(campaign_id, timeout=300)
+    assert status["state"] == "complete"
+    # Nothing stored twice: the resumed run executed only what was missing.
+    assert status["stored_records"] == status["total"] == 6
+    assert json.loads(client.document(campaign_id))["results_digest"] == serial_digest
