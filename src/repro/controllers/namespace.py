@@ -3,8 +3,7 @@
 Deleting a Namespace deletes everything inside it.  The paper's FFDA lists
 erroneous namespace deletion among the human mistakes that caused real-world
 cluster outages; the controller implements the cascade so that those
-scenarios (and the optional "validate namespace deletion" mitigation) can be
-reproduced.
+scenarios can be reproduced.
 """
 
 from __future__ import annotations

@@ -63,7 +63,13 @@ from repro.core.parallel import (
     prep_fingerprint,
 )
 from repro.core.resultstore import StoredResults
-from repro.serialization import iter_field_paths
+from repro.serialization import (
+    DecodeError,
+    decode_shared,
+    field_leaves,
+    seed_decode,
+    value_type,
+)
 from repro.sim.rng import DeterministicRNG
 from repro.workloads.workload import WorkloadKind
 
@@ -113,37 +119,40 @@ EXCLUDED_FIELD_PATHS = frozenset({"kind"})
 
 
 class FieldRecorder:
-    """Observer hook that records fields written to etcd during a golden run."""
+    """Observer hook that records fields written to etcd during a golden run.
+
+    The bytes it sees are the Apiserver's latest encode, so the read is the
+    decode cache's ``marshal`` copy of the encoded tree (:func:`seed_decode`),
+    which the Apiserver's own read then shares; the tree is only read here.
+    """
 
     def __init__(self):
         self.fields: dict[tuple[str, str], RecordedField] = {}
-        self.kinds_seen: set[str] = set()
-        self.messages_per_kind: dict[str, int] = {}
 
     def __call__(self, context, data: bytes) -> None:
-        from repro.serialization import DecodeError, decode
-
-        self.kinds_seen.add(context.kind)
-        self.messages_per_kind[context.kind] = self.messages_per_kind.get(context.kind, 0) + 1
+        seed_decode(data)
         try:
-            obj = decode(data)
+            obj = decode_shared(data)
         except DecodeError:
             return
-        for record in iter_field_paths(obj):
-            if record.value_type not in ("int", "str", "bool"):
+        kind = context.kind
+        fields = self.fields
+        for path, value in field_leaves(obj):
+            key = (kind, path)
+            if key in fields:
                 continue
-            if record.path.endswith(EXCLUDED_FIELD_SUFFIXES) or record.path in EXCLUDED_FIELD_PATHS:
+            kind_of_value = value_type(value)
+            if kind_of_value not in ("int", "str", "bool"):
                 continue
-            key = (context.kind, record.path)
-            if key in self.fields:
+            if path.endswith(EXCLUDED_FIELD_SUFFIXES) or path in EXCLUDED_FIELD_PATHS:
                 continue
-            self.fields[key] = RecordedField(
-                kind=context.kind,
+            fields[key] = RecordedField(
+                kind=kind,
                 name=context.name,
                 namespace=context.namespace,
-                path=record.path,
-                value_type=record.value_type,
-                example_value=record.value,
+                path=path,
+                value_type=kind_of_value,
+                example_value=value,
             )
 
     def recorded(self) -> list[RecordedField]:
@@ -412,7 +421,7 @@ class Campaign:
 
     def _preps(self) -> list[WorkloadPrep]:
         return [
-            WorkloadPrep(workload=workload, golden_runs=self.config.golden_runs, record_seed=50)
+            WorkloadPrep(workload=workload, golden_runs=self.config.golden_runs)
             for workload in self.config.workloads
         ]
 
@@ -587,7 +596,7 @@ class Campaign:
         fields_per_component: int,
     ) -> list[dict]:
         preps = [
-            WorkloadPrep(workload=workload, golden_runs=0, record_seed=60)
+            WorkloadPrep(workload=workload, golden_runs=0, base_seed=60)
             for workload in self.config.workloads
         ]
         prepared = executor.prepare_workloads(preps)

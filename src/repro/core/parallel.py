@@ -55,16 +55,16 @@ ProgressCallback = Callable[[int, int], None]
 
 @dataclass(frozen=True)
 class WorkloadPrep:
-    """A golden-baseline + field-recording job for one workload."""
+    """The golden runs of one workload: its baseline and its field recording."""
 
     workload: WorkloadKind
     #: Golden runs used to build the classification baseline (0 = skip the
     #: baseline and only record fields, as the propagation experiments do).
+    #: Prep makes ``max(golden_runs, 1)`` runs: run 0 also records the fields.
     golden_runs: int
-    #: Seed of the extra golden run that records the fields written to etcd.
-    record_seed: int
-    #: Seed of the first baseline golden run (run ``i`` uses ``base_seed+i``,
-    #: matching :meth:`ExperimentRunner.build_baseline`).
+    #: Seed of the first golden run (run ``i`` uses ``base_seed+i``,
+    #: matching :meth:`ExperimentRunner.build_baseline`); run 0 is the one
+    #: that records the fields written to etcd.
     base_seed: int = DEFAULT_BASE_SEED
 
 
@@ -72,16 +72,16 @@ class WorkloadPrep:
 class GoldenRunJob:
     """One golden run: the unit of parallel workload preparation.
 
-    Workload preparation used to fan out one job per *workload*, which made
-    the golden baselines the serial fraction of a campaign; preparation now
-    fans out one job per golden *run*, so ``golden_runs`` baseline runs and
-    the field-recording run of every workload all execute concurrently.
+    Preparation fans out one job per golden *run*, not per workload, so the
+    golden runs of every workload execute concurrently.  The field recording
+    rides on run 0 of each workload (paper §IV-C records the fields "written
+    to etcd during a golden run"), whose stats still fold into the baseline.
     """
 
     workload: WorkloadKind
     seed: int
-    #: Record the fields written to etcd during this run (the extra run the
-    #: campaign uses for fault generation).
+    #: Also record the fields written to etcd during this run (the inventory
+    #: the campaign generates its faults from).
     record_fields: bool = False
 
 
@@ -425,52 +425,39 @@ class CampaignExecutor:
     ) -> list[tuple[Optional[GoldenBaseline], list]]:
         """Run the golden baselines + field recording for each workload.
 
-        Preparation fans out one job per golden *run* (not per workload):
-        every baseline run and every field-recording run is independent, so
-        a campaign with three workloads and three golden runs keeps twelve
-        workers busy instead of three.  The per-run stats are folded back
-        into baselines in the parent; results keep the order of ``preps``.
+        Preparation fans out one job per golden *run* (not per workload), so
+        a campaign with three workloads and three golden runs keeps nine
+        workers busy instead of three.  Run 0 of each workload, at
+        ``base_seed``, also records the fields; with ``golden_runs=0`` it is
+        the one run and no baseline is folded.  The per-run stats are folded
+        back into baselines in the parent; results keep the order of
+        ``preps``.
         """
-        jobs: list[tuple[int, GoldenRunJob]] = []
-        for slot, prep in enumerate(preps):
-            for run in range(prep.golden_runs):
-                jobs.append(
-                    (slot, GoldenRunJob(workload=prep.workload, seed=prep.base_seed + run))
-                )
-            jobs.append(
-                (
-                    slot,
-                    GoldenRunJob(
-                        workload=prep.workload, seed=prep.record_seed, record_fields=True
-                    ),
-                )
+        jobs = [
+            GoldenRunJob(
+                workload=prep.workload, seed=prep.base_seed + run, record_fields=run == 0
             )
-
+            for prep in preps
+            for run in range(max(prep.golden_runs, 1))
+        ]
         outcomes: list = [None] * len(jobs)
         self._dispatch(
             _run_golden_job,
-            [(self.experiment_config, job) for _, job in jobs],
+            [(self.experiment_config, job) for job in jobs],
             outcomes.__setitem__,
         )
 
         prepared: list[tuple[Optional[GoldenBaseline], list]] = []
-        for slot, prep in enumerate(preps):
-            stats = [
-                outcome[0]
-                for (job_slot, job), outcome in zip(jobs, outcomes)
-                if job_slot == slot and not job.record_fields
-            ]
-            recorded = next(
-                outcome[1]
-                for (job_slot, job), outcome in zip(jobs, outcomes)
-                if job_slot == slot and job.record_fields
-            )
+        start = 0
+        for prep in preps:
+            runs = outcomes[start : start + max(prep.golden_runs, 1)]
+            start += len(runs)
             baseline = (
                 ExperimentRunner(self.experiment_config).fold_baseline(
-                    prep.workload, stats
+                    prep.workload, [stats for stats, _ in runs]
                 )
                 if prep.golden_runs > 0
                 else None
             )
-            prepared.append((baseline, recorded))
+            prepared.append((baseline, runs[0][1]))
         return prepared

@@ -98,16 +98,17 @@ class LockDisciplineChecker(GraphChecker):
             """\
 Contract (PR 5/7): the threaded classes — `CampaignService` (one registry
 mutated by every concurrent HTTP handler thread plus the rehydration
-thread), `CampaignHandle` (state shared between the caller and a background
-campaign thread), `BatchedShardWriter` (a worker loop's open shard group),
-`SliceLeases` (shared with the heartbeat thread) — keep their mutable state
-consistent by taking `self._lock` around every access.  PR 5 fixed exactly
-this bug class in the heartbeat path; this checker keeps it fixed.
+thread), `StoreView` (a campaign's store read cache, shared by every
+handler thread polling it), `BatchedShardWriter` (a worker loop's open
+shard group), `SliceLeases` (shared with the heartbeat thread) — keep
+their mutable state consistent by taking `self._lock` around every
+access.  PR 5 fixed exactly this bug class in the heartbeat path; this
+checker keeps it fixed.
 
 A class registers its guarded attributes:
 
-    class CampaignHandle:
-        _lock_guarded = ("_state", "_error", "_thread")
+    class StoreView:
+        _lock_guarded = ("_shard_cache", "_document", "_plan")
 
 and the checker then enforces, in every method:
 

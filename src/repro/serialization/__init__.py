@@ -23,20 +23,20 @@ from repro.serialization.codec import (
 )
 from repro.serialization.fieldpath import (
     CompiledPath,
-    FieldRecord,
     compile_path,
-    iter_field_paths,
+    field_leaves,
+    value_type,
 )
 
 __all__ = [
     "CompiledPath",
     "DecodeError",
-    "FieldRecord",
     "clear_codec_caches",
     "compile_path",
     "decode",
     "decode_shared",
     "encode",
-    "iter_field_paths",
+    "field_leaves",
     "seed_decode",
+    "value_type",
 ]

@@ -15,26 +15,12 @@ conversion per access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 
-@dataclass(frozen=True)
-class FieldRecord:
-    """A leaf field observed in an API object.
-
-    Attributes:
-        path: dotted field path from the object root.
-        value_type: ``"int"``, ``"str"``, ``"bool"``, ``"float"`` or ``"none"``.
-        value: the value observed when the field was recorded.
-    """
-
-    path: str
-    value_type: str
-    value: Any
-
-
-def _type_name(value: Any) -> str:
+def value_type(value: Any) -> str:
+    """The recorded type of a leaf: ``"int"``, ``"str"``, ``"bool"``,
+    ``"float"``, ``"none"`` or, for anything else, its class name."""
     if isinstance(value, bool):
         return "bool"
     if isinstance(value, int):
@@ -48,22 +34,31 @@ def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
-def iter_field_paths(obj: Any, prefix: str = "") -> Iterator[FieldRecord]:
-    """Yield a :class:`FieldRecord` for every leaf field in ``obj``.
+def field_leaves(obj: Any) -> list[tuple[str, Any]]:
+    """Every scalar leaf of ``obj`` (``None`` included) as a ``(dotted path,
+    value)`` pair, depth first in key and index order.
 
-    Dictionaries and lists are traversed; every scalar leaf (including
-    ``None``) produces one record.
+    Dictionaries, lists and tuples are traversed; a scalar ``obj`` is the one
+    leaf at path ``""``.  The pairs are built into one list, with no
+    generator per level and no record per leaf, because the field recorder
+    walks every message a golden run writes to etcd.
     """
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            yield from iter_field_paths(value, path)
-    elif isinstance(obj, (list, tuple)):
-        for index, value in enumerate(obj):
-            path = f"{prefix}.{index}" if prefix else str(index)
-            yield from iter_field_paths(value, path)
+    leaves: list[tuple[str, Any]] = []
+    if isinstance(obj, (dict, list, tuple)):
+        _collect_leaves(obj, "", leaves)
     else:
-        yield FieldRecord(path=prefix, value_type=_type_name(obj), value=obj)
+        leaves.append(("", obj))
+    return leaves
+
+
+def _collect_leaves(node: Any, prefix: str, leaves: list) -> None:
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        path = f"{prefix}.{key}" if prefix else str(key)
+        if isinstance(value, (dict, list, tuple)):
+            _collect_leaves(value, path, leaves)
+        else:
+            leaves.append((path, value))
 
 
 _MISSING = object()

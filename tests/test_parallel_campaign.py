@@ -150,23 +150,93 @@ def test_campaign_fingerprint_covers_config_and_baselines():
 def test_per_run_prep_matches_build_baseline():
     # Preparation fans out one job per golden run; the baseline assembled
     # from per-run stats must equal the one ExperimentRunner builds serially.
+    # The field recording rides on run 0: prep makes max(golden_runs, 1) runs.
     from repro.core.experiment import ExperimentConfig, ExperimentRunner
     from repro.core.parallel import WorkloadPrep
+    from repro.hotpath import COUNTERS
 
     config = ExperimentConfig()
     executor = CampaignExecutor(config, workers=1)
+    before = COUNTERS.experiments
     ((baseline, recorded),) = executor.prepare_workloads(
-        [WorkloadPrep(workload=WorkloadKind.DEPLOY, golden_runs=2, record_seed=50)]
+        [WorkloadPrep(workload=WorkloadKind.DEPLOY, golden_runs=2)]
     )
+    assert COUNTERS.experiments - before == 2
     assert baseline == ExperimentRunner(config).build_baseline(WorkloadKind.DEPLOY, runs=2)
     assert recorded, "the record run must have captured etcd-written fields"
 
     # golden_runs=0 (the propagation prep) records fields but skips the baseline.
+    before = COUNTERS.experiments
     ((no_baseline, recorded_only),) = executor.prepare_workloads(
-        [WorkloadPrep(workload=WorkloadKind.DEPLOY, golden_runs=0, record_seed=60)]
+        [WorkloadPrep(workload=WorkloadKind.DEPLOY, golden_runs=0, base_seed=60)]
     )
+    assert COUNTERS.experiments - before == 1
     assert no_baseline is None
     assert recorded_only
+
+
+def test_prep_recording_equals_a_standalone_seed_50_recording():
+    # Plans are generated from the recording, so it must not move when the
+    # recording rides on baseline run 0 (seed 100) instead of its own run at
+    # seed 50.  The reference is the recorder as it was: a full decode and a
+    # generator walk over every leaf.
+    from repro.core.campaign import (
+        EXCLUDED_FIELD_PATHS,
+        EXCLUDED_FIELD_SUFFIXES,
+        FieldRecorder,
+    )
+    from repro.core.experiment import ExperimentConfig, ExperimentRunner, RecordedField
+    from repro.core.parallel import WorkloadPrep
+    from repro.serialization import DecodeError, decode
+
+    def value_type(value):  # bool before int: a bool is an int
+        for name, kind in (("bool", bool), ("int", int), ("str", str)):
+            if isinstance(value, kind):
+                return name
+        return "other"
+
+    def leaves(obj, prefix=""):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                yield from leaves(value, f"{prefix}.{key}" if prefix else str(key))
+        elif isinstance(obj, (list, tuple)):
+            for index, value in enumerate(obj):
+                yield from leaves(value, f"{prefix}.{index}" if prefix else str(index))
+        else:
+            yield prefix, value_type(obj), obj
+
+    class ReferenceRecorder(FieldRecorder):
+        def __call__(self, context, data):
+            try:
+                obj = decode(data)
+            except DecodeError:
+                return
+            for path, kind_of_value, value in leaves(obj):
+                if kind_of_value not in ("int", "str", "bool"):
+                    continue
+                if path.endswith(EXCLUDED_FIELD_SUFFIXES) or path in EXCLUDED_FIELD_PATHS:
+                    continue
+                self.fields.setdefault(
+                    (context.kind, path),
+                    RecordedField(
+                        kind=context.kind,
+                        name=context.name,
+                        namespace=context.namespace,
+                        path=path,
+                        value_type=kind_of_value,
+                        example_value=value,
+                    ),
+                )
+
+    config = ExperimentConfig()
+    workloads = (WorkloadKind.DEPLOY, WorkloadKind.SCALE_UP, WorkloadKind.FAILOVER)
+    prepared = CampaignExecutor(config, workers=1).prepare_workloads(
+        [WorkloadPrep(workload=workload, golden_runs=0) for workload in workloads]
+    )
+    for workload, (_, recorded) in zip(workloads, prepared):
+        reference = ReferenceRecorder()
+        ExperimentRunner(config).run_golden(workload, seed=50, etcd_observer=reference)
+        assert recorded == reference.recorded(), workload
 
 
 # ------------------------------------------------- end-to-end determinism

@@ -387,7 +387,7 @@ def test_campaign_objects_and_their_fingerprints_survive_json(tasks, config, bas
     assert campaign_fingerprint(tasks_back, config_back, {"w": baseline_back}) == (
         campaign_fingerprint(tasks, config, {"w": baseline})
     )
-    preps = [WorkloadPrep(WorkloadKind.DEPLOY, golden_runs=2, record_seed=50)]
+    preps = [WorkloadPrep(WorkloadKind.DEPLOY, golden_runs=2)]
     assert prep_fingerprint(config_back, preps) == prep_fingerprint(config, preps)
 
 

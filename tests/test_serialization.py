@@ -10,7 +10,8 @@ from repro.serialization import (
     compile_path,
     decode,
     encode,
-    iter_field_paths,
+    field_leaves,
+    value_type,
 )
 from repro.serialization.codec import EncodeError
 
@@ -146,14 +147,13 @@ def test_single_bitflip_is_contained(bit):
 # --------------------------------------------------------------------------
 
 
-def test_iter_field_paths_covers_leaves():
+def test_field_leaves_covers_leaves_in_order():
     obj = {"a": 1, "b": {"c": "x", "d": [True, {"e": None}]}}
-    paths = {record.path: record for record in iter_field_paths(obj)}
-    assert set(paths) == {"a", "b.c", "b.d.0", "b.d.1.e"}
-    assert paths["a"].value_type == "int"
-    assert paths["b.c"].value_type == "str"
-    assert paths["b.d.0"].value_type == "bool"
-    assert paths["b.d.1.e"].value_type == "none"
+    assert field_leaves(obj) == [("a", 1), ("b.c", "x"), ("b.d.0", True), ("b.d.1.e", None)]
+    types = {path: value_type(value) for path, value in field_leaves(obj)}
+    assert types == {"a": "int", "b.c": "str", "b.d.0": "bool", "b.d.1.e": "none"}
+    assert field_leaves(7) == [("", 7)]
+    assert field_leaves({"a": {}, "b": []}) == []
 
 
 def test_get_and_set_path():
@@ -190,5 +190,5 @@ def test_delete_path():
                        st.one_of(st.integers(), st.text(max_size=5), st.booleans()),
                        min_size=1, max_size=6))
 def test_every_enumerated_path_is_gettable(obj):
-    for record in iter_field_paths(obj):
-        assert compile_path(record.path).get(obj) == record.value
+    for path, value in field_leaves(obj):
+        assert compile_path(path).get(obj) == value
