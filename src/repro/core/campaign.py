@@ -50,9 +50,9 @@ from repro.core.distributed import (
 from repro.core.experiment import (
     ExperimentConfig,
     ExperimentResult,
-    ExperimentRunner,
     ExperimentTask,
     RecordedField,
+    Trajectory,
 )
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
 from repro.core.parallel import (
@@ -82,7 +82,7 @@ class CampaignCancelledError(RuntimeError):
     batch that has not started when the cancel is observed will start;
     batches already running in pool workers finish, and every completed
     shard stays durable, so a later run (or service restart) of the same
-    spec resumes instead of replaying.
+    spec resumes instead of re-running them.
     """
 
 
@@ -294,16 +294,7 @@ class Campaign:
 
     def __init__(self, config: Optional[CampaignConfig] = None):
         self.config = config if config is not None else CampaignConfig()
-        self.runner = ExperimentRunner(self.config.experiment)
         self.rng = DeterministicRNG(self.config.seed)
-
-    # -------------------------------------------------------------- recording
-
-    def record_fields(self, workload: WorkloadKind, seed: int = 50) -> list[RecordedField]:
-        """Record the fields written to etcd during a golden run of ``workload``."""
-        recorder = FieldRecorder()
-        self.runner.run_golden(workload, seed=seed, etcd_observer=recorder)
-        return recorder.recorded()
 
     # ------------------------------------------------------------- generation
 
@@ -433,6 +424,7 @@ class Campaign:
         list[ExperimentTask],
         dict[str, GoldenBaseline],
         dict[str, list[RecordedField]],
+        dict[str, Trajectory],
     ]:
         """Prepare every workload and plan the full campaign.
 
@@ -441,7 +433,9 @@ class Campaign:
         because the campaign RNG streams are shared across workloads.  Every
         planned task carries its seed, fixed by plan position, so execution
         order cannot change any experiment's outcome.  ``prepared`` lets the
-        caller reuse preparation results (e.g. reloaded from a result store).
+        caller reuse preparation results (e.g. reloaded from a result store,
+        with no trajectory).  The last mapping holds each workload's
+        replayable fault-free trajectory, when preparation produced one.
         """
         if executor is None:
             with self._executor() as owned:
@@ -452,10 +446,13 @@ class Campaign:
         tasks: list[ExperimentTask] = []
         baselines: dict[str, GoldenBaseline] = {}
         recorded_fields: dict[str, list[RecordedField]] = {}
+        trajectories: dict[str, Trajectory] = {}
         experiment_seed = 1000
-        for workload, (baseline, recorded) in zip(self.config.workloads, prepared):
+        for workload, (baseline, recorded, trajectory) in zip(self.config.workloads, prepared):
             baselines[workload.value] = baseline
             recorded_fields[workload.value] = recorded
+            if trajectory is not None:
+                trajectories[workload.value] = trajectory
             for planned in self.plan(workload, recorded):
                 experiment_seed += 1
                 tasks.append(
@@ -466,7 +463,7 @@ class Campaign:
                         seed=experiment_seed,
                     )
                 )
-        return tasks, baselines, recorded_fields
+        return tasks, baselines, recorded_fields, trajectories
 
     def run(
         self,
@@ -487,7 +484,7 @@ class Campaign:
         transport from the root's shape).  Workers serialize every finished
         batch to a compressed shard, the returned :class:`CampaignResult`
         holds a lazy plan-order view, and a rerun of the same configuration
-        resumes by scanning the completed shards (replaying zero finished
+        resumes by scanning the completed shards (re-running zero finished
         experiments, and reloading the golden baselines instead of
         recomputing them).  Peak memory stays bounded by one batch no matter
         how large the campaign is.  Without it the results only live in
@@ -497,7 +494,11 @@ class Campaign:
 
         * ``backend="local"`` — this process executes the plan through
           :meth:`~repro.core.parallel.CampaignExecutor.run_experiments`,
-          in-process or across its process pool (the default).
+          in-process or across its process pool (the default).  A task
+          whose fault never fires on its workload's fault-free trajectory
+          is replayed from that trajectory instead of simulated; a prep
+          reloaded from the store carries no trajectory, so a resume
+          simulates every missing task.
         * ``backend="distributed"`` — this process becomes the
           *coordinator*: it prepares the baselines, publishes the frozen
           plan into ``results_dir`` (which is required and must be a store
@@ -534,12 +535,19 @@ class Campaign:
         with self._executor(progress=progress, results_dir=results_dir) as executor:
             store = executor.store
             prep_digest = prep_fingerprint(self.config.experiment, self._preps())
-            prepared = store.load_prep(prep_digest) if store is not None else None
-            tasks, baselines, recorded_fields = self.plan_campaign(executor, prepared=prepared)
+            loaded = store.load_prep(prep_digest) if store is not None else None
+            prepared = (
+                [(baseline, recorded, None) for baseline, recorded in loaded]
+                if loaded is not None
+                else None
+            )
+            tasks, baselines, recorded_fields, trajectories = self.plan_campaign(
+                executor, prepared=prepared
+            )
             fingerprint = campaign_fingerprint(tasks, self.config.experiment, baselines)
             if store is not None:
                 store.open(fingerprint, len(tasks))
-                if prepared is None:
+                if loaded is None:
                     store.save_prep(
                         prep_digest,
                         [
@@ -548,6 +556,7 @@ class Campaign:
                         ],
                     )
             if backend == "distributed" and store is not None:  # (results_dir was required above)
+                trajectories.clear()  # the workers simulate every task
                 settings = distributed if distributed is not None else DistributedSettings()
                 publish_plan(
                     store.root,
@@ -565,7 +574,9 @@ class Campaign:
                 wait_for_completion(store, len(tasks), settings, progress, cancel)
                 results = StoredResults(store, [task.index for task in tasks])
             else:
-                results = executor.run_experiments(tasks, baselines=baselines)
+                results = executor.run_experiments(
+                    tasks, baselines=baselines, trajectories=trajectories
+                )
         return CampaignResult(
             results=results, baselines=baselines, recorded_fields=recorded_fields
         )
@@ -604,7 +615,7 @@ class Campaign:
         tasks: list[ExperimentTask] = []
         groups: list[tuple[WorkloadKind, str, list[int]]] = []
         experiment_seed = 9000
-        for workload, (_, recorded) in zip(self.config.workloads, prepared):
+        for workload, (_, recorded, _) in zip(self.config.workloads, prepared):
             for component in components:
                 relevant = [
                     record

@@ -5,12 +5,21 @@ cluster, set up the scenario objects the workload needs, start the
 application client, arm the injector, execute the orchestration workload,
 let the cluster settle, then collect and classify the observables.  Golden
 runs are the same flow without arming the injector.
+
+A simulated run is split in two: its :class:`Trajectory`, everything the
+run did that its seed does not change, and the latency draws of its
+application client, the only thing the seed changes.  :func:`replay` turns a
+(trajectory, seed) pair into the run's :class:`ExperimentResult`; every
+simulated run is assembled through it, and a campaign uses it to reuse one
+fault-free trajectory for the later golden runs of a workload and for the
+faults that provably never fire on it (:func:`fires`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+import zlib
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.core.classification import (
@@ -30,7 +39,7 @@ from repro.workloads.workload import WorkloadKind
 if TYPE_CHECKING:
     from repro.cluster.cluster import Cluster
     from repro.core.injector import MutinyInjector
-    from repro.workloads.appclient import ApplicationClient
+    from repro.workloads.appclient import ClientRequest
     from repro.workloads.workload import KbenchDriver
 
 
@@ -119,6 +128,154 @@ class RecordedField:
     example_value: Any
 
 
+class EtcdMessage(NamedTuple):
+    """One Apiserver→etcd message as the write hook saw it: what the
+    injector matches on (it reads ``kind``, ``name`` and ``namespace`` off
+    its context argument) and the bytes."""
+
+    kind: str
+    name: str
+    namespace: Optional[str]
+    data: bytes
+
+
+@dataclass
+class Trajectory:
+    """Everything one simulated run did that its seed does not change.
+
+    A run's seed draws only its application client's latency jitter
+    (docs/INVARIANTS.md, "The seed draws only client latency"), so the
+    trajectory plus a seed gives the whole result (:func:`replay`).  It
+    lives in memory only: no store, plan or fingerprint holds one.
+    """
+
+    workload: WorkloadKind
+    #: The client's requests without their jitter, in send order.
+    requests: list["ClientRequest"]
+    orchestrator_observations: OrchestratorObservations
+    user_request_count: int
+    user_error_count: int
+    workload_started_at: float
+    finished_at: float
+    #: What the armed injector did (all unset on a fault-free run).
+    injected: bool = False
+    activated: bool = False
+    dropped: bool = False
+    injection_time: Optional[float] = None
+    component_error_count: int = 0
+    #: The RNG streams the run drew from.
+    rng_streams: tuple[str, ...] = ()
+    #: What the etcd hook saw in the armed window, kept only by a run that
+    #: recorded it: each message's kind, name, namespace and length, and
+    #: all their bytes back to back, zlib-compressed (about 17× smaller; a
+    #: campaign holds every workload's trajectory at once).
+    message_heads: list[tuple[str, str, Optional[str], int]] = field(default_factory=list)
+    message_bytes: bytes = b""
+
+    @property
+    def replayable(self) -> bool:
+        """Whether the run drew only latency jitter, so another seed's run
+        takes the same trajectory."""
+        from repro.network.network import LATENCY_STREAM
+
+        return set(self.rng_streams) <= {LATENCY_STREAM}
+
+    def record_messages(self, messages: Sequence[EtcdMessage]) -> None:
+        """Keep ``messages`` in the packed form above."""
+        self.message_heads = [
+            (kind, name, namespace, len(data)) for kind, name, namespace, data in messages
+        ]
+        self.message_bytes = zlib.compress(b"".join(message.data for message in messages), 1)
+
+    def etcd_messages(self) -> Callable[[], Iterator[EtcdMessage]]:
+        """A function that iterates the recorded etcd messages in order.
+
+        The bytes are decompressed once, here; each iteration slices one
+        message at a time out of them, so a caller walking the messages
+        once per fault never holds them all as separate objects.
+        """
+        data = zlib.decompress(self.message_bytes) if self.message_bytes else b""
+        heads = self.message_heads
+
+        def messages() -> Iterator[EtcdMessage]:
+            offset = 0
+            for kind, name, namespace, length in heads:
+                yield EtcdMessage(kind, name, namespace, data[offset : offset + length])
+                offset += length
+
+        return messages
+
+
+def replay(
+    trajectory: Trajectory, seed: int, fault: Optional[FaultSpec] = None
+) -> ExperimentResult:
+    """The result of the run at ``seed`` that took ``trajectory``.
+
+    The one assembly of a result: a simulated run is assembled here from its
+    own trajectory, and a replayed one from the trajectory it provably
+    shares (labelled with ``fault``, which never fired on it).
+    """
+    from repro.workloads.appclient import ApplicationClient
+
+    client = ApplicationClient.replay(trajectory.requests, seed)
+    observations = replace(trajectory.orchestrator_observations)
+    result = ExperimentResult(
+        workload=trajectory.workload,
+        fault=fault,
+        seed=seed,
+        injected=trajectory.injected,
+        activated=trajectory.activated,
+        dropped=trajectory.dropped,
+        orchestrator_observations=observations,
+        user_error_count=trajectory.user_error_count,
+        user_request_count=trajectory.user_request_count,
+        component_error_count=trajectory.component_error_count,
+        injection_time=trajectory.injection_time,
+        pods_created=observations.pods_created,
+        workload_started_at=trajectory.workload_started_at,
+        finished_at=trajectory.finished_at,
+    )
+    # Client-level observations; one latency series under both names.
+    client_observations = result.client_observations
+    client_observations.latency_series = result.latency_series = client.time_series()
+    client_observations.error_count = len(client.error_samples())
+    client_observations.error_bursts = client.error_burst_count()
+    client_observations.total_requests = len(client.samples)
+    ordered = sorted(client.samples, key=lambda sample: sample.time)
+    client_observations.unreachable_from_some_point = detect_unreachable_tail(
+        [sample.success for sample in ordered]
+    )
+    return result
+
+
+def fires(trajectory: Trajectory, faults: Sequence[FaultSpec]) -> list[bool]:
+    """For each fault, whether it would change a run that took ``trajectory``.
+
+    A fresh injector armed with the fault is fed the recorded etcd messages
+    in order.  While its hook hands every message back unchanged, the run
+    stays on the recorded trajectory message by message, so if it never
+    does, the fault never fires in the simulated run either.  Component→
+    Apiserver faults count as firing: their hook re-decodes every request,
+    so a fault that never fires does not imply the same trajectory.
+    """
+    from repro.core.injector import MutinyInjector
+
+    messages = trajectory.etcd_messages()
+
+    def changes_a_message(fault: FaultSpec) -> bool:
+        if fault.channel is not InjectionChannel.APISERVER_TO_ETCD:
+            return True
+        injector = MutinyInjector()
+        injector.arm(fault)
+        for message in messages():
+            # The message doubles as the hook's context (kind, name, namespace).
+            if injector.etcd_write_hook(message, message.data) is not message.data:
+                return True
+        return injector.injected
+
+    return [changes_a_message(fault) for fault in faults]
+
+
 @dataclass(frozen=True)
 class GoldenRunStats:
     """The per-run observables a golden baseline is assembled from (small
@@ -149,6 +306,9 @@ class ExperimentRunner:
 
     def __init__(self, config: Optional[ExperimentConfig] = None):
         self.config = config if config is not None else ExperimentConfig()
+        #: The trajectory of the last run this runner simulated (with its
+        #: etcd messages when that run had an ``etcd_observer``).
+        self.last_trajectory: Optional[Trajectory] = None
 
     # ------------------------------------------------------------------ runs
 
@@ -262,15 +422,20 @@ class ExperimentRunner:
         )
 
         injector: Optional[MutinyInjector] = None
+        messages: list[EtcdMessage] = []
         if fault is not None:
             injector = self._arm(cluster, fault)
         elif etcd_observer is not None:
             # Field recording observes the same channel, over the same window,
             # that the injector would tamper with: from the end of the scenario
-            # setup until the end of the run.
+            # setup until the end of the run.  The messages are kept for
+            # :func:`fires`.
 
             def observer_hook(context, data):
                 etcd_observer(context, data)
+                messages.append(
+                    EtcdMessage(context.kind, context.name, context.namespace, data)
+                )
                 return data
 
             cluster.apiserver.set_etcd_write_hook(observer_hook)
@@ -279,36 +444,42 @@ class ExperimentRunner:
         client.start()
         driver.start()
         cluster.run_for(config.run_seconds, max_events=config.max_events)
+        finished_at = cluster.sim.now
 
-        result = ExperimentResult(
-            workload=workload,
-            fault=fault,
-            seed=seed,
-            workload_started_at=workload_start,
-            finished_at=cluster.sim.now,
-        )
-        if injector is not None:
-            result.injected = injector.injected
-            result.activated = injector.activated
-            result.dropped = bool(injector.record and injector.record.dropped)
-            if injector.record is not None:
-                result.injection_time = injector.record.time
-
-        self._collect(cluster, driver, client, workload_start, expected_replicas, result)
-
-        if (
-            fault is not None
-            and fault.component
-            and result.injection_time is not None
-        ):
-            result.component_error_count = sum(
+        record = injector.record if injector is not None else None
+        injected = injector is not None and injector.injected
+        activated = injector is not None and injector.activated
+        injection_time = record.time if record is not None else None
+        observations = self._collect(cluster, workload_start, expected_replicas)
+        component_error_count = 0
+        if fault is not None and fault.component and injection_time is not None:
+            component_error_count = sum(
                 1
-                for record in cluster.apiserver.request_log
-                if record.error
-                and record.actor.startswith(fault.component)
-                and abs(record.time - result.injection_time) <= 1.0
+                for logged in cluster.apiserver.request_log
+                if logged.error
+                and logged.actor.startswith(fault.component)
+                and abs(logged.time - injection_time) <= 1.0
             )
-        return result
+        trajectory = Trajectory(
+            workload=workload,
+            requests=client.requests,
+            orchestrator_observations=observations,
+            # User-visible errors (Figure 7): errors returned to the cluster user.
+            user_request_count=len(driver.requests),
+            user_error_count=len(driver.failed_requests()),
+            workload_started_at=workload_start,
+            finished_at=finished_at,
+            injected=injected,
+            activated=activated,
+            dropped=bool(record and record.dropped),
+            injection_time=injection_time,
+            component_error_count=component_error_count,
+            rng_streams=cluster.sim.rng.streams(),
+        )
+        if messages:
+            trajectory.record_messages(messages)
+        self.last_trajectory = trajectory
+        return replay(trajectory, seed, fault)
 
     def _arm(self, cluster: Cluster, fault: FaultSpec) -> MutinyInjector:
         from repro.core.injector import MutinyInjector
@@ -349,17 +520,11 @@ class ExperimentRunner:
     # ------------------------------------------------------------ collection
 
     def _collect(
-        self,
-        cluster: Cluster,
-        driver: KbenchDriver,
-        client: ApplicationClient,
-        workload_start: float,
-        expected_replicas: int,
-        result: ExperimentResult,
-    ) -> None:
+        self, cluster: Cluster, workload_start: float, expected_replicas: int
+    ) -> OrchestratorObservations:
         from repro.workloads.scenario import SERVICE_NAME
 
-        observations = result.orchestrator_observations
+        observations = OrchestratorObservations()
         samples = [
             sample for sample in cluster.metrics.samples if sample.time >= workload_start - 1.0
         ]
@@ -405,7 +570,6 @@ class ExperimentRunner:
         observations.expected_network_manager = len(cluster.node_names)
         observations.kcm_is_leader = cluster.kcm.is_leader
         observations.scheduler_is_leader = cluster.scheduler.elector.is_leader
-        result.pods_created = observations.pods_created
 
         # Final reachability probes and per-pod reachability.
         probes = [
@@ -435,17 +599,4 @@ class ExperimentRunner:
         observations.app_pod_restarts = restarts
         observations.unreachable_running_pods = unreachable_running
 
-        # Client-level observations; one latency series under both names.
-        client_observations = result.client_observations
-        client_observations.latency_series = result.latency_series = client.time_series()
-        client_observations.error_count = len(client.error_samples())
-        client_observations.error_bursts = client.error_burst_count()
-        client_observations.total_requests = len(client.samples)
-        ordered = sorted(client.samples, key=lambda sample: sample.time)
-        client_observations.unreachable_from_some_point = detect_unreachable_tail(
-            [sample.success for sample in ordered]
-        )
-
-        # User-visible errors (Figure 7): errors returned to the cluster user.
-        result.user_request_count = len(driver.requests)
-        result.user_error_count = len(driver.failed_requests())
+        return observations

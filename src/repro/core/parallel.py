@@ -13,9 +13,15 @@ write shards, re-scan — and every path calls it: the local backend with the
 whole plan as one slice, a distributed worker once per leased slice; a run
 without a store is the same loop collecting results in memory.  Inside it,
 :meth:`CampaignExecutor._dispatch` is the only place that chooses between
-in-process and process-pool execution (golden-run preparation goes through
+in-process and process-pool execution (workload preparation goes through
 it too), and a batch is a pure function of its arguments
 (:func:`_run_batch`), so resume, progress and cancellation exist once.
+
+Preparation simulates one fault-free run per workload and replays the rest
+of its golden runs from that run's trajectory
+(:func:`~repro.core.experiment.replay`); the local backend replays, the
+same way, every task whose fault never fires on it before it dispatches the
+tasks that must be simulated.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ from repro.core.experiment import (
     ExperimentRunner,
     ExperimentTask,
     GoldenRunStats,
+    Trajectory,
+    fires,
+    replay,
 )
 from repro.core.resultstore import (
     BatchedShardWriter,
@@ -55,7 +64,13 @@ ProgressCallback = Callable[[int, int], None]
 
 @dataclass(frozen=True)
 class WorkloadPrep:
-    """The golden runs of one workload: its baseline and its field recording."""
+    """The golden runs of one workload: its baseline and its field recording.
+
+    The unit of parallel preparation: one job per workload.  Run 0 is
+    simulated and records the fields (paper §IV-C records the fields
+    "written to etcd during a golden run"); the later runs are replayed
+    from its trajectory at their own seeds.
+    """
 
     workload: WorkloadKind
     #: Golden runs used to build the classification baseline (0 = skip the
@@ -66,23 +81,6 @@ class WorkloadPrep:
     #: matching :meth:`ExperimentRunner.build_baseline`); run 0 is the one
     #: that records the fields written to etcd.
     base_seed: int = DEFAULT_BASE_SEED
-
-
-@dataclass(frozen=True)
-class GoldenRunJob:
-    """One golden run: the unit of parallel workload preparation.
-
-    Preparation fans out one job per golden *run*, not per workload, so the
-    golden runs of every workload execute concurrently.  The field recording
-    rides on run 0 of each workload (paper §IV-C records the fields "written
-    to etcd during a golden run"), whose stats still fold into the baseline.
-    """
-
-    workload: WorkloadKind
-    seed: int
-    #: Also record the fields written to etcd during this run (the inventory
-    #: the campaign generates its faults from).
-    record_fields: bool = False
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -109,13 +107,8 @@ BatchSink = Optional[tuple[str, int]]
 _OPEN_WRITERS: dict[tuple[str, int], BatchedShardWriter] = {}
 
 
-def _run_batch(
-    experiment_config: ExperimentConfig,
-    tasks: list[ExperimentTask],
-    baselines: dict[str, GoldenBaseline],
-    sink: BatchSink,
-):
-    """Run one batch of tasks: a pure function of its arguments.
+def _deliver(results: list[tuple[int, ExperimentResult]], sink: BatchSink):
+    """Hand a finished batch to its sink.
 
     Without a sink the ``(index, result)`` pairs travel back to the caller.
     With one the batch is durable in the store on return — one new shard, or
@@ -123,19 +116,6 @@ def _run_batch(
     group — and only the completed plan indexes travel back, so the caller's
     memory stays bounded by its own bookkeeping however large the campaign.
     """
-    runner = ExperimentRunner(experiment_config)
-    results = [
-        (
-            task.index,
-            runner.run_experiment(
-                task.workload,
-                task.fault,
-                baseline=baselines.get(task.workload.value),
-                seed=task.seed,
-            ),
-        )
-        for task in tasks
-    ]
     if sink is None:
         return results
     root, shard_batch = sink
@@ -151,20 +131,76 @@ def _run_batch(
     return [index for index, _ in results]
 
 
-def _run_golden_job(
-    experiment_config: ExperimentConfig, job: GoldenRunJob
-) -> tuple[GoldenRunStats, Optional[list]]:
-    """Run one golden run and return its baseline stats (and recordings)."""
+def _run_batch(
+    experiment_config: ExperimentConfig,
+    tasks: list[ExperimentTask],
+    baselines: dict[str, GoldenBaseline],
+    sink: BatchSink,
+):
+    """Simulate one batch of tasks and deliver it (:func:`_deliver`): a pure
+    function of its arguments."""
+    runner = ExperimentRunner(experiment_config)
+    return _deliver(
+        [
+            (
+                task.index,
+                runner.run_experiment(
+                    task.workload,
+                    task.fault,
+                    baseline=baselines.get(task.workload.value),
+                    seed=task.seed,
+                ),
+            )
+            for task in tasks
+        ],
+        sink,
+    )
+
+
+def _prepare_workload(
+    experiment_config: ExperimentConfig, prep: WorkloadPrep
+) -> tuple[list[GoldenRunStats], list, Optional[Trajectory]]:
+    """Run one workload's golden runs: the stats of each, the fields run 0
+    recorded, and run 0's trajectory when later runs may replay it.
+
+    Run 0 is simulated.  When it drew from no RNG stream but the client's
+    latency jitter, the later runs are replayed from its trajectory;
+    otherwise each is simulated and no trajectory is returned.
+    """
     # Imported lazily: campaign.py imports this module for the executor.
     from repro.core.campaign import FieldRecorder
 
-    recorder = FieldRecorder() if job.record_fields else None
-    result = ExperimentRunner(experiment_config).run_golden(
-        job.workload, seed=job.seed, etcd_observer=recorder
-    )
-    return GoldenRunStats.of(result), (
-        recorder.recorded() if recorder is not None else None
-    )
+    runner = ExperimentRunner(experiment_config)
+    recorder = FieldRecorder()
+    first = runner.run_golden(prep.workload, seed=prep.base_seed, etcd_observer=recorder)
+    trajectory = runner.last_trajectory
+    if trajectory is not None and not trajectory.replayable:
+        trajectory = None
+    stats = [GoldenRunStats.of(first)]
+    for run in range(1, prep.golden_runs):
+        seed = prep.base_seed + run
+        stats.append(
+            GoldenRunStats.of(
+                replay(trajectory, seed)
+                if trajectory is not None
+                else runner.run_golden(prep.workload, seed=seed)
+            )
+        )
+    return stats, recorder.recorded(), trajectory
+
+
+def _never_firing(tasks: list[ExperimentTask], trajectories: dict[str, Trajectory]) -> set[int]:
+    """The plan indexes of the tasks whose fault never fires on their
+    workload's trajectory (each trajectory's messages unpacked once)."""
+    by_workload: dict[str, list[ExperimentTask]] = {}
+    for task in tasks:
+        by_workload.setdefault(task.workload.value, []).append(task)
+    never: set[int] = set()
+    for key, group in by_workload.items():
+        if key in trajectories:
+            firing = fires(trajectories[key], [task.fault for task in group])
+            never.update(task.index for task, fired in zip(group, firing) if not fired)
+    return never
 
 
 # --------------------------------------------------------------------------
@@ -365,6 +401,7 @@ class CampaignExecutor:
         tasks: list[ExperimentTask],
         baselines: Optional[dict[str, GoldenBaseline]] = None,
         on_batch: Optional[Callable[[list[int]], None]] = None,
+        trajectories: Optional[dict[str, Trajectory]] = None,
     ):
         """Run every task not yet stored and return all results in task order.
 
@@ -385,6 +422,14 @@ class CampaignExecutor:
         each finished batch's plan indexes first.  An exception out of
         either aborts the run at that batch boundary (see :meth:`_dispatch`);
         completed shards stay, so the next call resumes.
+
+        ``trajectories`` maps a workload to its recorded fault-free
+        trajectory (from :meth:`prepare_workloads`).  A pending task whose
+        fault never fires on it (:func:`~repro.core.experiment.fires`) is
+        replayed in this process instead of simulated, in batches delivered
+        like any other before the rest is dispatched.  The mapping is
+        emptied once those replays are delivered, so the recorded messages
+        are not held while the rest runs.
         """
         total = len(tasks)
         pending = self.pending(tasks)
@@ -404,6 +449,14 @@ class CampaignExecutor:
             if self.progress is not None:
                 self.progress(done, total)
 
+        if trajectories:
+            never = _never_firing(pending, trajectories)
+            replayed = [task for task in pending if task.index in never]
+            pending = [task for task in pending if task.index not in never]
+            for position, chunk in enumerate(self._chunks(replayed, self.workers)):
+                finish(position, self._replay_batch(chunk, baselines or {}, trajectories))
+            trajectories.clear()
+
         workers = min(self.workers, max(len(pending), 1))
         self._dispatch(
             _run_batch,
@@ -418,46 +471,50 @@ class CampaignExecutor:
         self.store.refresh()  # the batches added shards behind our scan
         return StoredResults(self.store, [task.index for task in tasks])
 
+    def _replay_batch(
+        self,
+        tasks: list[ExperimentTask],
+        baselines: dict[str, GoldenBaseline],
+        trajectories: dict[str, Trajectory],
+    ):
+        """The replayed counterpart of :func:`_run_batch`, in this process."""
+        results = []
+        for task in tasks:
+            result = replay(trajectories[task.workload.value], task.seed, task.fault)
+            baseline = baselines.get(task.workload.value)
+            if baseline is not None:
+                ExperimentRunner.classify(result, baseline)
+            results.append((task.index, result))
+        return _deliver(results, self._sink)
+
     # ---------------------------------------------------------- preparation
 
     def prepare_workloads(
         self, preps: list[WorkloadPrep]
-    ) -> list[tuple[Optional[GoldenBaseline], list]]:
+    ) -> list[tuple[Optional[GoldenBaseline], list, Optional[Trajectory]]]:
         """Run the golden baselines + field recording for each workload.
 
-        Preparation fans out one job per golden *run* (not per workload), so
-        a campaign with three workloads and three golden runs keeps nine
-        workers busy instead of three.  Run 0 of each workload, at
-        ``base_seed``, also records the fields; with ``golden_runs=0`` it is
-        the one run and no baseline is folded.  The per-run stats are folded
-        back into baselines in the parent; results keep the order of
-        ``preps``.
+        One job per workload (:func:`_prepare_workload`): one simulated run,
+        at ``base_seed``, which records the fields, and the rest of its
+        ``golden_runs`` replayed from that run's trajectory.  With
+        ``golden_runs=0`` the recording run is the only run and no baseline
+        is folded.  The per-run stats are folded back into baselines in the
+        parent.  Each entry is ``(baseline, recorded fields, trajectory)``,
+        in the order of ``preps``; the trajectory is None when the recording
+        run drew from another RNG stream than the client's latency jitter.
         """
-        jobs = [
-            GoldenRunJob(
-                workload=prep.workload, seed=prep.base_seed + run, record_fields=run == 0
-            )
-            for prep in preps
-            for run in range(max(prep.golden_runs, 1))
-        ]
-        outcomes: list = [None] * len(jobs)
+        outcomes: list = [None] * len(preps)
         self._dispatch(
-            _run_golden_job,
-            [(self.experiment_config, job) for job in jobs],
+            _prepare_workload,
+            [(self.experiment_config, prep) for prep in preps],
             outcomes.__setitem__,
         )
-
-        prepared: list[tuple[Optional[GoldenBaseline], list]] = []
-        start = 0
-        for prep in preps:
-            runs = outcomes[start : start + max(prep.golden_runs, 1)]
-            start += len(runs)
-            baseline = (
-                ExperimentRunner(self.experiment_config).fold_baseline(
-                    prep.workload, [stats for stats, _ in runs]
-                )
-                if prep.golden_runs > 0
-                else None
+        runner = ExperimentRunner(self.experiment_config)
+        return [
+            (
+                runner.fold_baseline(prep.workload, stats) if prep.golden_runs > 0 else None,
+                recorded,
+                trajectory,
             )
-            prepared.append((baseline, runs[0][1]))
-        return prepared
+            for prep, (stats, recorded, trajectory) in zip(preps, outcomes)
+        ]

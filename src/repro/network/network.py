@@ -26,6 +26,7 @@ from repro.apiserver.client import APIClient
 from repro.apiserver.errors import ApiError, NotFoundError
 from repro.controllers.replicaset import pod_is_ready
 from repro.sim.engine import Simulation
+from repro.sim.rng import DeterministicRNG
 
 #: Period of the network reconciliation loop, seconds.
 NETWORK_SYNC_PERIOD = 1.0
@@ -39,6 +40,18 @@ DNS_LABEL = ("k8s-app", "kube-dns")
 #: Name of the ConfigMap holding the network manager's configuration.
 NETWORK_CONFIGMAP = "kube-network-cfg"
 
+#: The RNG stream of request latency jitter: the only stream a simulated run
+#: draws from (docs/INVARIANTS.md, "The seed draws only client latency").
+LATENCY_STREAM = "network-latency"
+
+
+def jittered(rng: DeterministicRNG, service_time: float) -> float:
+    """A successful request's latency: its service time plus one jitter draw.
+
+    The one place the expression lives, so a replayed client computes the
+    very float a simulated request did."""
+    return service_time + rng.uniform(LATENCY_STREAM, 0.0, 0.01)
+
 
 @dataclass
 class RequestOutcome:
@@ -48,6 +61,9 @@ class RequestOutcome:
     latency: float
     error: Optional[str] = None
     backend_ip: Optional[str] = None
+    #: The seed-free part of ``latency``: base service time times load
+    #: factor, before the jitter draw.
+    service_time: float = 0.0
 
 
 class ClusterNetwork:
@@ -273,7 +289,11 @@ class ClusterNetwork:
         self._round_robin[service_name] = index + 1
 
         load_factor = max(1.0, float(expected_backends) / float(len(backends)))
-        jitter = self.sim.rng.uniform("network-latency", 0.0, 0.01)
-        latency = base_latency * load_factor + jitter
+        service_time = base_latency * load_factor
         backend_ip = backend.get("status", {}).get("podIP")
-        return RequestOutcome(success=True, latency=latency, backend_ip=backend_ip)
+        return RequestOutcome(
+            success=True,
+            latency=jittered(self.sim.rng, service_time),
+            backend_ip=backend_ip,
+            service_time=service_time,
+        )

@@ -1,11 +1,18 @@
 """Deterministic random number generation for the simulation.
 
-All stochastic decisions in the simulator (jitter on periodic loops, network
-latencies, which serialization byte a campaign corrupts, …) flow through a
-:class:`DeterministicRNG` so that an experiment is fully determined by its
-seed.  The class is a thin wrapper around :class:`random.Random` that adds
-named sub-streams: two components drawing from differently named streams do
-not perturb each other's sequences even if the order of their draws changes.
+Every random decision flows through a :class:`DeterministicRNG`, so a run
+is fully determined by its seed.  Inside a simulated run the seed draws only
+one thing: the latency jitter of each successful application-client request,
+on the ``network-latency`` stream (``network/network.py``).  Everything else
+a run does is the same at every seed, which is what lets a campaign replay a
+fault-free trajectory at another seed instead of simulating it again
+(docs/INVARIANTS.md, "The seed draws only client latency").  The campaign
+planner draws from its own instance (subsampling, serialization-byte
+positions).
+
+The class is a thin wrapper around :class:`random.Random` that adds named
+sub-streams: two components drawing from differently named streams do not
+perturb each other's sequences even if the order of their draws changes.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ class DeterministicRNG:
             self._streams[name] = random.Random(derived)
         return self._streams[name]
 
+    def streams(self) -> tuple[str, ...]:
+        """The names of the streams drawn from so far, sorted."""
+        return tuple(sorted(self._streams))
+
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw a uniform float in ``[low, high]`` from the named stream."""
         return self.stream(name).uniform(low, high)
@@ -46,26 +57,8 @@ class DeterministicRNG:
         """Draw an integer in ``[low, high]`` (inclusive) from the named stream."""
         return self.stream(name).randint(low, high)
 
-    def choice(self, name: str, seq):
-        """Pick a random element of ``seq`` from the named stream."""
-        return self.stream(name).choice(seq)
-
     def shuffle(self, name: str, seq: list) -> list:
         """Return a shuffled copy of ``seq`` using the named stream."""
         copy = list(seq)
         self.stream(name).shuffle(copy)
         return copy
-
-    def jitter(self, name: str, base: float, fraction: float = 0.1) -> float:
-        """Return ``base`` perturbed by up to ``±fraction`` of itself."""
-        if base == 0:
-            return 0.0
-        return base * (1.0 + self.uniform(name, -fraction, fraction))
-
-    def fork(self, salt: int) -> "DeterministicRNG":
-        """Return a new RNG whose streams are independent of this one.
-
-        Used by the campaign manager to give every experiment its own RNG
-        derived from the campaign seed and the experiment index.
-        """
-        return DeterministicRNG((self._seed * 1000003 + salt) % (2**63))

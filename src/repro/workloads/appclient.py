@@ -10,10 +10,11 @@ baseline (§V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
-from repro.network.network import ClusterNetwork
+from repro.network.network import ClusterNetwork, jittered
 from repro.sim.engine import Simulation
+from repro.sim.rng import DeterministicRNG
 from repro.workloads.scenario import SERVICE_NAME
 
 #: Paper parameters: 20 requests/second for 30 seconds.
@@ -32,6 +33,26 @@ class RequestSample:
     latency: float
     success: bool
     error: Optional[str] = None
+
+
+class ClientRequest(NamedTuple):
+    """The seed-free part of one request: when it was sent and either the
+    network's service time (``service_time``) or why it failed (``error``).
+    A tuple, so a trajectory's 600 of them stay small."""
+
+    time: float
+    service_time: Optional[float]
+    error: Optional[str] = None
+
+
+def request_sample(time: float, latency: Optional[float], error: Optional[str]) -> RequestSample:
+    """The sample of a request that took ``latency`` (None: failed with
+    ``error``); a success slower than :data:`REQUEST_TIMEOUT` is a timeout."""
+    if latency is None:
+        return RequestSample(time=time, latency=0.0, success=False, error=error)
+    if latency > REQUEST_TIMEOUT:
+        return RequestSample(time=time, latency=0.0, success=False, error="timeout")
+    return RequestSample(time=time, latency=latency, success=True)
 
 
 class ApplicationClient:
@@ -55,7 +76,33 @@ class ApplicationClient:
         self.duration = duration
         self.expected_backends = expected_backends
         self.samples: list[RequestSample] = []
+        #: The seed-free part of every sample, in the same order.
+        self.requests: list[ClientRequest] = []
         self._started = False
+
+    @classmethod
+    def replay(cls, requests: Sequence[ClientRequest], seed: int) -> "ApplicationClient":
+        """A finished client that sent ``requests`` in a run at ``seed``.
+
+        Each successful request draws its jitter, in order, from a fresh RNG
+        at ``seed``, as the simulated network did (the only draws a run
+        makes before its final probes), so the samples equal the live
+        client's.  The replayed client has no simulation or network and
+        cannot be started.
+        """
+        client = cls(sim=None, network=None)  # type: ignore[arg-type]
+        client._started = True
+        rng = DeterministicRNG(seed)
+        client.requests = list(requests)
+        client.samples = [
+            request_sample(
+                request.time,
+                None if request.service_time is None else jittered(rng, request.service_time),
+                request.error,
+            )
+            for request in requests
+        ]
+        return client
 
     def start(self) -> None:
         """Schedule the whole request stream on the simulation timeline."""
@@ -76,17 +123,13 @@ class ApplicationClient:
             use_dns=False,
             expected_backends=self.expected_backends,
         )
-        if outcome.success and outcome.latency > REQUEST_TIMEOUT:
-            sample = RequestSample(
-                time=self.sim.now, latency=0.0, success=False, error="timeout"
-            )
-        elif outcome.success:
-            sample = RequestSample(time=self.sim.now, latency=outcome.latency, success=True)
+        now = self.sim.now
+        if outcome.success:
+            self.requests.append(ClientRequest(now, outcome.service_time))
+            self.samples.append(request_sample(now, outcome.latency, None))
         else:
-            sample = RequestSample(
-                time=self.sim.now, latency=0.0, success=False, error=outcome.error
-            )
-        self.samples.append(sample)
+            self.requests.append(ClientRequest(now, None, outcome.error))
+            self.samples.append(request_sample(now, None, outcome.error))
 
     # ------------------------------------------------------------------ stats
 

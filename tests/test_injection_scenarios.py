@@ -7,6 +7,7 @@ from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.classification import ClientFailure, OrchestratorFailure
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.injector import FaultSpec, FaultType, InjectionChannel
+from repro.core.parallel import CampaignExecutor, WorkloadPrep
 from repro.network.network import NETWORK_CONFIGMAP
 from repro.workloads.workload import WorkloadKind
 
@@ -198,9 +199,17 @@ def test_propagation_experiments_report_per_component_rows():
 # ------------------------------------------------------------------ campaign
 
 
+def _prep_recording(workload, seed):
+    """The fields prep's recording run (golden run 0 at ``seed``) records."""
+    ((_, recorded, _),) = CampaignExecutor(workers=1).prepare_workloads(
+        [WorkloadPrep(workload=workload, golden_runs=0, base_seed=seed)]
+    )
+    return recorded
+
+
 def test_field_recorder_and_campaign_generation(runner):
     campaign = Campaign(CampaignConfig(golden_runs=1, max_experiments_per_workload=10))
-    recorded = campaign.record_fields(WorkloadKind.DEPLOY, seed=77)
+    recorded = _prep_recording(WorkloadKind.DEPLOY, seed=77)
     kinds = {record.kind for record in recorded}
     assert "Deployment" in kinds and "Pod" in kinds and "ReplicaSet" in kinds
     paths = {record.path for record in recorded}
@@ -233,8 +242,8 @@ def test_campaign_plan_is_deterministic():
     config = CampaignConfig(golden_runs=1, max_experiments_per_workload=12, seed=9)
     campaign_a = Campaign(config)
     campaign_b = Campaign(CampaignConfig(golden_runs=1, max_experiments_per_workload=12, seed=9))
-    recorded_a = campaign_a.record_fields(WorkloadKind.SCALE_UP, seed=80)
-    recorded_b = campaign_b.record_fields(WorkloadKind.SCALE_UP, seed=80)
+    recorded_a = _prep_recording(WorkloadKind.SCALE_UP, seed=80)
+    recorded_b = _prep_recording(WorkloadKind.SCALE_UP, seed=80)
     plan_a = [planned.fault.describe() for planned in campaign_a.plan(WorkloadKind.SCALE_UP, recorded_a)]
     plan_b = [planned.fault.describe() for planned in campaign_b.plan(WorkloadKind.SCALE_UP, recorded_b)]
     assert plan_a == plan_b

@@ -148,9 +148,10 @@ def test_campaign_fingerprint_covers_config_and_baselines():
 
 
 def test_per_run_prep_matches_build_baseline():
-    # Preparation fans out one job per golden run; the baseline assembled
-    # from per-run stats must equal the one ExperimentRunner builds serially.
-    # The field recording rides on run 0: prep makes max(golden_runs, 1) runs.
+    # Preparation simulates one golden run per workload and replays the
+    # rest from its trajectory; the baseline folded from them must equal the
+    # one ExperimentRunner builds from simulated runs.  The field recording
+    # rides on run 0: prep simulates one run whatever golden_runs is.
     from repro.core.experiment import ExperimentConfig, ExperimentRunner
     from repro.core.parallel import WorkloadPrep
     from repro.hotpath import COUNTERS
@@ -158,16 +159,17 @@ def test_per_run_prep_matches_build_baseline():
     config = ExperimentConfig()
     executor = CampaignExecutor(config, workers=1)
     before = COUNTERS.experiments
-    ((baseline, recorded),) = executor.prepare_workloads(
+    ((baseline, recorded, trajectory),) = executor.prepare_workloads(
         [WorkloadPrep(workload=WorkloadKind.DEPLOY, golden_runs=2)]
     )
-    assert COUNTERS.experiments - before == 2
+    assert COUNTERS.experiments - before == 1
+    assert trajectory is not None and list(trajectory.etcd_messages()())
     assert baseline == ExperimentRunner(config).build_baseline(WorkloadKind.DEPLOY, runs=2)
     assert recorded, "the record run must have captured etcd-written fields"
 
     # golden_runs=0 (the propagation prep) records fields but skips the baseline.
     before = COUNTERS.experiments
-    ((no_baseline, recorded_only),) = executor.prepare_workloads(
+    ((no_baseline, recorded_only, _),) = executor.prepare_workloads(
         [WorkloadPrep(workload=WorkloadKind.DEPLOY, golden_runs=0, base_seed=60)]
     )
     assert COUNTERS.experiments - before == 1
@@ -233,7 +235,7 @@ def test_prep_recording_equals_a_standalone_seed_50_recording():
     prepared = CampaignExecutor(config, workers=1).prepare_workloads(
         [WorkloadPrep(workload=workload, golden_runs=0) for workload in workloads]
     )
-    for workload, (_, recorded) in zip(workloads, prepared):
+    for workload, (_, recorded, _) in zip(workloads, prepared):
         reference = ReferenceRecorder()
         ExperimentRunner(config).run_golden(workload, seed=50, etcd_observer=reference)
         assert recorded == reference.recorded(), workload
@@ -305,7 +307,7 @@ def test_two_executors_in_one_process_share_a_store(serial_store, tmp_path):
     # one open shard group) must still store the serial records exactly once.
     config = _tiny_config(workers=1, max_experiments_per_workload=12)
     campaign = Campaign(config)
-    tasks, baselines, _ = campaign.plan_campaign()
+    tasks, baselines, _, _ = campaign.plan_campaign()
     root = str(tmp_path / "results")
     ShardedResultStore(root).open(
         campaign_fingerprint(tasks, config.experiment, baselines), len(tasks)

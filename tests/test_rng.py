@@ -32,29 +32,18 @@ def test_randint_within_bounds():
     assert all(1 <= value <= 10 for value in values)
 
 
-def test_choice_and_shuffle():
+def test_shuffle_returns_a_permuted_copy():
     rng = DeterministicRNG(5)
     items = list(range(20))
-    assert rng.choice("pick", items) in items
     shuffled = rng.shuffle("mix", items)
     assert sorted(shuffled) == items
     assert items == list(range(20)), "shuffle must not mutate its input"
 
 
-def test_jitter_bounds():
+def test_streams_names_what_was_drawn():
     rng = DeterministicRNG(6)
-    for _ in range(50):
-        value = rng.jitter("j", 10.0, fraction=0.1)
-        assert 9.0 <= value <= 11.0
-    assert rng.jitter("j", 0.0) == 0.0
-
-
-def test_fork_gives_independent_generator():
-    rng = DeterministicRNG(7)
-    fork_a = rng.fork(1)
-    fork_b = rng.fork(2)
-    assert fork_a.uniform("x", 0, 1) != fork_b.uniform("x", 0, 1)
-    # Forking is deterministic too.
-    assert DeterministicRNG(7).fork(1).uniform("x", 0, 1) == DeterministicRNG(7).fork(1).uniform(
-        "x", 0, 1
-    )
+    assert rng.streams() == ()
+    rng.uniform("network-latency", 0.0, 0.01)
+    rng.randint("alpha", 0, 3)
+    rng.uniform("network-latency", 0.0, 0.01)
+    assert rng.streams() == ("alpha", "network-latency")
