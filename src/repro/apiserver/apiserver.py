@@ -1,4 +1,4 @@
-"""The Apiserver request path and watch hub.
+"""The Apiserver request path and watch cache.
 
 Two properties matter for the fault-injection study and are modelled
 faithfully:
@@ -41,10 +41,6 @@ from repro.objects.selectors import labels_subset
 from repro.serialization import DecodeError, compile_path, decode_shared, encode, seed_decode
 from repro.sim.engine import Simulation
 
-#: Delay between a successful write and the delivery of watch notifications,
-#: modelling the propagation latency of the watch channel.
-WATCH_DELIVERY_DELAY = 0.05
-
 #: Sentinel for field-selector misses; distinct from every storable value.
 _FIELD_MISSING = object()
 
@@ -61,9 +57,13 @@ class WriteContext:
     namespace: Optional[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RequestRecord:
-    """One request handled by the Apiserver, as seen by the requesting actor."""
+    """One request handled by the Apiserver, as seen by the requesting actor.
+
+    Frozen: a logged request never changes, so a copied cluster shares its
+    records with the original instead of copying them.
+    """
 
     time: float
     actor: str
@@ -73,13 +73,13 @@ class RequestRecord:
     namespace: Optional[str]
     error: Optional[str] = None
 
+    def __deepcopy__(self, memo: dict) -> "RequestRecord":
+        return self
+
 
 #: Write hook signature: receives the transaction context and serialized
 #: bytes; returns possibly-modified bytes, or None to drop the transaction.
 EtcdWriteHook = Callable[[WriteContext, bytes], Optional[bytes]]
-
-#: Watch handler signature: receives ("ADDED"|"MODIFIED"|"DELETED", object).
-WatchHandler = Callable[[str, dict], None]
 
 
 class APIServer:
@@ -119,7 +119,6 @@ class APIServer:
         #: against this instead of the global revision so that, e.g., Pod
         #: status churn does not invalidate Node or Service snapshots.
         self._kind_write_revs: dict[str, int] = {}
-        self._watch_handlers: dict[str, list[WatchHandler]] = {}
         self._etcd_write_hook: Optional[EtcdWriteHook] = None
         self._store_watch_id = self.store.watch("/registry/", self._on_store_event)
         self.restart_count = 0
@@ -130,9 +129,11 @@ class APIServer:
         """Install (or clear) the transaction hook used by the Mutiny injector."""
         self._etcd_write_hook = hook
 
-    def add_watch_handler(self, kind: str, handler: WatchHandler) -> None:
-        """Register a component callback for changes to objects of ``kind``."""
-        self._watch_handlers.setdefault(kind, []).append(handler)
+    def cached_objects(self) -> list[dict]:
+        """The watch cache's decoded objects: replaced wholesale, never
+        edited (the informer contract), so a copied cluster may share them
+        with the original."""
+        return list(self._cache.values())
 
     def record_event(self, reason: str, message: str, kind: str = "", name: str = "") -> None:
         """Record a cluster Event (observable by the monitoring substrate)."""
@@ -305,14 +306,7 @@ class APIServer:
         self, kind: str, name: str, namespace: Optional[str] = "default", actor: str = "user"
     ) -> bool:
         """Delete a resource instance; returns True if it existed."""
-        record = RequestRecord(
-            time=self.sim.now,
-            actor=actor,
-            operation="delete",
-            kind=kind,
-            name=name,
-            namespace=namespace,
-        )
+        error = None
         try:
             self._check_available()
             key = self._key(kind, namespace, name)
@@ -323,10 +317,12 @@ class APIServer:
                 raise NotFoundError(f"{kind} {namespace}/{name} not found")
             return True
         except ApiError as exc:
-            record.error = f"{exc.reason}: {exc}"
+            error = f"{exc.reason}: {exc}"
             raise
         finally:
-            self.request_log.append(record)
+            self.request_log.append(
+                RequestRecord(self.sim.now, actor, "delete", kind, name, namespace, error)
+            )
 
     # -------------------------------------------------------------- internals
 
@@ -349,14 +345,7 @@ class APIServer:
         metadata = obj.get("metadata", {}) if isinstance(obj, dict) else {}
         name = metadata.get("name", "<unknown>") if isinstance(metadata, dict) else "<unknown>"
         namespace = metadata.get("namespace") if isinstance(metadata, dict) else None
-        record = RequestRecord(
-            time=self.sim.now,
-            actor=actor,
-            operation=operation,
-            kind=kind,
-            name=str(name),
-            namespace=namespace if isinstance(namespace, str) else None,
-        )
+        error = None
         try:
             self._check_available()
             obj = deep_copy(obj)
@@ -435,10 +424,20 @@ class APIServer:
             # it (the cache holds the decoded tree), so the caller owns it.
             return obj
         except ApiError as exc:
-            record.error = f"{exc.reason}: {exc}"
+            error = f"{exc.reason}: {exc}"
             raise
         finally:
-            self.request_log.append(record)
+            self.request_log.append(
+                RequestRecord(
+                    time=self.sim.now,
+                    actor=actor,
+                    operation=operation,
+                    kind=kind,
+                    name=str(name),
+                    namespace=namespace if isinstance(namespace, str) else None,
+                    error=error,
+                )
+            )
 
     def _commit(self, key: str, data: bytes) -> None:
         if self.raft is not None:
@@ -487,37 +486,14 @@ class APIServer:
         self._obj_blobs.pop(event.key, None)
         if event.type == EventType.PUT:
             try:
-                obj = decode_shared(event.value)
+                # Cache entries are immutable by convention (replaced
+                # wholesale, never edited), so the shared tree is kept.
+                self._cache[event.key] = decode_shared(event.value)
             except DecodeError:
-                # Deliver nothing; the object will be purged on the next read.
+                # The object will be purged on the next read.
                 return
-            event_type = "ADDED" if event.prev_value is None else "MODIFIED"
-            # Cache entries are immutable by convention (replaced wholesale,
-            # never edited), so the shared tree can be kept directly; handler
-            # payloads below are separate copies.
-            self._cache[event.key] = obj
-        else:
-            event_type = "DELETED"
-            if event.prev_value is None:
-                return
-            try:
-                obj = decode_shared(event.prev_value)
-            except DecodeError:
-                self._cache.pop(event.key, None)
-                return
+        elif event.prev_value is not None:
             self._cache.pop(event.key, None)
-        handlers = self._watch_handlers.get(kind)
-        if not handlers:
-            return
-        label = f"watch:{kind}:{event_type}"
-        for handler in list(handlers):
-            # Each handler owns its payload copy, taken synchronously here
-            # (before any later write can replace the cached object).
-            self.sim.call_after(
-                WATCH_DELIVERY_DELAY,
-                lambda handler=handler, payload=deep_copy(obj): handler(event_type, payload),
-                label=label,
-            )
 
     # ------------------------------------------------------------------ stats
 

@@ -6,6 +6,13 @@ application client, arm the injector, execute the orchestration workload,
 let the cluster settle, then collect and classify the observables.  Golden
 runs are the same flow without arming the injector.
 
+Everything before the arming — boot, scenario set-up, set-up window — is the
+run's *prefix*, and it is a function of the configuration and the workload
+alone: it draws from no RNG stream.  A runner simulates each workload's
+prefix once, keeps it as a :class:`Prefix` snapshot, and starts every run of
+the workload from a copy of it (docs/INVARIANTS.md, "The prefix is a function
+of (config, workload)").
+
 A simulated run is split in two: its :class:`Trajectory`, everything the
 run did that its seed does not change, and the latency draws of its
 application client, the only thing the seed changes.  :func:`replay` turns a
@@ -17,6 +24,7 @@ faults that provably never fire on it (:func:`fires`).
 
 from __future__ import annotations
 
+import copy
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -296,6 +304,44 @@ class GoldenRunStats:
         )
 
 
+class Prefix:
+    """A workload's live cluster and driver at the armed point, kept so that
+    every run of the workload starts from a copy of them.
+
+    A copy shares with the snapshot what nothing edits once stored (the
+    Apiserver's cached objects and its request records); it carries the
+    position of the UID counter, and takes its run's seed on
+    :meth:`start`.
+    """
+
+    __slots__ = ("cluster", "driver", "uid_position", "_shared")
+
+    def __init__(self, cluster: "Cluster", driver: "KbenchDriver"):
+        from repro.objects.meta import uid_position
+
+        self.cluster = cluster
+        self.driver = driver
+        self.uid_position = uid_position()
+        self._shared = {id(obj): obj for obj in cluster.apiserver.cached_objects()}
+
+    @staticmethod
+    def copyable(cluster: "Cluster") -> bool:
+        """The guard: a copy of ``cluster`` runs as the original would at
+        any seed only when its prefix drew from no RNG stream and every
+        pending callback is a bound method (which a copy rebinds)."""
+        return not cluster.sim.rng.streams() and cluster.sim.rebinds_on_copy()
+
+    def start(self, seed: int) -> tuple["Cluster", "KbenchDriver"]:
+        """A copy of the snapshot as the prefix of the run at ``seed``."""
+        from repro.objects.meta import reset_uid_counter
+
+        cluster, driver = copy.deepcopy((self.cluster, self.driver), dict(self._shared))
+        reset_uid_counter(self.uid_position)
+        cluster.config.seed = seed
+        cluster.sim.rng.reseed(seed)
+        return cluster, driver
+
+
 class ExperimentRunner:
     """Runs golden runs and injection experiments.
 
@@ -304,8 +350,15 @@ class ExperimentRunner:
     ``inspect``, ``federate``) never loads it.
     """
 
-    def __init__(self, config: Optional[ExperimentConfig] = None):
+    def __init__(
+        self,
+        config: Optional[ExperimentConfig] = None,
+        prefixes: Optional[dict[WorkloadKind, Prefix]] = None,
+    ):
         self.config = config if config is not None else ExperimentConfig()
+        #: Each workload's prefix snapshot, taken by its first run: the
+        #: runner's own, or the one a campaign executor keeps per process.
+        self.prefixes: dict[WorkloadKind, Prefix] = prefixes if prefixes is not None else {}
         #: The trajectory of the last run this runner simulated (with its
         #: etcd messages when that run had an ``etcd_observer``).
         self.last_trajectory: Optional[Trajectory] = None
@@ -385,19 +438,28 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------ guts
 
-    def _run(
-        self,
-        workload: WorkloadKind,
-        fault: Optional[FaultSpec],
-        seed: int,
-        etcd_observer=None,
-    ) -> ExperimentResult:
+    def prefix(self, workload: WorkloadKind, seed: int) -> tuple["Cluster", "KbenchDriver"]:
+        """The live cluster and driver of the run at ``seed``, at the point
+        where the injector is armed: a copy of the workload's snapshot,
+        which the first call simulates and keeps.  When the guard
+        (:meth:`Prefix.copyable`) fails, no snapshot is kept and every call
+        simulates the prefix at its own seed."""
+        snapshot = self.prefixes.get(workload)
+        if snapshot is None:
+            cluster, driver = self._simulate_prefix(workload, seed)
+            if not Prefix.copyable(cluster):
+                return cluster, driver
+            snapshot = self.prefixes[workload] = Prefix(cluster, driver)
+        return snapshot.start(seed)
+
+    def _simulate_prefix(
+        self, workload: WorkloadKind, seed: int
+    ) -> tuple["Cluster", "KbenchDriver"]:
         from repro.cluster.cluster import Cluster
-        from repro.workloads.appclient import ApplicationClient
         from repro.workloads.scenario import ServiceApplication
         from repro.workloads.workload import KbenchDriver
 
-        COUNTERS.experiments += 1
+        COUNTERS.prefixes += 1
         config = self.config
         cluster_config = ClusterConfig(**vars(config.cluster))
         cluster_config.seed = seed
@@ -415,6 +477,20 @@ class ExperimentRunner:
         )
         driver.setup_scenario()
         cluster.run_for(config.setup_seconds, max_events=config.max_events)
+        return cluster, driver
+
+    def _run(
+        self,
+        workload: WorkloadKind,
+        fault: Optional[FaultSpec],
+        seed: int,
+        etcd_observer=None,
+    ) -> ExperimentResult:
+        from repro.workloads.appclient import ApplicationClient
+
+        COUNTERS.experiments += 1
+        config = self.config
+        cluster, driver = self.prefix(workload, seed)
 
         expected_replicas = self._expected_replicas(workload)
         client = ApplicationClient(

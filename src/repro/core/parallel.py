@@ -21,13 +21,17 @@ Preparation simulates one fault-free run per workload and replays the rest
 of its golden runs from that run's trajectory
 (:func:`~repro.core.experiment.replay`); the local backend replays, the
 same way, every task whose fault never fires on it before it dispatches the
-tasks that must be simulated.
+tasks that must be simulated.  Every simulated run starts from a copy of its
+workload's prefix snapshot (:class:`~repro.core.experiment.Prefix`), which
+each process of an executor takes once per workload (:data:`_PREFIXES`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
@@ -39,6 +43,7 @@ from repro.core.experiment import (
     ExperimentRunner,
     ExperimentTask,
     GoldenRunStats,
+    Prefix,
     Trajectory,
     fires,
     replay,
@@ -106,6 +111,17 @@ BatchSink = Optional[tuple[str, int]]
 #: cut short by shutdown is simply a shard with fewer members.
 _OPEN_WRITERS: dict[tuple[str, int], BatchedShardWriter] = {}
 
+#: The prefix snapshots of each executor in this process, keyed by the
+#: executor's :attr:`CampaignExecutor.scope` (which the batch functions
+#: carry into pool workers): the first run of a workload in a process takes
+#: its snapshot — prep's recording run in the process that preps — and the
+#: later runs there start from copies.  Two executors share nothing, not
+#: even on two threads of one process.
+_PREFIXES: dict[int, dict[WorkloadKind, Prefix]] = {}
+
+#: Where each executor's ``scope`` comes from: unique within a process.
+_SCOPES = itertools.count()
+
 
 def _deliver(results: list[tuple[int, ExperimentResult]], sink: BatchSink):
     """Hand a finished batch to its sink.
@@ -131,15 +147,21 @@ def _deliver(results: list[tuple[int, ExperimentResult]], sink: BatchSink):
     return [index for index, _ in results]
 
 
+def _runner(experiment_config: ExperimentConfig, scope: int) -> ExperimentRunner:
+    """A runner over this process's prefix snapshots of executor ``scope``."""
+    return ExperimentRunner(experiment_config, prefixes=_PREFIXES.setdefault(scope, {}))
+
+
 def _run_batch(
     experiment_config: ExperimentConfig,
     tasks: list[ExperimentTask],
     baselines: dict[str, GoldenBaseline],
     sink: BatchSink,
+    scope: int,
 ):
     """Simulate one batch of tasks and deliver it (:func:`_deliver`): a pure
-    function of its arguments."""
-    runner = ExperimentRunner(experiment_config)
+    function of its arguments (a copied prefix is the simulated one)."""
+    runner = _runner(experiment_config, scope)
     return _deliver(
         [
             (
@@ -158,7 +180,7 @@ def _run_batch(
 
 
 def _prepare_workload(
-    experiment_config: ExperimentConfig, prep: WorkloadPrep
+    experiment_config: ExperimentConfig, prep: WorkloadPrep, scope: int
 ) -> tuple[list[GoldenRunStats], list, Optional[Trajectory]]:
     """Run one workload's golden runs: the stats of each, the fields run 0
     recorded, and run 0's trajectory when later runs may replay it.
@@ -170,7 +192,7 @@ def _prepare_workload(
     # Imported lazily: campaign.py imports this module for the executor.
     from repro.core.campaign import FieldRecorder
 
-    runner = ExperimentRunner(experiment_config)
+    runner = _runner(experiment_config, scope)
     recorder = FieldRecorder()
     first = runner.run_golden(prep.workload, seed=prep.base_seed, etcd_observer=recorder)
     trajectory = runner.last_trajectory
@@ -314,6 +336,10 @@ class CampaignExecutor:
         self.store = ShardedResultStore(results_dir) if results_dir else None
         self._sink: BatchSink = (results_dir, shard_batch) if results_dir else None
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: The key of this executor's prefix snapshots in :data:`_PREFIXES`;
+        #: an executor never closed drops its own when it is collected.
+        self.scope = next(_SCOPES)
+        weakref.finalize(self, _PREFIXES.pop, self.scope, None)
 
     def _get_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -326,12 +352,14 @@ class CampaignExecutor:
 
     def close(self) -> None:
         """Shut down the worker pool (no-op if none was ever started) and
-        forget this process's open shard group for the executor's store."""
+        forget this process's open shard group for the executor's store and
+        its prefix snapshots."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
         if self._sink is not None:
             _OPEN_WRITERS.pop(self._sink, None)
+        _PREFIXES.pop(self.scope, None)
 
     def __enter__(self) -> "CampaignExecutor":
         return self
@@ -461,7 +489,7 @@ class CampaignExecutor:
         self._dispatch(
             _run_batch,
             [
-                (self.experiment_config, chunk, baselines or {}, self._sink)
+                (self.experiment_config, chunk, baselines or {}, self._sink, self.scope)
                 for chunk in self._chunks(pending, workers)
             ],
             finish,
@@ -506,7 +534,7 @@ class CampaignExecutor:
         outcomes: list = [None] * len(preps)
         self._dispatch(
             _prepare_workload,
-            [(self.experiment_config, prep) for prep in preps],
+            [(self.experiment_config, prep, self.scope) for prep in preps],
             outcomes.__setitem__,
         )
         runner = ExperimentRunner(self.experiment_config)

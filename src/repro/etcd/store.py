@@ -13,7 +13,6 @@ events synchronously in revision order.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -80,7 +79,7 @@ class EtcdStore:
         #: Watchers bucketed by their prefix: dispatch checks one
         #: ``startswith`` per *distinct prefix* instead of one per watcher.
         self._watch_buckets: dict[str, list[_Watcher]] = {}
-        self._watch_ids = itertools.count(1)
+        self._last_watch_id = 0
         self._quota_bytes = quota_bytes
         self._bytes_used = 0
         self._alarm_active = False
@@ -244,7 +243,8 @@ class EtcdStore:
 
     def watch(self, prefix: str, callback: Callable[[WatchEvent], None]) -> int:
         """Register a watch on a key prefix; return a watch id."""
-        watch_id = next(self._watch_ids)
+        self._last_watch_id += 1
+        watch_id = self._last_watch_id
         watcher = _Watcher(watch_id=watch_id, prefix=prefix, callback=callback)
         self._watch_buckets.setdefault(prefix, []).append(watcher)
         return watch_id

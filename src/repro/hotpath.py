@@ -32,6 +32,7 @@ class HotPathCounters:
         "watch_dispatches",
         "watch_events_skipped",
         "experiments",
+        "prefixes",
     )
 
     def __init__(self):
@@ -46,6 +47,9 @@ class HotPathCounters:
         self.watch_dispatches = 0
         self.watch_events_skipped = 0
         self.experiments = 0
+        #: Cluster prefixes (boot, scenario set-up, set-up window) simulated;
+        #: the other runs start from a copy of one (core/experiment.py).
+        self.prefixes = 0
 
     def snapshot(self) -> dict:
         """Return the current counts as a plain dictionary."""
@@ -77,6 +81,7 @@ class HotPathCounters:
                 self.decode_cache_hits,
                 f"[{hit_rate:.1f}% of decode requests]",
             ),
+            row("prefixes built", self.prefixes),
             row("validations", self.validations),
             row("watch dispatches", self.watch_dispatches),
             row(

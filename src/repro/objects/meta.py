@@ -8,7 +8,6 @@ manipulate that section.
 
 from __future__ import annotations
 
-import itertools
 import marshal
 import threading
 from typing import Any, Optional
@@ -21,7 +20,9 @@ class _UidState(threading.local):
     simulation's UIDs depend on, or be reset by, its neighbour."""
 
     def __init__(self) -> None:
-        self.counter = itertools.count(1)
+        #: UIDs handed out so far: a plain number, so a snapshot of a
+        #: cluster can carry the position and a copy of it continue there.
+        self.position = 0
 
 
 _uid_state = _UidState()
@@ -33,13 +34,21 @@ def new_uid() -> str:
     UIDs only need to be unique within a simulation run; a monotonically
     increasing counter keeps them deterministic and readable in logs.
     """
-    return f"uid-{next(_uid_state.counter):08d}"
+    state = _uid_state
+    state.position += 1
+    return f"uid-{state.position:08d}"
 
 
-def reset_uid_counter() -> None:
+def uid_position() -> int:
+    """How many UIDs the calling thread has handed out since its last reset."""
+    return _uid_state.position
+
+
+def reset_uid_counter(position: int = 0) -> None:
     """Reset the calling thread's UID counter (each simulation starts from
-    1, so its UIDs do not depend on what ran before it)."""
-    _uid_state.counter = itertools.count(1)
+    1, so its UIDs do not depend on what ran before it); ``position``
+    resumes where :func:`uid_position` said the counter stood instead."""
+    _uid_state.position = position
 
 
 def make_object_meta(

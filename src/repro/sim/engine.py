@@ -10,7 +10,7 @@ and single-threaded: there is no wall-clock time anywhere in the simulator.
 from __future__ import annotations
 
 import heapq
-import itertools
+from types import MethodType
 from typing import Callable, Optional
 
 from repro.sim.rng import DeterministicRNG
@@ -80,7 +80,7 @@ class Simulation:
 
     def __init__(self, rng: Optional[DeterministicRNG] = None):
         self._queue: list[tuple[float, int, Event]] = []
-        self._counter = itertools.count()
+        self._seq = 0
         self._now = 0.0
         self.rng = rng if rng is not None else DeterministicRNG(0)
         self._events_executed = 0
@@ -100,13 +100,30 @@ class Simulation:
         """Number of events still queued (including cancelled placeholders)."""
         return len(self._queue)
 
+    def rebinds_on_copy(self) -> bool:
+        """Whether a deep copy of this simulation runs on the copied objects.
+
+        :func:`copy.deepcopy` rebinds a bound method to the copy of its
+        object but shares a plain function, so a pending closure (or a
+        recurring task's) would keep calling into the original.
+        """
+        for _, _, event in self._queue:
+            callback = event.callback
+            if not isinstance(callback, MethodType):
+                return False
+            task = callback.__self__
+            if isinstance(task, RecurringTask) and not isinstance(task._callback, MethodType):
+                return False
+        return True
+
     def call_at(self, when: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` to run at absolute simulated time ``when``."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule event at {when:.3f}, current time is {self._now:.3f}"
             )
-        seq = next(self._counter)
+        seq = self._seq
+        self._seq = seq + 1
         event = Event(time=when, seq=seq, callback=callback, label=label)
         heapq.heappush(self._queue, (when, seq, event))
         return event

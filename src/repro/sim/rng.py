@@ -33,6 +33,13 @@ class DeterministicRNG:
         """The master seed this RNG was created with."""
         return self._seed
 
+    def reseed(self, seed: int) -> None:
+        """Take ``seed`` as the master seed; only before any stream is drawn
+        from (a copied simulation's RNG becomes its run's)."""
+        if self._streams:
+            raise RuntimeError("cannot reseed an RNG that has been drawn from")
+        self._seed = int(seed)
+
     def stream(self, name: str) -> random.Random:
         """Return the named sub-stream, creating it on first use.
 

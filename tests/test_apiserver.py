@@ -261,22 +261,6 @@ def test_corrupting_hook_persists_corrupted_value():
     assert stored["metadata"]["labels"]["app"] == "corrupted"
 
 
-def test_watch_handlers_receive_events():
-    sim = Simulation()
-    api = APIServer(sim, EtcdStore())
-    events = []
-    api.add_watch_handler("Pod", lambda event_type, obj: events.append((event_type, obj["metadata"]["name"])))
-    api.create("Pod", make_pod("p"))
-    sim.run_for(1.0)
-    fetched = api.get("Pod", "p")
-    fetched["spec"]["priority"] = 5
-    api.update("Pod", fetched)
-    api.delete("Pod", "p")
-    sim.run_for(1.0)
-    types = [event_type for event_type, _ in events]
-    assert types == ["ADDED", "MODIFIED", "DELETED"]
-
-
 def test_at_rest_corruption_masked_by_cache_until_restart():
     api = _apiserver()
     api.create("Deployment", make_deployment("d", replicas=2))

@@ -26,19 +26,27 @@ LEVEL_TRIGGERED = {"node-lifecycle", "namespace", "garbage-collector"}
 
 
 def _run(monkeypatch, workload, fault, seed, force=False, config=None, restarts=()):
-    """One experiment; returns its cluster.  ``restarts`` are (time, callable
-    taking the cluster) pairs scheduled on the simulated clock."""
+    """One experiment; returns the cluster it ran on (a copy of the prefix
+    snapshot, so recorded where the observables are collected).
+    ``restarts`` are (time, callable taking the cluster) pairs scheduled on
+    the simulated clock as the cluster is built: pending closures, so that
+    run keeps no snapshot and runs on the cluster it built."""
     clusters = []
+    collect = ExperimentRunner._collect
 
-    class RecordingCluster(cluster_module.Cluster):
+    class RestartingCluster(cluster_module.Cluster):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            clusters.append(self)
             for when, action in restarts:
                 self.sim.call_at(when, lambda action=action: action(self))
 
+    def recording_collect(self, cluster, *args):
+        clusters.append(cluster)
+        return collect(self, cluster, *args)
+
     with monkeypatch.context() as patch:
-        patch.setattr(cluster_module, "Cluster", RecordingCluster)
+        patch.setattr(cluster_module, "Cluster", RestartingCluster)
+        patch.setattr(ExperimentRunner, "_collect", recording_collect)
         if force:
             patch.setattr(ChangeGate, "should_skip", lambda self, token, backed_off: False)
         ExperimentRunner(config).run_experiment(workload, fault, seed=seed)

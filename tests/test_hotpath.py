@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.cluster.cluster as cluster_module
 import repro.core.experiment as experiment
 from repro.apiserver.apiserver import APIServer
 from repro.apiserver.client import APIClient
@@ -417,14 +416,16 @@ _WRITE_COUNTS = [
     "workload, fault, seed, expected", _WRITE_COUNTS, ids=["etcd-channel", "component-channel"]
 )
 def test_experiment_write_count_is_pinned(monkeypatch, workload, fault, seed, expected):
+    # The run's cluster is a copy of the workload's prefix snapshot, not the
+    # one constructed: record the cluster the observables are collected from.
     clusters = []
+    collect = experiment.ExperimentRunner._collect
 
-    class RecordingCluster(cluster_module.Cluster):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            clusters.append(self)
+    def recording_collect(self, cluster, *args):
+        clusters.append(cluster)
+        return collect(self, cluster, *args)
 
-    monkeypatch.setattr(cluster_module, "Cluster", RecordingCluster)
+    monkeypatch.setattr(experiment.ExperimentRunner, "_collect", recording_collect)
     before = COUNTERS.snapshot()
     result = experiment.ExperimentRunner().run_experiment(workload, fault, seed=seed)
     delta = {name: COUNTERS.snapshot()[name] - before[name] for name in before}
