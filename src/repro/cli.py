@@ -49,7 +49,8 @@ until the campaign's full plan is there.
 ``profile`` runs a reduced campaign serially under cProfile together with
 the hot-path counters of :mod:`repro.hotpath` — per-experiment encode /
 decode / validation / watch-dispatch counts and cache hit rates next to the
-functions the wall-clock actually went to (see ``docs/PERFORMANCE.md``).
+functions the wall-clock actually went to, with the cyclic collector's work
+over the campaign and the process's peak RSS (see ``docs/PERFORMANCE.md``).
 
 ``serve`` runs the campaign *service*: a stateless HTTP control plane whose
 ``POST /v1/campaigns`` accepts the same declarative ``CampaignSpec``
@@ -554,8 +555,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile a reduced serial campaign: cProfile + hot-path counters."""
     import cProfile
+    import gc
     import io
     import pstats
+    import resource
 
     from repro.core.campaign import Campaign, CampaignConfig
     from repro.hotpath import COUNTERS
@@ -569,12 +572,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     campaign = Campaign(config)
     COUNTERS.reset()
+    gc.collect()
+    collector_before = gc.get_stats()
     started = time.monotonic()
     profiler = cProfile.Profile()
     profiler.enable()
     result = campaign.run(progress=_progress_printer(args.quiet, started))
     profiler.disable()
     elapsed = time.monotonic() - started
+    # One full collection more frees whatever the campaign left to the
+    # collector, so the count below covers all of its cyclic garbage.
+    gc.collect()
+    collections, collected = (
+        sum(after[key] - before[key] for before, after in zip(collector_before, gc.get_stats()))
+        for key in ("collections", "collected")
+    )
+    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
@@ -586,6 +599,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"in {elapsed:.2f}s (serial)",
             "",
             COUNTERS.render(),
+            f"  {'cyclic collector':<28} {collections:>10}  collection(s), "
+            f"{collected} object(s) collected [one full collection after the campaign]",
+            f"  {'peak RSS':<28} {peak_rss_mib:>10.1f}  MiB [ru_maxrss of this process]",
             "",
             f"cProfile top {args.top} functions by {args.sort}:",
             stream.getvalue().rstrip(),

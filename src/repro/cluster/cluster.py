@@ -208,3 +208,12 @@ class Cluster:
     def run_for(self, seconds: float, max_events: Optional[int] = None) -> None:
         """Advance the simulation by the given number of seconds."""
         self.sim.run_for(seconds, max_events=max_events)
+
+    def close(self) -> None:
+        """Break the reference cycles the cluster is built from (the
+        engine's pending events and the store's watches), so that dropping
+        the last reference frees it at once.  What a run reads afterwards — the
+        store's data, the request log, the metric samples — stays; a closed
+        cluster is never run again."""
+        self.sim.close()
+        self.store.close()

@@ -25,6 +25,7 @@ faults that provably never fire on it (:func:`fires`).
 from __future__ import annotations
 
 import copy
+import weakref
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -341,6 +342,19 @@ class Prefix:
         cluster.sim.rng.reseed(seed)
         return cluster, driver
 
+    def close(self) -> None:
+        """Free the snapshot's cluster (:meth:`Cluster.close`); no copy is
+        taken from it afterwards."""
+        self.cluster.close()
+
+
+def close_prefixes(prefixes: dict[WorkloadKind, Prefix]) -> None:
+    """Close and forget every snapshot in ``prefixes``: the one exit of a
+    dropped set of snapshots, a runner's own or a campaign executor's."""
+    for snapshot in prefixes.values():
+        snapshot.close()
+    prefixes.clear()
+
 
 class ExperimentRunner:
     """Runs golden runs and injection experiments.
@@ -357,8 +371,12 @@ class ExperimentRunner:
     ):
         self.config = config if config is not None else ExperimentConfig()
         #: Each workload's prefix snapshot, taken by its first run: the
-        #: runner's own, or the one a campaign executor keeps per process.
-        self.prefixes: dict[WorkloadKind, Prefix] = prefixes if prefixes is not None else {}
+        #: runner's own, closed when the runner is collected, or the one a
+        #: campaign executor keeps per process.
+        if prefixes is None:
+            prefixes = {}
+            weakref.finalize(self, close_prefixes, prefixes)
+        self.prefixes: dict[WorkloadKind, Prefix] = prefixes
         #: The trajectory of the last run this runner simulated (with its
         #: etcd messages when that run had an ``etcd_observer``).
         self.last_trajectory: Optional[Trajectory] = None
@@ -486,12 +504,28 @@ class ExperimentRunner:
         seed: int,
         etcd_observer=None,
     ) -> ExperimentResult:
+        COUNTERS.experiments += 1
+        cluster, driver = self.prefix(workload, seed)
+        try:
+            trajectory = self._simulate(cluster, driver, workload, fault, etcd_observer)
+        finally:
+            cluster.close()
+        self.last_trajectory = trajectory
+        return replay(trajectory, seed, fault)
+
+    def _simulate(
+        self,
+        cluster: "Cluster",
+        driver: "KbenchDriver",
+        workload: WorkloadKind,
+        fault: Optional[FaultSpec],
+        etcd_observer,
+    ) -> Trajectory:
+        """Arm or record, then run the workload's window on a prefix and
+        collect what the run did."""
         from repro.workloads.appclient import ApplicationClient
 
-        COUNTERS.experiments += 1
         config = self.config
-        cluster, driver = self.prefix(workload, seed)
-
         expected_replicas = self._expected_replicas(workload)
         client = ApplicationClient(
             cluster.sim, cluster.network, expected_backends=expected_replicas
@@ -554,8 +588,7 @@ class ExperimentRunner:
         )
         if messages:
             trajectory.record_messages(messages)
-        self.last_trajectory = trajectory
-        return replay(trajectory, seed, fault)
+        return trajectory
 
     def _arm(self, cluster: Cluster, fault: FaultSpec) -> MutinyInjector:
         from repro.core.injector import MutinyInjector

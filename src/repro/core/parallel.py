@@ -45,6 +45,7 @@ from repro.core.experiment import (
     GoldenRunStats,
     Prefix,
     Trajectory,
+    close_prefixes,
     fires,
     replay,
 )
@@ -121,6 +122,13 @@ _PREFIXES: dict[int, dict[WorkloadKind, Prefix]] = {}
 
 #: Where each executor's ``scope`` comes from: unique within a process.
 _SCOPES = itertools.count()
+
+
+def _drop_prefixes(scope: int) -> None:
+    """Close and forget this process's prefix snapshots of executor
+    ``scope``: what :meth:`CampaignExecutor.close` and an unclosed
+    executor's finalizer both call."""
+    close_prefixes(_PREFIXES.pop(scope, {}))
 
 
 def _deliver(results: list[tuple[int, ExperimentResult]], sink: BatchSink):
@@ -337,9 +345,9 @@ class CampaignExecutor:
         self._sink: BatchSink = (results_dir, shard_batch) if results_dir else None
         self._pool: Optional[ProcessPoolExecutor] = None
         #: The key of this executor's prefix snapshots in :data:`_PREFIXES`;
-        #: an executor never closed drops its own when it is collected.
+        #: an executor never closed closes its own when it is collected.
         self.scope = next(_SCOPES)
-        weakref.finalize(self, _PREFIXES.pop, self.scope, None)
+        weakref.finalize(self, _drop_prefixes, self.scope)
 
     def _get_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -351,15 +359,15 @@ class CampaignExecutor:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool (no-op if none was ever started) and
-        forget this process's open shard group for the executor's store and
-        its prefix snapshots."""
+        """Shut down the worker pool (no-op if none was ever started),
+        forget this process's open shard group for the executor's store, and
+        close and forget its prefix snapshots."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
         if self._sink is not None:
             _OPEN_WRITERS.pop(self._sink, None)
-        _PREFIXES.pop(self.scope, None)
+        _drop_prefixes(self.scope)
 
     def __enter__(self) -> "CampaignExecutor":
         return self

@@ -274,6 +274,12 @@ class EtcdStore:
             COUNTERS.watch_dispatches += 1
             watcher.callback(event)
 
+    def close(self) -> None:
+        """Cancel every watch: a watcher's callback is a bound method of an
+        object that holds this store (the Apiserver's ``_on_store_event``),
+        a cycle that would otherwise outlive the store's last user."""
+        self._watch_buckets = {}
+
     # ------------------------------------------------------------------ misc
 
     def snapshot_keys(self) -> dict[str, bytes]:

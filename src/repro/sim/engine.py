@@ -142,6 +142,22 @@ class Simulation:
             raise SimulationError("period must be positive")
         return RecurringTask(self, callback, period, label).start(delay)
 
+    def close(self) -> None:
+        """Drop every pending event, and with it the reference cycles the
+        queue closes: a component holds its recurring task, the task its
+        pending event, and the event a bound method of the task or the
+        component.  Once these are cut a finished simulation is freed by
+        reference counting instead of by the cyclic collector.  Only the
+        queue's own events and tasks are edited; a closed simulation never
+        runs again.
+        """
+        queue, self._queue = self._queue, []
+        for _, _, event in queue:
+            task = getattr(event.callback, "__self__", None)
+            if isinstance(task, RecurringTask):
+                task._callback = None
+            event.callback = None
+
     def run_until(self, deadline: float, max_events: Optional[int] = None) -> None:
         """Run events in time order until the deadline is reached.
 

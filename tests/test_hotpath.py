@@ -467,7 +467,12 @@ def test_profile_subcommand_reports_counters(capsys, tmp_path):
         "decodes",
         "validations",
         "watch dispatches",
+        "peak RSS",
         "cProfile top 5",
     ):
         assert needle in out
     assert report_path.read_text(encoding="utf-8").count("encodes") >= 1
+    # Every run and every snapshot frees itself (docs/INVARIANTS.md, "A
+    # finished run frees itself"): the collector finds nothing to free.
+    [collector] = [line for line in out.splitlines() if "cyclic collector" in line]
+    assert ", 0 object(s) collected" in collector
