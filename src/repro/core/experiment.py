@@ -637,7 +637,6 @@ class ExperimentRunner:
         samples = [
             sample for sample in cluster.metrics.samples if sample.time >= workload_start - 1.0
         ]
-        all_samples = cluster.metrics.samples
 
         # Application deployments live in the default namespace.
         def app_ready(sample) -> tuple[int, int]:
@@ -661,11 +660,10 @@ class ExperimentRunner:
             observations.dns_ready = final.dns_ready_pods
             observations.etcd_alarm = any(sample.etcd_alarm for sample in samples)
             observations.scrape_failures = sum(1 for sample in samples if sample.scrape_failed)
-            if all_samples:
-                observations.pods_created = (
-                    all_samples[-1].pods_created_cumulative
-                    - (samples[0].pods_created_cumulative if samples else 0)
-                )
+            observations.pods_created = (
+                cluster.metrics.samples[-1].pods_created_cumulative
+                - samples[0].pods_created_cumulative
+            )
             if len(samples) >= 3:
                 tail = [sample.total_pods for sample in samples[-3:]]
                 observations.pod_count_growing = tail[-1] > tail[0]

@@ -1,28 +1,25 @@
 """mutiny-lint: whole-program enforcement of the repo's cross-layer contracts.
 
-Nine codes (``MUT001``–``MUT009``) mechanize conventions that previous PRs
-established in docstrings and review — informer ``copy=False`` immutability
-(within a function *and* through the call graph), ShardTransport purity
-(direct and transitive), digest determinism (ambient entropy and unsorted
-set/listing iteration), lock discipline, blocking-under-lock, lock-order
-cycles, no swallowed exceptions — plus a hygiene code (``MUT000``) for the
-lint machinery itself.
+Seven codes (``MUT001``, ``MUT002``, ``MUT004``–``MUT008``) mechanize
+conventions that previous PRs established in docstrings and review —
+informer ``copy=False`` immutability (within a function *and* through the
+call graph), ShardTransport purity (direct and transitive), lock
+discipline, blocking-under-lock, lock-order cycles, no swallowed
+exceptions — plus a hygiene code (``MUT000``) for the lint machinery
+itself.  Digest determinism (ambient entropy, unordered iteration) is no
+lint code: the campaign itself checks it at run time (docs/INVARIANTS.md).
 
 The design is **one lexical walk**.  Per file, :mod:`~repro.lint.symbols`
 walks every function body exactly once and records, in plain-data
 summaries, everything about taint, lock containment, ``self.<attr>``
-accesses, imports and call targets; nothing else in the package walks a
-body for those.  The codes then fall in two groups:
-
-* **syntactic visitors** — ``MUT003`` (determinism), ``MUT005`` (swallowed
-  exceptions), ``MUT009`` (iteration order): one ``ast.NodeVisitor`` per
-  file, sharing nothing with the walk;
-* **summary consumers** — ``MUT001`` (informer mutation, direct and
-  escaping), ``MUT002`` + ``MUT006`` (one purity checker: zero hops is
-  ``MUT002`` at the primitive, one or more is ``MUT006`` at the call site
-  with the chain), ``MUT004`` (lock discipline), ``MUT007``, ``MUT008``:
-  they run over the project call graph built from the summaries and never
-  see an AST.
+accesses, imports, call targets and swallowed errors; nothing else in the
+package walks a body.  Every code is a **summary consumer** —
+``MUT001`` (informer mutation, direct and escaping), ``MUT002`` +
+``MUT006`` (one purity checker: zero hops is ``MUT002`` at the primitive,
+one or more is ``MUT006`` at the call site with the chain), ``MUT004``
+(lock discipline), ``MUT005`` (swallowed exceptions), ``MUT007``,
+``MUT008``: they run over the project call graph built from the summaries
+and never see an AST.
 
 A nested ``def`` is a function of its own (``outer.<locals>.inner``) with a
 fresh taint environment and an empty lock context; lambdas and
@@ -45,13 +42,11 @@ __getattr__ = lazy_exports(
         "Resolution": "repro.lint.callgraph",
         "build_graph": "repro.lint.callgraph",
         "HYGIENE_CODE": "repro.lint.framework",
-        "Checker": "repro.lint.framework",
         "Diagnostic": "repro.lint.framework",
         "LintFile": "repro.lint.framework",
         "Suppression": "repro.lint.framework",
         "is_suppressed": "repro.lint.framework",
         "parse_suppressions": "repro.lint.framework",
-        "ALL_CHECKERS": "repro.lint.runner",
         "EXPLANATIONS": "repro.lint.runner",
         "GRAPH_CHECKERS": "repro.lint.runner",
         "JSON_SCHEMA_VERSION": "repro.lint.runner",
@@ -67,10 +62,8 @@ __getattr__ = lazy_exports(
 )
 
 __all__ = [
-    "ALL_CHECKERS",
     "BaselineError",
     "BaselineResult",
-    "Checker",
     "Diagnostic",
     "EXPLANATIONS",
     "GRAPH_CHECKERS",

@@ -1,13 +1,12 @@
-"""Core machinery of mutiny-lint: diagnostics, suppressions, checker base.
+"""Core machinery of mutiny-lint: diagnostics, suppressions, file loading.
 
 The repo's contracts — informer ``copy=False`` reads being immutable, all
 storage I/O going through the :class:`~repro.core.transport.ShardTransport`
-contract, campaign-affecting code never touching the wall clock, lock
-discipline in the threaded service classes, no swallowed exceptions in
-daemon-thread bodies — were enforced only by review and docstring.  The
-Mutiny paper's core observation is that exactly such implicit cross-layer
-contracts are where orchestrators break; this package makes ours explicit
-and machine-checked.
+contract, lock discipline in the threaded service classes, no swallowed
+exceptions in daemon-thread bodies — were enforced only by review and
+docstring.  The Mutiny paper's core observation is that exactly such
+implicit cross-layer contracts are where orchestrators break; this package
+makes ours explicit and machine-checked.
 
 Everything here is stdlib-only (:mod:`ast`, :mod:`tokenize`): the linter
 must be runnable in every environment the repo itself runs in, including
@@ -16,15 +15,13 @@ the dependency-free CI packaging check.
 Design notes
 ------------
 
-* A syntactic **checker** (MUT003, MUT005, MUT009) is an
-  :class:`ast.NodeVisitor` subclass with a ``code``, a human ``title``, a
-  long-form ``explanation`` (served by ``repro.cli lint --explain``), and
-  a path scope.  Checkers receive one parsed :class:`LintFile` at a time
-  and return :class:`Diagnostic` items.  (The other codes consume the
-  summaries of :mod:`repro.lint.symbols` and never see an AST.)
+* A parsed :class:`LintFile` goes to :mod:`repro.lint.symbols`, whose one
+  walk distills it into a summary; every code's checker consumes the
+  summaries and never sees an AST.  Checkers return :class:`Diagnostic`
+  items.
 * **Suppressions** are inline comments of the form::
 
-      # mutiny-lint: disable=MUT003 -- lease liveness is wall-clock by design
+      # mutiny-lint: disable=MUT002 -- control-plane HTTP, not shard storage
       # mutiny-lint: disable=MUT001,MUT005 -- <justification>
 
   The justification after ``--`` is mandatory: a suppression records a
@@ -45,7 +42,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Optional
+from typing import Iterable, Optional
 
 #: Code reserved for lint hygiene itself: malformed/unjustified suppressions,
 #: unknown codes in a disable comment, and files the parser cannot read.
@@ -96,7 +93,7 @@ class Suppression:
 
 @dataclass
 class LintFile:
-    """One parsed source file, handed to every in-scope checker."""
+    """One parsed source file, handed to the summary walk."""
 
     path: str  # display path (as discovered)
     relparts: tuple[str, ...]  # parts relative to the repro package root
@@ -104,18 +101,15 @@ class LintFile:
     tree: ast.Module
     suppressions: list[Suppression] = field(default_factory=list)
 
-    def suppressed(self, diagnostic: Diagnostic) -> bool:
-        return is_suppressed(self.suppressions, diagnostic)
-
 
 def is_suppressed(
     suppressions: Iterable[Suppression], diagnostic: Diagnostic
 ) -> bool:
     """Whether any justified suppression covers the diagnostic.
 
-    Standalone (not only a :class:`LintFile` method) because the runner
-    also applies each file's suppressions to whole-program findings, which
-    land on a line of a file long after its :class:`LintFile` is gone."""
+    The runner applies each file's suppressions to whole-program findings,
+    which land on a line of a file long after its :class:`LintFile` is
+    gone."""
     for suppression in suppressions:
         if not suppression.justification:
             continue  # unjustified suppressions never silence anything
@@ -124,48 +118,6 @@ def is_suppressed(
         ):
             return True
     return False
-
-
-class Checker(ast.NodeVisitor):
-    """Base class of every mutiny-lint checker.
-
-    Subclasses set the class attributes, implement visitor methods, and
-    call :meth:`report` to record findings.  One checker instance is built
-    per (checker, file) pair, so instance state never leaks across files.
-    """
-
-    code: ClassVar[str] = "MUT???"
-    name: ClassVar[str] = "unnamed"
-    title: ClassVar[str] = ""
-    explanation: ClassVar[str] = ""
-
-    def __init__(self, file: LintFile):
-        self.file = file
-        self.findings: list[Diagnostic] = []
-
-    # ------------------------------------------------------------- interface
-
-    @classmethod
-    def applies_to(cls, relparts: tuple[str, ...]) -> bool:
-        """Whether this checker sweeps the given file (path-scope hook)."""
-        return True
-
-    def run(self) -> list[Diagnostic]:
-        self.visit(self.file.tree)
-        return self.findings
-
-    # ------------------------------------------------------------- reporting
-
-    def report(self, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            Diagnostic(
-                path=self.file.path,
-                line=getattr(node, "lineno", 1),
-                column=getattr(node, "col_offset", 0) + 1,
-                code=self.code,
-                message=message,
-            )
-        )
 
 
 # --------------------------------------------------------------------------
@@ -302,21 +254,3 @@ def load_lint_file(
         path=path, relparts=relparts, source=source, tree=tree, suppressions=suppressions
     )
     return lint_file, hygiene
-
-
-# --------------------------------------------------------------------------
-# Shared AST helper (used by several checkers)
-# --------------------------------------------------------------------------
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a pure attribute chain over a Name, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-

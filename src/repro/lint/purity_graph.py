@@ -1,9 +1,9 @@
-"""Summary consumers: transport purity (MUT002 + MUT006) and the informer
-contract (MUT001).
+"""Summary consumers: transport purity (MUT002 + MUT006), the informer
+contract (MUT001) and swallowed exceptions (MUT005).
 
-Both checkers read the facts pass 1 (:mod:`repro.lint.symbols`) recorded
-per function and extend them across function boundaries through the call
-graph; neither touches an AST.
+The checkers read the facts pass 1 (:mod:`repro.lint.symbols`) recorded
+per module and function — the first two extend them across function
+boundaries through the call graph — and none touches an AST.
 
 Transport purity is **one checker with one banned-primitive predicate and
 one scope function**.  PR 4 extracted the
@@ -400,3 +400,66 @@ per-function and lexical; taint does not cross call boundaries.
                         )
                     )
         return findings
+
+
+class SwallowedExceptionChecker(GraphChecker):
+    """MUT005: report the broad handlers pass 1 found dropping their error.
+
+    The motivating bug was a heartbeat daemon thread whose body ended in
+    ``except Exception: pass``: the thread died silently, the lease expired,
+    and a second worker double-claimed the slice.  Narrow handlers
+    (``except KeyError:``) are ordinary control flow and never recorded."""
+
+    docs = {
+        "MUT005": (
+            "Broad except handler that discards the error",
+            """\
+Contract (PR 5 post-mortem): no code path — least of all a daemon-thread
+body — may catch everything and discard the error.  The motivating bug was
+the slice-lease heartbeat thread: an `except Exception: pass` around the
+refresh call meant a transport outage killed the heartbeat silently, the
+lease expired while the worker kept computing, a second worker claimed the
+slice, and the campaign digest diverged with zero log evidence.  A
+swallowed exception turns a crash you can attribute into corruption you
+cannot.
+
+Flagged: any handler that is broad — bare `except:`, `except Exception`,
+`except BaseException`, or a tuple containing either — whose body neither
+re-raises nor uses the bound error in any way (no `raise`, no
+`raise New(...) from err`, no logging/recording of `err`).
+
+Not flagged:
+
+  * narrow handlers (`except KeyError: return default`) — choosing a
+    fallback for a specific, anticipated exception is control flow;
+  * broad handlers that *consume* the error: re-raise it, wrap it
+    (`raise CampaignError(...) from err`), record it
+    (`self._error = err`, `errors.append(str(err))`), or log it;
+  * intentional last-resort barriers, which carry a justified
+    suppression naming where the error goes instead.
+
+Correct pattern for a thread body that must not die invisibly:
+
+    try:
+        self._refresh_loop()
+    except Exception as err:
+        with self._lock:
+            self._error = err       # surfaced to join()/result()
+""",
+        ),
+    }
+
+    def run(
+        self, graph: ProjectGraph, suppressions: SuppressionMap
+    ) -> list[Diagnostic]:
+        return [
+            Diagnostic(
+                module.path, handler.line, handler.col, "MUT005",
+                f"{'bare' if handler.bare else 'broad'} except swallows the "
+                "error (no re-raise, error object unused); record it, wrap it, "
+                "or re-raise — a silent handler turns crashes into "
+                "unattributable corruption",
+            )
+            for module in graph.modules.values()
+            for handler in module.swallowed_handlers
+        ]

@@ -1,19 +1,18 @@
-"""mutiny-lint runner: discovery, two-phase checker dispatch, report assembly.
+"""mutiny-lint runner: discovery, the two phases, report assembly.
 
-The runner is what ``repro.cli lint`` (and the tests) drive.  Since PR 10
-a run has two phases:
+The runner is what ``repro.cli lint`` (and the tests) drive.  A run has
+two phases:
 
-* **Phase A (per file)** — parse, run every in-scope *syntactic* checker
-  (MUT003, MUT005, MUT009), parse suppressions, and distill the module
-  into a :class:`~repro.lint.symbols.ModuleSummary` (the one lexical
-  walk).  All of it depends only on the file's bytes.
+* **Phase A (per file)** — parse, parse suppressions, and distill the
+  module into a :class:`~repro.lint.symbols.ModuleSummary` (the one
+  lexical walk).  All of it depends only on the file's bytes; the only
+  findings it makes are MUT000's.
 
 * **Phase B (whole program)** — build the project call graph from the
-  summaries and run the *summary consumers* (MUT001, MUT002, MUT004,
-  MUT006–MUT008).  Cheap relative to parsing, and for most of them
-  inherently cross-file.
+  summaries and run the *summary consumers* (MUT001, MUT002, MUT004–MUT008).
+  Cheap relative to parsing, and for most of them inherently cross-file.
 
-Inline suppressions apply to both phases (a graph finding lands on a
+Inline suppressions apply to every finding (a graph finding lands on a
 concrete line like any other), and the optional findings baseline
 (:mod:`repro.lint.baseline`) splits the result into new-vs-recorded
 findings with a stale-entry ratchet.
@@ -32,39 +31,30 @@ from repro.lint.concurrency import (
     LockDisciplineChecker,
     LockOrderChecker,
 )
-from repro.lint.determinism import DeterminismChecker
-from repro.lint.exceptions import SwallowedExceptionChecker
 from repro.lint.framework import (
     HYGIENE_CODE,
-    Checker,
     Diagnostic,
     Suppression,
     is_suppressed,
     load_lint_file,
 )
-from repro.lint.iteration import NondeterministicIterationChecker
 from repro.lint.purity_graph import (
     GraphChecker,
     InformerMutationChecker,
+    SwallowedExceptionChecker,
     TransportPurityChecker,
 )
 from repro.lint.symbols import ModuleSummary, index_module
 
-#: Every per-file syntactic checker, in code order.  MUT000 is not a
-#: checker — it is the hygiene code emitted by the framework itself
-#: (unparseable files, bad suppression comments) and is documented via
-#: :data:`EXPLANATIONS`.
-ALL_CHECKERS: tuple[Type[Checker], ...] = (
-    DeterminismChecker,
-    SwallowedExceptionChecker,
-    NondeterministicIterationChecker,
-)
-
-#: Every summary consumer (phase B).  TransportPurityChecker emits two
-#: codes: MUT002 at zero hops, MUT006 through the call graph.
+#: Every checker: the summary consumers of phase B.  TransportPurityChecker
+#: emits two codes: MUT002 at zero hops, MUT006 through the call graph.
+#: MUT000 is not a checker — it is the hygiene code emitted by the
+#: framework itself (unparseable files, bad suppression comments) and is
+#: documented via :data:`EXPLANATIONS`.
 GRAPH_CHECKERS: tuple[Type[GraphChecker], ...] = (
     InformerMutationChecker,
     TransportPurityChecker,
+    SwallowedExceptionChecker,
     LockDisciplineChecker,
     BlockingUnderLockChecker,
     LockOrderChecker,
@@ -96,9 +86,6 @@ the comment or the file.
 EXPLANATIONS: dict[str, str] = {HYGIENE_CODE: HYGIENE_EXPLANATION}
 #: code -> one-line title (for listings).
 TITLES: dict[str, str] = {HYGIENE_CODE: "Lint hygiene (bad suppression / unreadable file)"}
-for _checker in ALL_CHECKERS:
-    EXPLANATIONS[_checker.code] = _checker.explanation
-    TITLES[_checker.code] = _checker.title
 for _graph_checker in GRAPH_CHECKERS:
     for _code, (_title, _explanation) in _graph_checker.docs.items():
         EXPLANATIONS[_code] = _explanation
@@ -222,25 +209,6 @@ def select_codes(codes: Optional[Iterable[str]]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(selected))
 
 
-def _phase_a(
-    path: str, relparts: tuple[str, ...]
-) -> tuple[list[Diagnostic], list[Suppression], Optional[ModuleSummary]]:
-    """Parse + syntactic checkers + summary for one file: the raw
-    (pre-suppression) diagnostics of every in-scope file checker; the
-    run's ``--codes`` selection is applied by the caller."""
-    lint_file, hygiene = load_lint_file(path, relparts, KNOWN_CODES)
-    raw: list[Diagnostic] = list(hygiene)
-    suppressions: list[Suppression] = []
-    summary: Optional[ModuleSummary] = None
-    if lint_file is not None:
-        suppressions = lint_file.suppressions
-        for checker_class in ALL_CHECKERS:
-            if checker_class.applies_to(relparts):
-                raw.extend(checker_class(lint_file).run())
-        summary = index_module(lint_file)
-    return raw, suppressions, summary
-
-
 def lint_paths(
     paths: Sequence[str],
     codes: Optional[Iterable[str]] = None,
@@ -258,26 +226,21 @@ def lint_paths(
     summaries: list[ModuleSummary] = []
     suppressions_by_path: dict[str, list[Suppression]] = {}
     for path in _discover(paths):
-        relparts = _relparts(path)
-        raw, suppressions, summary = _phase_a(path, relparts)
+        # Phase A: parse, suppressions, the one walk.  Its only findings
+        # are MUT000's, which no suppression silences.
+        lint_file, hygiene = load_lint_file(path, _relparts(path), KNOWN_CODES)
         report.files_checked += 1
-        suppressions_by_path[path] = suppressions
-        if summary is not None:
-            summaries.append(summary)
-        for diagnostic in raw:
-            if diagnostic.code not in selected:
-                continue
-            if diagnostic.code != HYGIENE_CODE and is_suppressed(
-                suppressions, diagnostic
-            ):
-                continue
-            collected.append(diagnostic)
+        if HYGIENE_CODE in selected:
+            collected.extend(hygiene)
+        if lint_file is not None:
+            suppressions_by_path[path] = lint_file.suppressions
+            summaries.append(index_module(lint_file))
     graph_checkers = [
         checker
         for checker in GRAPH_CHECKERS
         if any(code in selected for code in checker.docs)
     ]
-    if graph_checkers and summaries:
+    if graph_checkers and summaries:  # phase B
         graph = build_graph(summaries)
         for graph_checker in graph_checkers:
             for diagnostic in graph_checker().run(graph, suppressions_by_path):

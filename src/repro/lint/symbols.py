@@ -5,8 +5,7 @@ components, so a contract checker that cannot see chains misses the
 defects that matter (a helper doing raw I/O on behalf of
 ``resultstore.py``, a blocking call three frames below a ``with
 self._lock:``).  This module is the only code in the package that walks a
-function body for taint, lock containment or call targets; every checker
-that needs those facts (MUT001, MUT002, MUT004, MUT006–MUT008) is a
+function body; every checker (MUT001, MUT002, MUT004–MUT008) is a
 *consumer* of the summaries produced here.
 
 Each parsed module is distilled into a :class:`ModuleSummary` — classes,
@@ -24,7 +23,10 @@ function, recording:
 * which parameters the body mutates in place, and every in-place mutation
   through a ``copy=False``-tainted name (the events MUT001 reports);
 * every ``self.<attr>`` read and write with whether ``self._lock`` is held
-  (what MUT004 checks against the class's declaration).
+  (what MUT004 checks against the class's declaration);
+* every broad ``except`` handler that drops its error (what MUT005
+  reports), on the module summary, so a function whose qualname a later
+  ``def`` rebinds keeps its handlers.
 
 What counts as a function:
 
@@ -73,6 +75,9 @@ CACHE_READERS = frozenset({"get", "list"})
 #: Placeholder root for a call/attribute chain rooted in a non-Name
 #: expression (a call result, a subscript, ...).
 OPAQUE_ROOT = "<expr>"
+
+#: Exception names a handler catches everything with.
+BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
 
 #: Name and qualname of the pseudo-function holding module-level statements.
 MODULE_SCOPE = "<module>"
@@ -173,6 +178,16 @@ class ImportSite:
 
 
 @dataclass(frozen=True)
+class SwallowedHandler:
+    """One broad ``except`` handler whose body neither re-raises nor uses
+    the bound error."""
+
+    line: int
+    col: int
+    bare: bool  # ``except:`` rather than ``except Exception`` and kin
+
+
+@dataclass(frozen=True)
 class FunctionSummary:
     """Everything the summary consumers need about one function."""
 
@@ -230,6 +245,7 @@ class ModuleSummary:
     relparts: tuple[str, ...]
     imports: dict[str, str] = field(default_factory=dict)  # module level
     import_sites: list[ImportSite] = field(default_factory=list)
+    swallowed_handlers: list[SwallowedHandler] = field(default_factory=list)
     #: Keyed by qualname: module-level functions under their plain name,
     #: nested ``def``s as ``outer.<locals>.inner``, module-level statements
     #: as :data:`MODULE_SCOPE`.
@@ -359,6 +375,42 @@ def _base_reference(expr: ast.expr, imports: dict[str, str]) -> Optional[str]:
     if chain[0] in imports:
         return ".".join((imports[chain[0]], *chain[1:]))
     return ".".join(chain)
+
+
+def _is_broad(exception_type: Optional[ast.expr]) -> bool:
+    """Bare ``except:``, ``Exception``, ``BaseException``, or a tuple
+    containing either."""
+    if exception_type is None:
+        return True
+    if isinstance(exception_type, ast.Name):
+        return exception_type.id in BROAD_EXCEPTIONS
+    if isinstance(exception_type, ast.Attribute):
+        return exception_type.attr in BROAD_EXCEPTIONS
+    if isinstance(exception_type, ast.Tuple):
+        return any(_is_broad(element) for element in exception_type.elts)
+    return False
+
+
+def _raises(node: ast.AST) -> bool:
+    """Whether the subtree contains a ``raise``, not counting nested defs
+    (a ``raise`` inside a nested function runs later, if ever — it does not
+    re-raise on behalf of the handler)."""
+    if isinstance(node, ast.Raise):
+        return True
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return False
+    return any(_raises(child) for child in ast.iter_child_nodes(node))
+
+
+def _swallows(handler: ast.ExceptHandler) -> bool:
+    """A broad handler whose body neither re-raises nor uses the error."""
+    if not _is_broad(handler.type) or any(_raises(s) for s in handler.body):
+        return False
+    return handler.name is None or not any(
+        isinstance(node, ast.Name) and node.id == handler.name
+        for statement in handler.body
+        for node in ast.walk(statement)
+    )
 
 
 #: ``(line_of_the_copy_false_read, kind)``.  Kind ``"ref"``: the name is
@@ -492,6 +544,12 @@ class _ScopeIndexer:
             elif isinstance(child, ast.expr):
                 self._expression(child, held)
             elif isinstance(child, (ast.excepthandler, ast.match_case)):
+                if isinstance(child, ast.ExceptHandler) and _swallows(child):
+                    self.module.swallowed_handlers.append(
+                        SwallowedHandler(
+                            child.lineno, child.col_offset + 1, child.type is None
+                        )
+                    )
                 self._compound(child, held)
 
     def _class(self, node: ast.ClassDef, held: tuple[str, ...]) -> None:

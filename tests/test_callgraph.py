@@ -305,21 +305,21 @@ class TestDiscoverySymlinks:
         finding once per spelling — and a link pointing back up the tree
         could loop.  Symlinked directories are pruned and files dedupe by
         resolved path."""
-        package = tmp_path / "repro" / "sim"
+        package = tmp_path / "repro" / "service"
         package.mkdir(parents=True)
-        real = package / "clocky.py"
-        real.write_text("import time\n\ndef stamp():\n    return time.time()\n")
+        real = package / "rawio.py"
+        real.write_text("import shutil\n")
         os.symlink(tmp_path / "repro", package / "loop")  # would cycle
         os.symlink(real, package / "zz_alias.py")  # duplicate spelling
         report = lint_paths([str(tmp_path)])
         assert report.files_checked == 1
-        assert [d.code for d in report.diagnostics] == ["MUT003"]
+        assert [d.code for d in report.diagnostics] == ["MUT002"]
 
     def test_same_tree_via_two_arguments_dedupes(self, tmp_path):
-        package = tmp_path / "repro" / "sim"
+        package = tmp_path / "repro" / "service"
         package.mkdir(parents=True)
-        real = package / "clocky.py"
-        real.write_text("import time\n\ndef stamp():\n    return time.time()\n")
+        real = package / "rawio.py"
+        real.write_text("import shutil\n")
         # "zlink" sorts after "repro", so the canonical spelling (the one
         # whose relparts carry package scoping) is the display path kept.
         link = tmp_path / "zlink"

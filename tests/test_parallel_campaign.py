@@ -388,9 +388,13 @@ def test_digest_does_not_depend_on_the_hash_seed(serial_store, tmp_path):
     # str hashes are salted per process, so a set or dict whose iteration
     # order reaches a result would give each process its own digest.  Two CLI
     # runs of the serial store's campaign under different fixed seeds must
-    # both give the in-process digest.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    argv = [sys.executable, "-m", "repro.cli", "campaign", "--workloads", "deploy"]
+    # both give the in-process digest.  Both run under the determinism guard
+    # (tests/determinism_guard.py): the wall clock or ambient randomness read
+    # in the simulator or the campaign pipeline fails the run, and the run at
+    # hash seed 1 sees every directory listing in reverse order.
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    argv = [sys.executable, str(tests / "determinism_guard.py"), "campaign", "--workloads", "deploy"]
     argv += ["--golden-runs", "1", "--max-experiments", "12", "--seed", "3", "--workers", "1"]
     runs = {
         hash_seed: subprocess.Popen(
