@@ -105,16 +105,16 @@ class APIClient:
 
     def _send(self, kind: str, obj: dict, operation: str) -> dict:
         self.requests_sent += 1
-        metadata = obj.get("metadata", {}) if isinstance(obj, dict) else {}
-        context = RequestContext(
-            component=self.component,
-            kind=kind,
-            operation=operation,
-            name=str(metadata.get("name", "<unknown>")),
-            namespace=metadata.get("namespace") if isinstance(metadata, dict) else None,
-        )
         payload = obj
         if self._request_hook is not None:
+            metadata = obj.get("metadata", {}) if isinstance(obj, dict) else {}
+            context = RequestContext(
+                component=self.component,
+                kind=kind,
+                operation=operation,
+                name=str(metadata.get("name", "<unknown>")),
+                namespace=metadata.get("namespace") if isinstance(metadata, dict) else None,
+            )
             data = encode(obj)
             data = self._request_hook(context, data)
             if data is None:

@@ -3,12 +3,12 @@
 ``repro.cli profile`` wraps a campaign in cProfile *and* these counters:
 cProfile says where the wall-clock goes, the counters say how many times
 each hot phase actually ran per experiment — encodes, decodes, validations,
-watch dispatches — and how often the codec's decode cache and the store's
-skip-if-no-subscriber dispatch short-circuited the work.  The numbers turn
-"the codec is probably hot" into a measured claim; ``benchmarks/mutiny_bench``
-reads the same counters (its traced call counts must equal their deltas) and
-``benchmarks/trend.py`` gates its reports against the ``BENCH_<n>.json``
-history.
+watch dispatches — and how often the codec's encode memo and decode cache
+and the store's skip-if-no-subscriber dispatch short-circuited the work.
+The numbers turn "the codec is probably hot" into a measured claim;
+``benchmarks/mutiny_bench`` reads the same counters (its traced call counts
+must equal their deltas) and ``benchmarks/trend.py`` gates its reports
+against the ``BENCH_<n>.json`` history.
 
 Incrementing a counter is a single attribute add on a ``__slots__``
 instance, cheap enough to stay enabled permanently; every committed
@@ -26,6 +26,7 @@ class HotPathCounters:
 
     __slots__ = (
         "encodes",
+        "encode_memo_hits",
         "decodes",
         "decode_cache_hits",
         "validations",
@@ -41,6 +42,8 @@ class HotPathCounters:
     def reset(self) -> None:
         """Zero every counter (the profile subcommand resets before a run)."""
         self.encodes = 0
+        #: Encodes served from the codec's encode memo (a subset of encodes).
+        self.encode_memo_hits = 0
         self.decodes = 0
         self.decode_cache_hits = 0
         self.validations = 0
@@ -58,6 +61,7 @@ class HotPathCounters:
     def render(self) -> str:
         """Render the per-phase counter report, with per-experiment averages."""
         experiments = max(self.experiments, 1)
+        memo_rate = 100.0 * self.encode_memo_hits / self.encodes if self.encodes else 0.0
         decode_requests = self.decodes + self.decode_cache_hits
         hit_rate = (
             100.0 * self.decode_cache_hits / decode_requests if decode_requests else 0.0
@@ -75,6 +79,11 @@ class HotPathCounters:
         lines = [
             f"hot-path counters ({self.experiments} experiment(s), golden runs included)",
             row("encodes", self.encodes),
+            row(
+                "encode memo hits",
+                self.encode_memo_hits,
+                f"[{memo_rate:.1f}% of encodes]",
+            ),
             row("decodes", self.decodes),
             row(
                 "decode cache hits",

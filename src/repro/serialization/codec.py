@@ -27,10 +27,14 @@ arguments are in ``docs/INVARIANTS.md``), all dropped by
   from any successfully decoded bytes and therefore *bypass* the cache by
   construction: they are decoded (and fail) fresh every time, so the fault
   semantics of the paper are untouched;
-* an **encode memo** keyed by the ``marshal`` bytes of the tree — every
-  experiment replays the golden run's prefix, so most encodes repeat an
-  earlier one exactly.  :func:`seed_decode` lets the Apiserver enter the
-  bytes it just encoded into the decode cache without parsing them back;
+* an **encode memo** keyed by the ``marshal`` bytes of the tree with
+  ``metadata.resourceVersion`` blanked — the same lease renewal or pod
+  status is written again and again under a new version, so most encodes
+  repeat an earlier one's content exactly; a hit splices the new version
+  into the memoised encoding.  A tree without an integer version (none in
+  a campaign: every write stamps one) is encoded plainly.
+  :func:`seed_decode` lets the Apiserver enter the bytes it just encoded
+  into the decode cache without parsing them back;
 * an **encode key cache** interning the length-prefixed encoding of message
   keys — the same few dozen field names ("metadata", "spec", "replicas", …)
   appear in every message of a campaign — and two string caches (canonical
@@ -70,14 +74,17 @@ _DECODE_CACHE_VALUE_LIMIT = 64 * 1024
 #: :func:`decode` hit into a single C-level ``marshal.loads``.
 _decode_cache: "OrderedDict[bytes, list]" = OrderedDict()
 
-#: Maps the ``marshal`` bytes of an encoded tree to ``(wire bytes,
-#: seedable)``, bounded like the decode cache.  Equal ``marshal`` bytes mean
-#: type-exactly equal trees with the same key order, hence equal encodings.
-_encode_memo: "OrderedDict[bytes, tuple[bytes, bool]]" = OrderedDict()
-#: ``(wire bytes, marshal bytes)`` of the latest encode whose tree was in
-#: decode normal form (else None), read by :func:`seed_decode`.  Replaced as
-#: one tuple, so a thread never pairs one encode's bytes with another's tree.
-_last_seedable: Optional[tuple[bytes, bytes]] = None
+#: Maps the ``marshal`` bytes of a tree whose integer
+#: ``metadata.resourceVersion`` is replaced by None to its encoding cut
+#: around that version: ``(bytes before the metadata payload, metadata
+#: payload before the version's varint, metadata payload after it, bytes
+#: after metadata, seedable)``, bounded like the decode cache.
+_encode_memo: "OrderedDict[bytes, tuple[bytes, bytes, bytes, bytes, bool]]" = OrderedDict()
+#: ``(wire bytes, blanked marshal bytes, version)`` of the latest encode
+#: whose tree was in decode normal form (else None), read by
+#: :func:`seed_decode`.  Replaced as one tuple, so a thread never pairs one
+#: encode's bytes with another's tree.
+_last_seedable: Optional[tuple[bytes, bytes, int]] = None
 
 #: Signed 64-bit range: the integers whose varint decodes back unchanged.
 _INT_MIN = -(1 << 63)
@@ -156,6 +163,8 @@ class EncodeError(ValueError):
 
 
 _SMALL_VARINTS = [bytes([value]) for value in range(0x80)]
+_MESSAGE_TAG = bytes([_TYPE_MESSAGE])
+_INT_TAG = bytes([_TYPE_INT])
 
 
 def _encode_varint(value: int) -> bytes:
@@ -316,6 +325,17 @@ def _decode_value(data: bytes, offset: int) -> tuple[Any, int]:
     raise DecodeError(f"unknown value type tag 0x{tag:02x}")
 
 
+def _encode_key(key: Any) -> bytes:
+    """Return the ``varint(len) + utf-8`` encoding of a message key."""
+    if not isinstance(key, str):
+        raise EncodeError(f"message keys must be strings, got {type(key).__name__}")
+    raw_key = key.encode("utf-8")
+    encoded_key = _encode_varint(len(raw_key)) + raw_key
+    if len(_key_cache) < _KEY_CACHE_MAX:
+        _key_cache[key] = encoded_key
+    return encoded_key
+
+
 def _encode_message(obj: dict) -> bytes:
     """Encode a dictionary as a sequence of key/value entries."""
     parts = bytearray()
@@ -323,15 +343,28 @@ def _encode_message(obj: dict) -> bytes:
     for key in obj:
         encoded_key = key_cache.get(key)
         if encoded_key is None:
-            if not isinstance(key, str):
-                raise EncodeError(f"message keys must be strings, got {type(key).__name__}")
-            raw_key = key.encode("utf-8")
-            encoded_key = _encode_varint(len(raw_key)) + raw_key
-            if len(key_cache) < _KEY_CACHE_MAX:
-                key_cache[key] = encoded_key
+            encoded_key = _encode_key(key)
         parts += encoded_key
         _encode_value_into(obj[key], parts)
     return bytes(parts)
+
+
+def _split_message(obj: dict, split: str) -> tuple[bytes, bytes]:
+    """Encode ``obj`` as :func:`_encode_message` does, cut at one value.
+
+    Returns the bytes up to and including the key ``split`` and the bytes
+    of the entries after it; the value of ``split`` itself is left out.
+    """
+    before = bytearray()
+    after = bytearray()
+    out = before
+    for key in obj:
+        out += _key_cache.get(key) or _encode_key(key)
+        if key == split:
+            out = after
+        else:
+            _encode_value_into(obj[key], out)
+    return bytes(before), bytes(after)
 
 
 def _decode_message(data: bytes) -> dict:
@@ -377,28 +410,57 @@ def _decodes_to_itself(node: Any) -> bool:
 def encode(obj: dict) -> bytes:
     """Serialize an API object (a nested dictionary) to wire bytes.
 
-    Memoised on ``marshal.dumps(obj)``: equal ``marshal`` bytes are the same
-    tree down to every type and key order, so the memoised bytes are exactly
-    what encoding ``obj`` would produce.  A tree ``marshal`` refuses (too
-    deep, or holding a type the codec rejects as well) is encoded plainly
-    and memoises nothing.
+    Memoised on ``marshal.dumps`` of ``obj`` with its
+    ``metadata.resourceVersion`` set to None (two shallow copies; ``obj`` is
+    never mutated), when ``obj`` and its ``metadata`` are plain dicts and
+    the version is an ``int`` in the signed 64-bit range.  Every write
+    stamps a new version, so keying on the whole tree would miss on content
+    written before under another one.  Equal keys mean trees equal down to
+    every type and key order everywhere but the version, so their encodings
+    differ only in the version's varint and in the metadata length before
+    it: the memo keeps the four segments around those two and a hit
+    rebuilds the exact bytes.  Any other tree, and one ``marshal`` refuses
+    (too deep, or holding a type the codec rejects as well), is encoded
+    plainly and memoises nothing.
     """
     global _last_seedable
     if not isinstance(obj, dict):
         raise EncodeError(f"top-level object must be a dict, got {type(obj).__name__}")
     COUNTERS.encodes += 1
+    meta = obj.get("metadata") if type(obj) is dict else None
+    version = meta.get("resourceVersion") if type(meta) is dict else None
+    if type(version) is not int or not _INT_MIN <= version < _INT_LIMIT:
+        _last_seedable = None
+        return _encode_message(obj)
+    blank_meta = dict(meta)
+    blank_meta["resourceVersion"] = None
+    blank = dict(obj)
+    blank["metadata"] = blank_meta
     try:
-        blob = marshal.dumps(obj)
+        blob = marshal.dumps(blank)
     except ValueError:
         _last_seedable = None
         return _encode_message(obj)
     entry = _lru_get(_encode_memo, blob)
     if entry is None:
-        entry = (_encode_message(obj), _decodes_to_itself(obj))
+        head, tail = _split_message(obj, "metadata")
+        meta_head, meta_tail = _split_message(meta, "resourceVersion")
+        entry = (
+            head + _MESSAGE_TAG,
+            meta_head + _INT_TAG,
+            meta_tail,
+            tail,
+            _decodes_to_itself(obj),
+        )
         if len(blob) <= _DECODE_CACHE_VALUE_LIMIT:
             _lru_put(_encode_memo, blob, entry)
-    data, seedable = entry
-    _last_seedable = (data, blob) if seedable else None
+    else:
+        COUNTERS.encode_memo_hits += 1
+    head, meta_head, meta_tail, tail, seedable = entry
+    varint = _encode_varint(_encode_zigzag(version))
+    meta_length = _encode_varint(len(meta_head) + len(varint) + len(meta_tail))
+    data = b"".join((head, meta_length, meta_head, varint, meta_tail, tail))
+    _last_seedable = (data, blob, version) if seedable else None
     return data
 
 
@@ -407,16 +469,21 @@ def seed_decode(data: bytes) -> None:
 
     Only if ``data`` is the very ``bytes`` object the latest :func:`encode`
     returned and that encode saw its tree in decode normal form; the cached
-    tree is then a ``marshal`` copy of the tree as encoded, type-exactly what
-    decoding ``data`` would give.  Any other bytes (a hook's corruption, an
-    older encode, another thread's) are left to the real decode.
+    tree is then a ``marshal`` copy of the tree as encoded (the blanked
+    tree with its version written back), type-exactly what decoding
+    ``data`` would give.  Any other bytes (a hook's corruption, an older
+    encode, another thread's) are left to the real decode.
     """
     last = _last_seedable
     if last is None or last[0] is not data or len(data) > _DECODE_CACHE_VALUE_LIMIT:
         return
     if data not in _decode_cache:
-        blob = last[1]
-        _lru_put(_decode_cache, data, [marshal.loads(blob), blob])
+        _, blob, version = last
+        tree = marshal.loads(blob)
+        tree["metadata"]["resourceVersion"] = version
+        # The blob is the blanked tree's; decode materialises the entry's
+        # own blob on its first copying read.
+        _lru_put(_decode_cache, data, [tree, None])
 
 
 def decode(data: bytes) -> dict:

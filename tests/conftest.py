@@ -49,13 +49,3 @@ def booted_cluster() -> Cluster:
     cluster = Cluster(ClusterConfig(seed=42))
     cluster.boot(stabilization_seconds=30.0)
     return cluster
-
-
-def make_cluster(seed: int = 0, **overrides) -> Cluster:
-    """Helper for tests that need their own mutable cluster."""
-    config = ClusterConfig(seed=seed)
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    cluster = Cluster(config)
-    cluster.boot(stabilization_seconds=30.0)
-    return cluster

@@ -8,6 +8,7 @@ of one experiment per injection channel, and the ``repro.cli profile``
 subcommand.
 """
 
+import marshal
 import struct
 from collections import OrderedDict
 
@@ -31,6 +32,7 @@ from repro.serialization import (
     decode,
     decode_shared,
     encode,
+    seed_decode,
 )
 from repro.sim.engine import Simulation
 from repro.workloads.workload import WorkloadKind
@@ -205,7 +207,10 @@ def test_seeded_cache_entry_is_exactly_what_decode_gives(tree):
 @given(_TREES, _TREES)
 def test_memoised_encode_equals_cold_encode(first, second):
     clear_codec_caches()
-    trees = [{"t": first}, {"t": second}]
+    trees = [
+        {"metadata": {"resourceVersion": 7}, "t": first},
+        {"t": second, "metadata": {"name": "b", "resourceVersion": 300}},
+    ]
     cold = [encode(tree) for tree in trees]
     assert [encode(tree) for tree in trees] == cold  # memo hits, no aliasing
     assert cold == [codec._encode_message(tree) for tree in trees]
@@ -235,6 +240,87 @@ def test_byte_flips_never_alias_a_cache_entry(tree, flips):
         return
     assert _same(decode(corrupted), expected)
     assert _same(decode_shared(corrupted), expected)
+
+
+#: Versions where the varint grows a byte, the signed 64-bit ends, and one
+#: past them (an int the memo must leave to a plain encode).
+_EDGE_VERSIONS = [0, 1, 127, 128, 16383, 16384, 2**63 - 1, -(2**63), -1, 2**63]
+_ABSENT = object()
+_VERSIONS = st.one_of(
+    st.sampled_from(_EDGE_VERSIONS),
+    st.integers(min_value=0, max_value=2**40),
+    st.sampled_from([True, False, "12", None, 12.0, _ABSENT]),
+)
+_KEYS = st.sampled_from(["name", "namespace", "uid", "labels", "generation", "x"])
+
+
+@st.composite
+def _api_objects(draw):
+    """An API-shaped tree and several versions to stamp into copies of it."""
+    meta_entries = draw(st.lists(st.tuples(_KEYS, _TREES), max_size=4, unique_by=lambda e: e[0]))
+    at = draw(st.integers(min_value=0, max_value=len(meta_entries)))
+    metadata = draw(
+        st.one_of(
+            st.just(meta_entries),
+            _LEAVES,
+            st.lists(_LEAVES, max_size=3),
+        )
+    )
+    top = [("apiVersion", "v1"), ("kind", draw(st.sampled_from(["Pod", "Lease"])))]
+    body = st.tuples(st.sampled_from(["spec", "status", "data"]), _TREES)
+    top += draw(st.lists(body, max_size=3, unique_by=lambda e: e[0]))
+    position = draw(st.integers(min_value=0, max_value=len(top)))
+    versions = draw(st.lists(_VERSIONS, min_size=1, max_size=4))
+
+    def stamp(version):
+        if metadata is meta_entries:
+            entries = list(meta_entries)
+            if version is not _ABSENT:
+                entries.insert(at, ("resourceVersion", version))
+            meta = dict(entries)
+        else:
+            meta = metadata
+        return dict(top[:position] + [("metadata", meta)] + top[position:])
+
+    return [stamp(version) for version in versions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_api_objects())
+def test_versioned_encode_equals_uncached_encode_cold_and_warm(objects):
+    clear_codec_caches()
+    for _ in ("cold", "warm"):
+        for obj in objects:
+            before = marshal.dumps(obj)
+            data = encode(obj)
+            assert marshal.dumps(obj) == before  # the argument is not mutated
+            assert data == codec._encode_message(obj)
+            seed_decode(data)
+            try:
+                expected = codec._decode_message(data)
+            except DecodeError:
+                with pytest.raises(DecodeError):
+                    decode_shared(data)
+                continue
+            assert _same(decode_shared(data), expected)
+            assert _same(decode(data), expected)
+
+
+def test_encode_memo_hits_across_versions_and_never_serves_a_none_version():
+    pod = make_pod("memo")
+    hits = COUNTERS.encode_memo_hits
+    stamped = []
+    for version in (1, 127, 128, 16384):
+        pod["metadata"]["resourceVersion"] = version
+        stamped.append(encode(pod))
+    assert COUNTERS.encode_memo_hits == hits + 3
+    assert len(codec._encode_memo) == 1
+    # A None version has the blanked tree's marshal bytes: it must not be
+    # served a cut from the memo.
+    pod["metadata"]["resourceVersion"] = None
+    assert encode(pod) == codec._encode_message(pod)
+    assert COUNTERS.encode_memo_hits == hits + 3
+    assert [decode(data)["metadata"]["resourceVersion"] for data in stamped] == [1, 127, 128, 16384]
 
 
 # --------------------------------------------------- apiserver copy semantics
@@ -464,6 +550,7 @@ def test_profile_subcommand_reports_counters(capsys, tmp_path):
     for needle in (
         "hot-path counters",
         "encodes",
+        "encode memo hits",
         "decodes",
         "validations",
         "watch dispatches",
