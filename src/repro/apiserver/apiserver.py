@@ -132,7 +132,8 @@ class APIServer:
     def cached_objects(self) -> list[dict]:
         """The watch cache's decoded objects: replaced wholesale, never
         edited (the informer contract), so a copied cluster may share them
-        with the original."""
+        with the original.  They are all ``decode_shared`` trees, which the
+        shared-tree sweep of ``tests/determinism_guard.py`` checks."""
         return list(self._cache.values())
 
     def record_event(self, reason: str, message: str, kind: str = "", name: str = "") -> None:
@@ -188,6 +189,8 @@ class APIServer:
         real Kubernetes (objects from a shared informer cache must never be
         mutated).  Cache entries are replaced wholesale on writes, never
         mutated in place, so a held reference is a consistent snapshot.
+        The guarded campaign tests check this at run time: the shared-tree
+        sweep of ``tests/determinism_guard.py`` finds any edited entry.
         """
         self._check_readable()
         key = self._key(kind, namespace, name)
@@ -231,7 +234,9 @@ class APIServer:
 
         With ``copy=False`` the returned objects are references into the
         watch cache and must be treated as **read-only** (the informer
-        contract); the list itself is always the caller's own.
+        contract, checked by the shared-tree sweep of
+        ``tests/determinism_guard.py``); the list itself is always the
+        caller's own.
         """
         self._check_readable()
         if not self.serve_from_cache:

@@ -1,25 +1,15 @@
 """Interprocedural dataflow over the project call graph.
 
-Two analyses, both deliberately simple and both memoized so the whole-tree
-sweep stays cheap:
-
-* **Banned-primitive reachability** (:class:`Reachability`): from a given
-  function, can execution reach a call site matching a predicate (raw-I/O
-  primitives for MUT006, blocking primitives for MUT007) through any chain
-  of resolvable project calls?  The answer carries the *chain* — every hop
-  with its file:line — because a finding the developer cannot trace is a
-  finding they will suppress instead of fix.  Recursion is handled with an
-  on-stack guard (a cycle contributes no new reachability); functions in
-  exempt modules (the transport implementations — the sanctioned floor of
-  the storage contract) are never descended into.
-
-* **Parameter-mutation fixpoint** (:func:`mutated_param_set`): the set of
-  ``(function, parameter_index)`` pairs whose parameter is mutated in
-  place, directly (``p["x"] = v``, ``p.append(...)``) or transitively (the
-  parameter is forwarded positionally to another project function that
-  mutates the corresponding parameter).  This is what closes MUT001's
-  known interprocedural hole: a tainted ``copy=False`` reference passed
-  into a helper that mutates its argument.
+**Banned-primitive reachability** (:class:`Reachability`), memoized so the
+whole-tree sweep stays cheap: from a given function, can execution reach a
+call site matching a predicate (raw-I/O primitives for MUT006, blocking
+primitives for MUT007) through any chain of resolvable project calls?  The
+answer carries the *chain* — every hop with its file:line — because a
+finding the developer cannot trace is a finding they will suppress instead
+of fix.  Recursion is handled with an on-stack guard (a cycle contributes
+no new reachability); functions in exempt modules (the transport
+implementations — the sanctioned floor of the storage contract) are never
+descended into.
 """
 
 from __future__ import annotations
@@ -160,55 +150,3 @@ def call_chain_message(
     first = ChainStep(_qualified(callee), caller.path, call.line)
     return render_chain((first, *downstream))
 
-
-# ---------------------------------------------------------------------------
-# Parameter-mutation fixpoint
-# ---------------------------------------------------------------------------
-
-
-def callee_param_for_arg(
-    graph: ProjectGraph, resolution: Resolution, arg_position: int
-) -> Optional[tuple[str, int]]:
-    """Map a positional argument to the callee's parameter index.
-
-    Bound-method and constructor calls consume the implicit ``self``
-    parameter, so argument *i* lands on parameter *i + 1* there (a closure
-    nested in a method sees ``self`` but does not bind it).
-    """
-    if resolution.kind != PROJECT:
-        return None
-    callee = graph.functions.get(resolution.target)
-    if callee is None:
-        return None
-    offset = 1 if callee.summary.is_method else 0
-    index = arg_position + offset
-    if index >= len(callee.summary.params):
-        return None  # *args and arity mismatches: conservative no-map
-    return resolution.target, index
-
-
-def mutated_param_set(graph: ProjectGraph) -> dict[tuple[str, int], int]:
-    """``{(fid, param_index): line}`` for every parameter mutated in place,
-    directly or through any chain of positional forwarding."""
-    mutated: dict[tuple[str, int], int] = {}
-    for ref in graph.all_functions():
-        for index, line in ref.summary.mutated_params:
-            mutated[(ref.fid, index)] = line
-    changed = True
-    while changed:
-        changed = False
-        for ref in graph.all_functions():
-            module = graph.modules[ref.module]
-            for call in ref.summary.calls:
-                if not call.param_args:
-                    continue
-                resolution = graph.resolve(module, ref.summary, call)
-                for arg_position, caller_param in call.param_args:
-                    mapped = callee_param_for_arg(graph, resolution, arg_position)
-                    if mapped is None or mapped not in mutated:
-                        continue
-                    key = (ref.fid, caller_param)
-                    if key not in mutated:
-                        mutated[key] = call.line
-                        changed = True
-    return mutated

@@ -1,8 +1,7 @@
 """Core machinery of mutiny-lint: diagnostics, suppressions, file loading.
 
-The repo's contracts — informer ``copy=False`` reads being immutable, all
-storage I/O going through the :class:`~repro.core.transport.ShardTransport`
-contract, lock discipline in the threaded service classes, no swallowed
+The repo's contracts — all storage I/O going through the
+:class:`~repro.core.transport.ShardTransport` contract, lock discipline in the threaded service classes, no swallowed
 exceptions in daemon-thread bodies — were enforced only by review and
 docstring.  The Mutiny paper's core observation is that exactly such
 implicit cross-layer contracts are where orchestrators break; this package
@@ -22,7 +21,7 @@ Design notes
 * **Suppressions** are inline comments of the form::
 
       # mutiny-lint: disable=MUT002 -- control-plane HTTP, not shard storage
-      # mutiny-lint: disable=MUT001,MUT005 -- <justification>
+      # mutiny-lint: disable=MUT004,MUT005 -- <justification>
 
   The justification after ``--`` is mandatory: a suppression records a
   *decision*, and a decision without a reason is exactly the silent

@@ -1,9 +1,9 @@
-"""Summary consumers: transport purity (MUT002 + MUT006), the informer
-contract (MUT001) and swallowed exceptions (MUT005).
+"""Summary consumers: transport purity (MUT002 + MUT006) and swallowed
+exceptions (MUT005).
 
 The checkers read the facts pass 1 (:mod:`repro.lint.symbols`) recorded
-per module and function — the first two extend them across function
-boundaries through the call graph — and none touches an AST.
+per module and function — transport purity extends them across function
+boundaries through the call graph — and neither touches an AST.
 
 Transport purity is **one checker with one banned-primitive predicate and
 one scope function**.  PR 4 extracted the
@@ -23,11 +23,6 @@ lives *outside* the scope (inside it, the primitive itself is already
 MUT002).  The transport implementations (``core/transport.py``,
 ``core/objstore.py``) are the contract's sanctioned floor: out of scope by
 construction, and chains are never followed into them.
-
-MUT001 likewise reports both ends of one contract: the in-place mutations
-pass 1 saw through a ``copy=False``-tainted name, and a tainted reference
-passed positionally into a project function that mutates — directly or
-transitively — the receiving parameter.
 """
 
 from __future__ import annotations
@@ -35,13 +30,7 @@ from __future__ import annotations
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.lint.callgraph import EXTERNAL, PROJECT, ProjectGraph, Resolution
-from repro.lint.dataflow import (
-    Reachability,
-    call_chain_message,
-    callee_param_for_arg,
-    mutated_param_set,
-    site_suppressed,
-)
+from repro.lint.dataflow import Reachability, call_chain_message, site_suppressed
 from repro.lint.framework import Diagnostic, Suppression
 from repro.lint.symbols import CallSite, ImportSite
 
@@ -315,91 +304,6 @@ def _banned_imports(
             for name in site.names:
                 if name in BANNED_OS:
                     yield site.line, site.col, f"import of 'os.{name}'"
-
-
-class InformerMutationChecker(GraphChecker):
-    docs = {
-        "MUT001": (
-            "Mutation of a copy=False informer cache reference",
-            """\
-Contract (PR 6): `APIServer.get`/`list` and the client wrappers return
-*references into the apiserver watch cache* when called with `copy=False`.
-Those objects are shared by every controller, the metrics scraper, the
-network layer, and the injector's field recorder; they are immutable by
-convention — all legitimate writes replace the cached entry wholesale
-through `client.update(...)`/`update_status(...)`.
-
-Mutating a cache reference in place bypasses the apiserver entirely: no
-revision bump, no watch event, no admission/validation pass — every other
-reader sees the edit immediately and the campaign digest diverges from the
-serial baseline in a way nothing logs.  This is exactly the silent
-cross-layer contract violation the Mutiny paper (DSN 2024) documents as the
-dominant Kubernetes failure pattern.
-
-Correct pattern — copy at the mutation point, then write back:
-
-    pod = deep_copy(pod)          # listed refs are read-only
-    pod["metadata"]["ownerReferences"].append(ref)
-    client.update("Pod", pod)
-
-The checker taints names bound from `.get(..., copy=False)` /
-`.list(..., copy=False)` calls (and loop variables iterating them) and
-flags attribute/item assignment, `del`, augmented assignment, and mutating
-method calls (`append`, `update`, `setdefault`, ...) through them.
-Rebinding a name via `deep_copy(...)` clears its taint.  The analysis is
-per-function and lexical; taint does not cross call boundaries.
-""",
-        ),
-    }
-
-    def run(
-        self, graph: ProjectGraph, suppressions: SuppressionMap
-    ) -> list[Diagnostic]:
-        findings: list[Diagnostic] = []
-        mutated = mutated_param_set(graph)
-        for ref in graph.all_functions():
-            for event in ref.summary.taint_mutations:
-                reference = (
-                    f"{event.name!r}, a copy=False informer cache reference "
-                    f"(read at line {event.read_line}); "
-                )
-                if event.through:
-                    message = (
-                        f"{event.action} through {reference}deep_copy() it "
-                        "before mutating, then write back via the apiserver"
-                    )
-                else:
-                    message = f"{event.action} to {reference}deep_copy() it first"
-                findings.append(
-                    Diagnostic(ref.path, event.line, event.col, "MUT001", message)
-                )
-            module = graph.modules[ref.module]
-            for call in ref.summary.calls:
-                if not call.tainted_args:
-                    continue
-                resolution = graph.resolve(module, ref.summary, call)
-                for position in call.tainted_args:
-                    mapped = callee_param_for_arg(graph, resolution, position)
-                    if mapped is None or mapped not in mutated:
-                        continue
-                    callee = graph.functions[mapped[0]]
-                    findings.append(
-                        Diagnostic(
-                            path=ref.path,
-                            line=call.line,
-                            column=call.col,
-                            code="MUT001",
-                            message=(
-                                f"copy=False informer cache reference passed to "
-                                f"{callee.summary.qualname!r}, which mutates its "
-                                f"parameter {callee.summary.params[mapped[1]]!r} "
-                                f"(at {'/'.join(callee.relparts)}:{mutated[mapped]}); "
-                                "deep_copy() before the call, or make the helper "
-                                "copy-on-write"
-                            ),
-                        )
-                    )
-        return findings
 
 
 class SwallowedExceptionChecker(GraphChecker):

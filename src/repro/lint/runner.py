@@ -9,7 +9,7 @@ two phases:
   findings it makes are MUT000's.
 
 * **Phase B (whole program)** — build the project call graph from the
-  summaries and run the *summary consumers* (MUT001, MUT002, MUT004–MUT008).
+  summaries and run the *summary consumers* (MUT002, MUT004–MUT008).
   Cheap relative to parsing, and for most of them inherently cross-file.
 
 Inline suppressions apply to every finding (a graph finding lands on a
@@ -40,7 +40,6 @@ from repro.lint.framework import (
 )
 from repro.lint.purity_graph import (
     GraphChecker,
-    InformerMutationChecker,
     SwallowedExceptionChecker,
     TransportPurityChecker,
 )
@@ -52,7 +51,6 @@ from repro.lint.symbols import ModuleSummary, index_module
 #: framework itself (unparseable files, bad suppression comments) and is
 #: documented via :data:`EXPLANATIONS`.
 GRAPH_CHECKERS: tuple[Type[GraphChecker], ...] = (
-    InformerMutationChecker,
     TransportPurityChecker,
     SwallowedExceptionChecker,
     LockDisciplineChecker,

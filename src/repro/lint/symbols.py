@@ -5,8 +5,8 @@ components, so a contract checker that cannot see chains misses the
 defects that matter (a helper doing raw I/O on behalf of
 ``resultstore.py``, a blocking call three frames below a ``with
 self._lock:``).  This module is the only code in the package that walks a
-function body; every checker (MUT001, MUT002, MUT004–MUT008) is a
-*consumer* of the summaries produced here.
+function body; every checker (MUT002, MUT004–MUT008) is a *consumer* of
+the summaries produced here.
 
 Each parsed module is distilled into a :class:`ModuleSummary` — classes,
 bases, the ``_lock_guarded`` declaration, import aliases and the site of
@@ -15,13 +15,9 @@ function, recording:
 
 * every call site, with its attribute chain, its import-resolved dotted
   target when the root is an imported name (module-level *or*
-  function-local import), the lock(s) lexically held at the call, which
-  positional arguments carry ``copy=False`` taint, and which are the
-  caller's own parameters;
+  function-local import) and the lock(s) lexically held at the call;
 * every lock acquisition (``with self._lock:`` / ``with GLOBAL_LOCK:``)
   with the locks already held at that point;
-* which parameters the body mutates in place, and every in-place mutation
-  through a ``copy=False``-tainted name (the events MUT001 reports);
 * every ``self.<attr>`` read and write with whether ``self._lock`` is held
   (what MUT004 checks against the class's declaration);
 * every broad ``except`` handler that drops its error (what MUT005
@@ -33,9 +29,9 @@ What counts as a function:
 * module-level statements (and class bodies, which run at import) form the
   ``<module>`` pseudo-function of their file;
 * a nested ``def`` is a function of its own, ``outer.<locals>.inner``,
-  with a **fresh taint environment and an empty lock context** (it runs
-  later, on whichever thread calls it) but its enclosing scope's imports
-  and — inside a method — its class, so ``self.m()`` in a closure resolves;
+  with an **empty lock context** (it runs later, on whichever thread
+  calls it) but its enclosing scope's imports and — inside a method — its
+  class, so ``self.m()`` in a closure resolves;
 * lambdas and comprehensions are *not* functions: they get no summary and
   no call-graph node, and what is written inside them is attributed inline
   to the enclosing function, under its lock context.
@@ -45,7 +41,6 @@ never see (or keep alive) a syntax tree.
 
 Documented approximations (conservative by design):
 
-* only positional arguments participate in taint/parameter mapping;
 * a function sees every import of its enclosing scopes regardless of
   statement order;
 * a method called as ``self.m(...)`` / ``cls.m(...)`` is resolvable; a
@@ -60,17 +55,6 @@ from dataclasses import dataclass, field
 from typing import Optional, TypeGuard, Union
 
 from repro.lint.framework import LintFile
-
-#: Methods whose call mutates their receiver in place.
-MUTATING_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-        "update", "setdefault", "sort", "reverse", "add", "discard",
-    }
-)
-
-#: Accessor names whose ``copy=False`` form returns cache references.
-CACHE_READERS = frozenset({"get", "list"})
 
 #: Placeholder root for a call/attribute chain rooted in a non-Name
 #: expression (a call result, a subscript, ...).
@@ -117,12 +101,6 @@ class CallSite:
     #: imported name (``os.remove``, ``repro.core.transport.transport_for``);
     #: ``None`` otherwise.
     dotted: Optional[str] = None
-    #: Positional argument indexes whose value is a ``copy=False``-tainted
-    #: name (MUT001 interprocedural escape analysis).
-    tainted_args: tuple[int, ...] = ()
-    #: ``(argument_index, caller_parameter_index)`` pairs for positional
-    #: arguments that are the caller's own bare parameters.
-    param_args: tuple[tuple[int, int], ...] = ()
     #: Lock tokens lexically held at the call (``self._lock`` / ``G:NAME``).
     held_locks: tuple[str, ...] = ()
 
@@ -135,22 +113,6 @@ class LockAcquire:
     col: int
     lock: str  # "self.<attr>" or "G:<name>"
     held: tuple[str, ...]  # locks already held at this acquisition
-
-
-@dataclass(frozen=True)
-class TaintMutation:
-    """One in-place mutation through a ``copy=False``-tainted name."""
-
-    line: int
-    col: int
-    #: ``"item/attribute assignment"``, ``"del"``, ``"augmented
-    #: assignment"`` or ``"mutating call .<method>()"``.
-    action: str
-    name: str
-    read_line: int  # line of the ``copy=False`` read the taint came from
-    #: ``False`` for ``name += ...`` on the tainted name itself, ``True``
-    #: for a mutation through an attribute/item/method of it.
-    through: bool = True
 
 
 @dataclass(frozen=True)
@@ -197,12 +159,8 @@ class FunctionSummary:
     qualname: str
     line: int
     col: int
-    params: tuple[str, ...]  # positional parameters, in order (incl. self)
     calls: tuple[CallSite, ...] = ()
     lock_acquires: tuple[LockAcquire, ...] = ()
-    #: ``(parameter_index, line)`` for parameters the body mutates in place.
-    mutated_params: tuple[tuple[int, int], ...] = ()
-    taint_mutations: tuple[TaintMutation, ...] = ()
     self_accesses: tuple[SelfAccess, ...] = ()
     #: The class whose ``self`` the body sees: a method's own class, and
     #: the enclosing method's class for a ``def`` nested in a method.
@@ -310,23 +268,6 @@ def attribute_chain(node: ast.AST) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _is_copy_false_read(node: ast.AST) -> bool:
-    """``<obj>.get(..., copy=False)`` or ``<obj>.list(..., copy=False)``."""
-    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-        return False
-    if node.func.attr not in CACHE_READERS:
-        return False
-    for keyword in node.keywords:
-        if keyword.arg == "copy" and isinstance(keyword.value, ast.Constant):
-            return keyword.value.value is False
-    return False
-
-
-def _is_deep_copy_call(node: ast.AST) -> bool:
-    """``deep_copy(...)`` or ``<anything>.deep_copy(...)``."""
-    return isinstance(node, ast.Call) and attribute_chain(node.func)[-1] == "deep_copy"
-
-
 def _is_self_attribute(node: ast.AST) -> TypeGuard[ast.Attribute]:
     return (
         isinstance(node, ast.Attribute)
@@ -413,24 +354,16 @@ def _swallows(handler: ast.ExceptHandler) -> bool:
     )
 
 
-#: ``(line_of_the_copy_false_read, kind)``.  Kind ``"ref"``: the name is
-#: (or may be) a cache reference — any in-place mutation is a MUT001 event.
-#: Kind ``"elements"``: the name is a fresh container whose *elements* are
-#: cache refs — mutating the container is fine, but iterating it yields
-#: ``"ref"``-tainted names.
-_Taint = tuple[int, str]
-
-
 class _ScopeIndexer:
     """Walks one function body (or a module's top level) into a
     :class:`FunctionSummary`.
 
-    The walk is sequential and lexical: statements in source order, one
-    taint environment per function, ``with``-lock containment tracked as a
-    stack.  ``def``s met on the way are queued and indexed as functions of
-    their own once the enclosing body is done (so they see all of its
-    imports); class bodies are walked inline — they execute with the
-    enclosing scope — and only their methods are queued.
+    The walk is sequential and lexical: statements in source order,
+    ``with``-lock containment tracked as a stack.  ``def``s met on the way
+    are queued and indexed as functions of their own once the enclosing
+    body is done (so they see all of its imports); class bodies are walked
+    inline — they execute with the enclosing scope — and only their methods
+    are queued.
     """
 
     def __init__(
@@ -438,24 +371,18 @@ class _ScopeIndexer:
         module: ModuleSummary,
         imports: dict[str, str],
         qualname: str,
-        params: tuple[str, ...],
         class_name: Optional[str],
     ):
         self.module = module
         self.qualname = qualname
-        self.params = params
         #: Shared with the enclosing scope until this scope imports
         #: something itself (copy-on-write); the module scope owns its dict.
         self.imports = imports
         self._owns_imports = qualname == MODULE_SCOPE
         self.class_name = class_name
-        self.param_index = {name: index for index, name in enumerate(params)}
         self.calls: list[CallSite] = []
         self.acquires: list[LockAcquire] = []
-        self.mutated: dict[int, int] = {}  # param index -> first mutation line
-        self.taint_mutations: list[TaintMutation] = []
         self.accesses: list[SelfAccess] = []
-        self._taint: dict[str, _Taint] = {}
         #: Qualname prefix of definitions nested directly in this scope.
         self._prefix = "" if qualname == MODULE_SCOPE else f"{qualname}{LOCALS}"
         #: The class whose body is being walked inline, if any.
@@ -499,36 +426,22 @@ class _ScopeIndexer:
                     )
                     inner = (*inner, token)
                 if item.optional_vars is not None:
-                    self._assign_target(item.optional_vars, None, inner)
+                    self._assign_target(item.optional_vars, inner)
             self.walk(node.body, inner)
         elif isinstance(node, ast.Assign):
             self._expression(node.value, held)
-            taint = self._taint_of(node.value)
             for target in node.targets:
-                self._assign_target(target, taint, held)
+                self._assign_target(target, held)
         elif isinstance(node, ast.AnnAssign):
             if node.value is not None:
                 self._expression(node.value, held)
-                self._assign_target(node.target, self._taint_of(node.value), held)
+                self._assign_target(node.target, held)
         elif isinstance(node, ast.AugAssign):
             self._expression(node.value, held)
-            self._store(node.target, held, "augmented assignment")
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self._taint.pop(target.id, None)
-                else:
-                    self._mutation(target, "del")
-                    self._expression(target, held)
+            self._store(node.target, held)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             self._expression(node.iter, held)
-            taint = self._taint_of(node.iter)
-            # Iterating either taint kind yields cache references: items of
-            # a copy=False list are refs, and so are items of a fresh
-            # container built from one.
-            self._assign_target(
-                node.target, (taint[0], "ref") if taint is not None else None, held
-            )
+            self._assign_target(node.target, held)
             self.walk(node.body, held)
             self.walk(node.orelse, held)
         else:
@@ -599,52 +512,19 @@ class _ScopeIndexer:
             ImportSite(node.lineno, node.col_offset + 1, module, names)
         )
 
-    # ------------------------------------------------------------------ taint
+    # ---------------------------------------------------------------- targets
 
-    def _taint_of(self, value: ast.expr) -> Optional[_Taint]:
-        """The taint a value expression carries, or ``None``."""
-        if _is_deep_copy_call(value):
-            return None
-        if _is_copy_false_read(value):
-            return (value.lineno, "ref")
-        if isinstance(value, ast.Name):
-            return self._taint.get(value.id)
-        if isinstance(value, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            # A comprehension over a tainted iterable builds a *fresh*
-            # container whose items are cache refs — unless every element
-            # is routed through deep_copy.
-            if _is_deep_copy_call(value.elt):
-                return None
-            for generator in value.generators:
-                taint = self._taint_of(generator.iter)
-                if taint is not None:
-                    return (taint[0], "elements")
-        return None
-
-    def _assign_target(
-        self, target: ast.expr, taint: Optional[_Taint], held: tuple[str, ...]
-    ) -> None:
-        if isinstance(target, ast.Name):
-            # A rebound parameter name no longer aliases the caller's
-            # object (``p = deep_copy(p)`` is the sanctioned pattern):
-            # later mutations through it are not parameter mutations.
-            self.param_index.pop(target.id, None)
-            if taint is None:
-                self._taint.pop(target.id, None)
-            else:
-                self._taint[target.id] = taint
-        elif isinstance(target, (ast.Tuple, ast.List)):
+    def _assign_target(self, target: ast.expr, held: tuple[str, ...]) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._assign_target(element, taint, held)
+                self._assign_target(element, held)
         elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            self._store(target, held, "item/attribute assignment")
+            self._store(target, held)
 
-    def _store(self, target: ast.expr, held: tuple[str, ...], action: str) -> None:
-        """An in-place write (``x.a = v``, ``x[k] += v``, ``x += v``): a
-        mutation of whatever name roots the target, and a write of
+    def _store(self, target: ast.expr, held: tuple[str, ...]) -> None:
+        """An in-place write (``x.a = v``, ``x[k] += v``): a write of
         ``self.<attr>`` when that is what (possibly under subscripts,
-        ``self.d[k] = v``) is assigned."""
-        self._mutation(target, action)
+        ``self.d[k] = v``) is assigned, and the target's reads."""
         attribute = target
         while isinstance(attribute, ast.Subscript):
             attribute = attribute.value
@@ -658,28 +538,6 @@ class _ScopeIndexer:
                 )
             )
         self._expression(target, held, skip=written)
-
-    def _mutation(self, target: ast.expr, action: str) -> None:
-        """Record an in-place mutation through ``target`` against the name
-        that roots it: a parameter (for the interprocedural fixpoint)
-        and/or a ``copy=False`` reference (a MUT001 event)."""
-        root: ast.AST = target
-        while isinstance(root, (ast.Attribute, ast.Subscript)):
-            root = root.value
-        if not isinstance(root, ast.Name):
-            return
-        through = root is not target  # False only for ``name += ...``
-        index = self.param_index.get(root.id)
-        if index is not None and through:
-            self.mutated.setdefault(index, target.lineno)
-        taint = self._taint.get(root.id)
-        if taint is not None and taint[1] == "ref":
-            self.taint_mutations.append(
-                TaintMutation(
-                    target.lineno, target.col_offset + 1, action, root.id,
-                    read_line=taint[0], through=through,
-                )
-            )
 
     # ------------------------------------------------------------ expressions
 
@@ -710,29 +568,12 @@ class _ScopeIndexer:
         root = chain[0]
         if root != OPAQUE_ROOT and root in self.imports:
             dotted = ".".join((self.imports[root], *chain[1:]))
-        tainted: list[int] = []
-        param_args: list[tuple[int, int]] = []
-        for position, argument in enumerate(node.args):
-            if isinstance(argument, ast.Name):
-                taint = self._taint.get(argument.id)
-                if taint is not None and taint[1] == "ref":
-                    tainted.append(position)
-                param = self.param_index.get(argument.id)
-                if param is not None:
-                    param_args.append((position, param))
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in MUTATING_METHODS
-        ):
-            self._mutation(node.func, f"mutating call .{node.func.attr}()")
         self.calls.append(
             CallSite(
                 line=node.lineno,
                 col=node.col_offset + 1,
                 chain=chain,
                 dotted=dotted,
-                tainted_args=tuple(tainted),
-                param_args=tuple(param_args),
                 held_locks=held,
             )
         )
@@ -766,11 +607,8 @@ class _ScopeIndexer:
             qualname=self.qualname,
             line=line,
             col=col,
-            params=self.params,
             calls=tuple(self.calls),
             lock_acquires=tuple(self.acquires),
-            mutated_params=tuple(sorted(self.mutated.items())),
-            taint_mutations=tuple(self.taint_mutations),
             self_accesses=tuple(self.accesses),
             class_name=self.class_name,
         )
@@ -784,9 +622,7 @@ def _index_function(
     class_name: Optional[str],
     is_method: bool,
 ) -> FunctionSummary:
-    arguments = node.args
-    params = tuple(a.arg for a in (*arguments.posonlyargs, *arguments.args))
-    indexer = _ScopeIndexer(module, imports, qualname, params, class_name)
+    indexer = _ScopeIndexer(module, imports, qualname, class_name)
     # The *_locked suffix is the repo's caller-holds-the-lock convention
     # (see MUT004): treat the whole method body as holding self._lock.
     held = (SELF_LOCK,) if is_method and node.name.endswith("_locked") else ()
@@ -801,7 +637,7 @@ def index_module(lint_file: LintFile) -> ModuleSummary:
         path=lint_file.path,
         relparts=lint_file.relparts,
     )
-    indexer = _ScopeIndexer(summary, summary.imports, MODULE_SCOPE, (), None)
+    indexer = _ScopeIndexer(summary, summary.imports, MODULE_SCOPE, None)
     indexer.walk(lint_file.tree.body, ())
     summary.functions[MODULE_SCOPE] = indexer.summarize(MODULE_SCOPE, 1, 1)
     return summary

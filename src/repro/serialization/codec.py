@@ -532,6 +532,10 @@ def decode_shared(data: bytes) -> dict:
     entry in place (entries are always replaced wholesale on writes).  Error
     behaviour is identical to :func:`decode` — corrupted bytes are never
     cached and re-raise :class:`DecodeError` on every read.
+
+    The guarded campaign tests check the immutability at run time:
+    ``tests/determinism_guard.py`` records every tree handed out here with
+    its bytes and, when the guard exits, compares each with a fresh decode.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise DecodeError(f"expected bytes, got {type(data).__name__}")

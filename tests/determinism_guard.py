@@ -1,4 +1,5 @@
-"""Run-time determinism guard: ambient entropy raises inside the simulator.
+"""Run-time guard: ambient entropy raises inside the simulator, and an
+edited shared tree is found when the guard exits.
 
 A digest must depend on the campaign configuration alone.  Instead of
 guessing at the hazards from the source, :func:`guarded` perturbs the
@@ -14,9 +15,18 @@ process-wide.  A call is judged by its nearest ``repro.*`` frame; one made
 while a module is imported belongs to that import (the stdlib's
 ``logging`` reads the clock when ``core/parallel.py`` imports it).
 
+The same guard checks the informer contract: a tree that ``decode_shared``
+hands out is shared by every ``copy=False`` reader, every prefix copy and
+every later run in the process, so nothing may edit it in place.  Every
+module-level binding of ``decode_shared`` records the trees it returns
+with the bytes each was decoded from, and on exit each tree is compared,
+type-exactly, with a fresh uncached decode of those bytes.  The fill bytes,
+not the store's current ones: an at-rest fault changes the store, never a
+tree.  Each edited tree is recorded in :data:`VIOLATIONS`.
+
 As a script it installs the guard (reversing listings under
 ``PYTHONHASHSEED=1``) before it imports and runs the CLI, and exits 3
-naming every guarded call::
+naming every guarded call and every edited tree::
 
     PYTHONPATH=src PYTHONHASHSEED=1 python tests/determinism_guard.py campaign ...
 """
@@ -27,6 +37,7 @@ import contextlib
 import datetime
 import os
 import random
+import struct
 import sys
 import time
 import uuid
@@ -50,8 +61,13 @@ EXEMPT_FILES = frozenset({("sim", "rng.py")})
 #: distributed protocol, and never part of a result record.
 WALL_CLOCK_ALLOWLIST = ((("core", "distributed.py"), "SliceLeases."),)
 
-#: Every guarded call made in scope since :func:`guarded` was entered.
+#: Every guarded call made in scope, and every edited shared tree, since
+#: :func:`guarded` was entered.
 VIOLATIONS: list[str] = []
+
+#: ``id(tree) -> (tree, bytes)`` for every tree ``decode_shared`` handed out
+#: since :func:`guarded` was entered; kept until the next entry.
+SHARED: dict[int, tuple[dict, bytes]] = {}
 
 
 class AmbientEntropyError(AssertionError):
@@ -140,10 +156,58 @@ class _ReversedScandir:
     close = __exit__
 
 
+def same_tree(a, b) -> bool:
+    """Type-exact tree equality: key order, ``True`` vs ``1``, NaN and -0.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return list(a) == list(b) and all(same_tree(a[key], b[key]) for key in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_tree, a, b))
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def _recording(decode_shared: Callable) -> Callable:
+    def recorded(data):
+        tree = decode_shared(data)
+        if id(tree) not in SHARED:
+            SHARED[id(tree)] = (tree, bytes(data))
+        return tree
+
+    return recorded
+
+
+def _rebind(old: Callable, new: Callable) -> None:
+    """Point every module-level binding of ``old`` at ``new``."""
+    for module in list(sys.modules.values()):
+        namespace = getattr(module, "__dict__", None)
+        if namespace is not None and namespace.get("decode_shared") is old:
+            namespace["decode_shared"] = new
+
+
+def _sweep(decode: Callable[[bytes], dict]) -> None:
+    """Record in :data:`VIOLATIONS` each handed-out tree that no longer
+    equals ``decode`` of its bytes."""
+    for tree, data in SHARED.values():
+        fresh = decode(data)
+        if not same_tree(tree, fresh):
+            metadata = fresh.get("metadata")
+            metadata = metadata if isinstance(metadata, dict) else {}
+            where = "/".join(
+                str(part) for part in (metadata.get("namespace"), metadata.get("name")) if part
+            )
+            VIOLATIONS.append(f"shared tree of {fresh.get('kind')} {where} edited in place")
+
+
 @contextlib.contextmanager
 def guarded(reverse_listings: bool = False) -> Iterator[list[str]]:
     """Install the guard for the ``with`` body and yield :data:`VIOLATIONS`,
-    cleared on entry; everything patched is restored on exit."""
+    cleared on entry; everything patched is restored on exit, and then the
+    shared trees are swept."""
+    from repro.serialization import codec
+
     patches: list[tuple[object, str, object]] = []
 
     def patch(owner: object, name: str, value: object) -> None:
@@ -172,12 +236,17 @@ def guarded(reverse_listings: bool = False) -> Iterator[list[str]]:
         listdir, scandir = os.listdir, os.scandir
         patch(os, "listdir", lambda *args, **kwargs: listdir(*args, **kwargs)[::-1])
         patch(os, "scandir", lambda *args, **kwargs: _ReversedScandir(scandir, *args, **kwargs))
+    decode_shared, recorded = codec.decode_shared, _recording(codec.decode_shared)
+    _rebind(decode_shared, recorded)
     VIOLATIONS.clear()
+    SHARED.clear()
     try:
         yield VIOLATIONS
     finally:
+        _rebind(recorded, decode_shared)  # modules imported inside included
         for owner, name, original in reversed(patches):
             setattr(owner, name, original)
+        _sweep(codec._decode_message)
 
 
 if __name__ == "__main__":
@@ -186,6 +255,6 @@ if __name__ == "__main__":
 
         status = main(sys.argv[1:])
     if violations:
-        print("determinism guard tripped:", *violations, sep="\n  ", file=sys.stderr)
+        print("run-time guard tripped:", *violations, sep="\n  ", file=sys.stderr)
         status = 3
     sys.exit(status)

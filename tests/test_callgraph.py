@@ -3,7 +3,7 @@
 The checkers built on the graph are tested behaviorally in
 ``tests/test_lint.py``; here the machinery itself is pinned — conservative
 resolution (inheritance, recursion, dynamic-call fallbacks that must
-neither crash nor silently resolve) and the parameter-mutation fixpoint.
+neither crash nor silently resolve) and banned-primitive reachability.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.lint import KNOWN_CODES, lint_paths
 from repro.lint.callgraph import EXTERNAL, PROJECT, UNKNOWN, build_graph
-from repro.lint.dataflow import Reachability, mutated_param_set, render_chain
+from repro.lint.dataflow import Reachability, render_chain
 from repro.lint.framework import load_lint_file
 from repro.lint.runner import _relparts
 from repro.lint.symbols import index_module
@@ -256,46 +256,6 @@ class TestReachability:
         )
         reach = Reachability(graph, banned=self.banned_open())
         assert reach.chain_from("repro.core.mutual:ping") is None
-
-
-class TestMutatedParams:
-    def test_direct_and_transitive_mutation(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "core/mut.py": """\
-                def strip(obj):
-                    obj["metadata"].pop("resourceVersion")
-
-                def forward(thing):
-                    strip(thing)
-
-                def rebinds(p):
-                    p = dict(p)
-                    p["x"] = 1
-                """,
-            },
-        )
-        mutated = mutated_param_set(graph)
-        assert ("repro.core.mut:strip", 0) in mutated
-        assert ("repro.core.mut:forward", 0) in mutated  # via the fixpoint
-        # Rebinding severs the alias: mutating the rebound name is local.
-        assert ("repro.core.mut:rebinds", 0) not in mutated
-
-    def test_method_argument_offset_accounts_for_self(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "core/meth.py": """\
-                class Sink:
-                    def absorb(self, item):
-                        item.clear()
-                """,
-            },
-        )
-        mutated = mutated_param_set(graph)
-        assert ("repro.core.meth:Sink.absorb", 1) in mutated
-        assert ("repro.core.meth:Sink.absorb", 0) not in mutated
 
 
 class TestDiscoverySymlinks:

@@ -1,4 +1,4 @@
-"""The run-time determinism guard (tests/determinism_guard.py) itself.
+"""The run-time guard (tests/determinism_guard.py) itself.
 
 ``test_digest_does_not_depend_on_the_hash_seed`` runs two campaigns under
 the guard; a guard that never raised would let it pass on anything.  So:
@@ -6,7 +6,9 @@ each guarded call raises from a scoped module, the sanctioned sources and
 out-of-scope modules pass, and the listing reversal really reverses.
 Fixture modules mirror the package layout under a temporary ``repro/``
 and are loaded under the matching ``repro.*`` name, which is what the
-guard judges scope by.
+guard judges scope by.  The shared-tree sweep records every in-place edit
+of a ``copy=False`` reference, however it is spelled, and nothing else;
+a three-workload campaign runs under the whole guard.
 """
 
 from __future__ import annotations
@@ -20,11 +22,21 @@ import time
 
 import pytest
 
-from determinism_guard import AmbientEntropyError, guarded
+from determinism_guard import SHARED, AmbientEntropyError, guarded
+from repro.apiserver.apiserver import APIServer
+from repro.apiserver.registry import storage_key
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.distributed import SliceLeases
+from repro.core.injector import FaultSpec, FaultType, InjectionChannel, MutinyInjector
 from repro.core.objstore import LocalObjectStore
 from repro.core.resultstore import ShardedResultStore
+from repro.etcd.store import EtcdStore
+from repro.objects.kinds import make_deployment, make_pod
+from repro.objects.meta import deep_copy
+from repro.serialization import clear_codec_caches, encode
+from repro.sim.engine import Simulation
 from repro.sim.rng import DeterministicRNG
+from repro.workloads.workload import WorkloadKind
 
 AMBIENT = """\
 import datetime, os, random, time, uuid
@@ -189,3 +201,130 @@ def test_the_posix_store_lists_shards_in_name_order_when_listings_reverse(tmp_pa
     with guarded(reverse_listings=True):
         assert list(store.transport.list_iter("shards/")) == keys
         assert store.shard_keys() == keys
+
+
+# ------------------------------------------------------- shared-tree sweep
+
+
+def _mark(obj):
+    obj["seen"] = 1
+
+
+def _forward(obj):
+    _mark(obj)
+
+
+def item_assignment(api):
+    pod = api.get("Pod", "web", copy=False)
+    pod["spec"]["containers"][0]["image"] = "rogue"
+
+
+def deletion(api):
+    pod = api.get("Pod", "web", copy=False)
+    del pod["metadata"]["labels"]
+
+
+def augmented_assignment(api):
+    pod = api.get("Pod", "web", copy=False)
+    pod["spec"]["containers"] += [{"name": "rogue"}]
+
+
+def mutating_method(api):
+    for pod in api.list("Pod", copy=False):
+        pod["metadata"]["labels"].update(seen="1")
+
+
+def comprehension_element(api):
+    [pod.setdefault("seen", 1) for pod in api.list("Pod", copy=False)]
+
+
+def mutating_helper(api):
+    _forward(api.get("Pod", "web", copy=False))
+
+
+def get_alias(api):
+    pod = api.get("Pod", "web", copy=False)
+    metadata = pod.get("metadata", {})
+    metadata["seen"] = 1
+
+
+#: One in-place edit of a ``copy=False`` reference per spelling.
+EDITS = {
+    edit.__name__: edit
+    for edit in (
+        item_assignment, deletion, augmented_assignment, mutating_method,
+        comprehension_element, mutating_helper, get_alias,
+    )
+}
+
+
+def _apiserver_with_pod() -> APIServer:
+    api = APIServer(Simulation(), EtcdStore())
+    api.create("Pod", make_pod("web", labels={"app": "web"}))
+    return api
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_an_edited_shared_tree_is_recorded(edit):
+    with guarded() as violations:
+        EDITS[edit](_apiserver_with_pod())
+    assert violations == ["shared tree of Pod default/web edited in place"]
+
+
+def test_an_edit_of_a_copy_is_not_recorded():
+    with guarded() as violations:
+        api = _apiserver_with_pod()
+        pod = deep_copy(api.get("Pod", "web", copy=False))
+        pod["metadata"]["labels"]["seen"] = "1"
+        api.update("Pod", pod)
+        assert api.get("Pod", "web", copy=False)["metadata"]["labels"]["seen"] == "1"
+    assert violations == []
+    assert len(SHARED) >= 2  # the tree before the update and the one after
+
+
+def test_an_at_rest_corruption_is_not_recorded():
+    # The injector corrupts the bytes the Apiserver writes to etcd, and the
+    # stored value is then rewritten behind the Apiserver's back: the cache
+    # keeps the tree of the bytes it was filled from, which the sweep
+    # compares with, so neither is an edit.
+    injector = MutinyInjector(
+        FaultSpec(
+            channel=InjectionChannel.APISERVER_TO_ETCD,
+            kind="Deployment",
+            field_path="spec.replicas",
+            fault_type=FaultType.BIT_FLIP,
+        )
+    )
+    with guarded() as violations:
+        api = APIServer(Simulation(), EtcdStore())
+        api.set_etcd_write_hook(injector.etcd_write_hook)
+        api.create("Deployment", make_deployment("d", replicas=2))
+        assert injector.injected
+        key = storage_key("Deployment", "default", "d")
+        flipped = api.get("Deployment", "d", copy=False)["spec"]["replicas"]
+        assert flipped != 2
+        rewritten = api.get("Deployment", "d")
+        rewritten["spec"]["replicas"] = 99
+        api.store._data[key].value = encode(rewritten)  # noqa: SLF001 - at rest, bypassing the Apiserver
+        assert api.get("Deployment", "d", copy=False)["spec"]["replicas"] == flipped
+        api.restart()
+        assert api.get("Deployment", "d", copy=False)["spec"]["replicas"] == 99
+    assert violations == []
+
+
+def test_a_guarded_three_workload_campaign_edits_no_shared_tree():
+    # The hash-seed test's campaigns run the deploy workload only; this one
+    # sweeps the scale and failover controllers' reads too.
+    clear_codec_caches()
+    config = CampaignConfig(
+        workloads=(WorkloadKind.DEPLOY, WorkloadKind.SCALE_UP, WorkloadKind.FAILOVER),
+        golden_runs=1,
+        max_experiments_per_workload=3,
+        seed=3,
+        workers=1,
+    )
+    with guarded() as violations:
+        results = Campaign(config).run()
+    assert len(results.results) == 9
+    assert violations == []
+    assert len(SHARED) > 1000

@@ -9,7 +9,6 @@ subcommand.
 """
 
 import marshal
-import struct
 from collections import OrderedDict
 
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.experiment as experiment
+from determinism_guard import same_tree
 from repro.apiserver.apiserver import APIServer
 from repro.apiserver.client import APIClient
 from repro.cli import main
@@ -126,19 +126,6 @@ def test_cache_hit_tolerates_concurrent_eviction(monkeypatch):
 # ------------------------------------------------ encode memo, seeded decode
 
 
-def _same(a, b) -> bool:
-    """Type-exact tree equality: key order, ``True`` vs ``1``, NaN and -0.0."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return list(a) == list(b) and all(_same(a[key], b[key]) for key in a)
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same, a, b))
-    if type(a) is float:
-        return struct.pack("<d", a) == struct.pack("<d", b)
-    return a == b
-
-
 def _normal(node) -> bool:
     """Reference for decode normal form (no tuple, no int beyond 64 bits)."""
     if type(node) is dict:
@@ -198,7 +185,7 @@ def test_seeded_cache_entry_is_exactly_what_decode_gives(tree):
     seeded = COUNTERS.decodes == before
     data = api.store.get(_CM_KEY).value
     if seeded:
-        assert _same(api._cache[_CM_KEY], codec._decode_message(data))
+        assert same_tree(api._cache[_CM_KEY], codec._decode_message(data))
     # Seeding is declined exactly where decoding would not give the tree back.
     assert seeded == _normal(tree)
 
@@ -238,8 +225,8 @@ def test_byte_flips_never_alias_a_cache_entry(tree, flips):
                 read(corrupted)
         assert corrupted not in codec._decode_cache
         return
-    assert _same(decode(corrupted), expected)
-    assert _same(decode_shared(corrupted), expected)
+    assert same_tree(decode(corrupted), expected)
+    assert same_tree(decode_shared(corrupted), expected)
 
 
 #: Versions where the varint grows a byte, the signed 64-bit ends, and one
@@ -302,8 +289,8 @@ def test_versioned_encode_equals_uncached_encode_cold_and_warm(objects):
                 with pytest.raises(DecodeError):
                     decode_shared(data)
                 continue
-            assert _same(decode_shared(data), expected)
-            assert _same(decode(data), expected)
+            assert same_tree(decode_shared(data), expected)
+            assert same_tree(decode(data), expected)
 
 
 def test_encode_memo_hits_across_versions_and_never_serves_a_none_version():
