@@ -229,9 +229,14 @@ def augmented_assignment(api):
     pod["spec"]["containers"] += [{"name": "rogue"}]
 
 
-def mutating_method(api):
+def loop_variable(api):
     for pod in api.list("Pod", copy=False):
-        pod["metadata"]["labels"].update(seen="1")
+        pod["spec"]["nodeName"] = "n1"
+
+
+def mutating_method(api):
+    pod = api.get("Pod", "web", copy=False)
+    pod["metadata"]["labels"].update(seen="1")
 
 
 def comprehension_element(api):
@@ -239,6 +244,10 @@ def comprehension_element(api):
 
 
 def mutating_helper(api):
+    _mark(api.get("Pod", "web", copy=False))
+
+
+def transitive_helper(api):
     _forward(api.get("Pod", "web", copy=False))
 
 
@@ -252,8 +261,9 @@ def get_alias(api):
 EDITS = {
     edit.__name__: edit
     for edit in (
-        item_assignment, deletion, augmented_assignment, mutating_method,
-        comprehension_element, mutating_helper, get_alias,
+        item_assignment, deletion, augmented_assignment, loop_variable,
+        mutating_method, comprehension_element, mutating_helper,
+        transitive_helper, get_alias,
     )
 }
 
@@ -271,12 +281,41 @@ def test_an_edited_shared_tree_is_recorded(edit):
     assert violations == ["shared tree of Pod default/web edited in place"]
 
 
-def test_an_edit_of_a_copy_is_not_recorded():
+def deep_copy_read(api):
+    pod = deep_copy(api.get("Pod", "web", copy=False))
+    pod["metadata"]["labels"]["seen"] = "1"
+    return pod
+
+
+def copy_true_read(api):
+    pod = api.get("Pod", "web")
+    pod["metadata"]["labels"]["seen"] = "1"
+    return pod
+
+
+def _sanitize(pod):
+    pod = deep_copy(pod)
+    pod["metadata"]["labels"]["seen"] = "1"
+    return pod
+
+
+def rebinding_helper(api):
+    return _sanitize(api.get("Pod", "web", copy=False))
+
+
+#: One edit of a private copy per way of taking it; each returns the copy.
+COPIES = {
+    "deep_copy": deep_copy_read,
+    "copy_true": copy_true_read,
+    "rebinding_helper": rebinding_helper,
+}
+
+
+@pytest.mark.parametrize("read", sorted(COPIES))
+def test_an_edit_of_a_copy_is_not_recorded(read):
     with guarded() as violations:
         api = _apiserver_with_pod()
-        pod = deep_copy(api.get("Pod", "web", copy=False))
-        pod["metadata"]["labels"]["seen"] = "1"
-        api.update("Pod", pod)
+        api.update("Pod", COPIES[read](api))
         assert api.get("Pod", "web", copy=False)["metadata"]["labels"]["seen"] == "1"
     assert violations == []
     assert len(SHARED) >= 2  # the tree before the update and the one after
