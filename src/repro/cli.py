@@ -55,13 +55,14 @@ over the campaign and the process's peak RSS (see ``docs/PERFORMANCE.md``).
 ``serve`` runs the campaign *service*: a stateless HTTP control plane whose
 ``POST /v1/campaigns`` accepts the same declarative ``CampaignSpec``
 document the ``campaign``/``submit`` flags build (one validation path for
-every surface), executes campaigns on background threads under a
-concurrent-campaign quota, and — because the only state it keeps is a tiny
-index in its transport-backed ``--state`` store — rehydrates and resumes
-every incomplete campaign after a restart.  ``submit`` is the thin client:
-flags → spec → POST, with ``--wait`` polling live progress through service
-restarts.  ``GET /v1/campaigns/{id}`` serves the byte-identical document
-``inspect --json`` writes.
+every surface), runs each campaign's coordinator in a forkserver child
+process under a concurrent-campaign quota, and — because the only state
+it keeps is a tiny index in its transport-backed ``--state`` store —
+rehydrates and resumes every incomplete campaign after a restart.
+``submit`` is the thin client: flags → spec → POST, with ``--wait``
+polling live progress through service restarts.  ``GET
+/v1/campaigns/{id}`` serves the byte-identical document ``inspect --json``
+writes.
 
 Very large campaigns stress the store path itself; two knobs keep it flat:
 object-store listings paginate transparently (server ``--max-page``, client
@@ -1038,8 +1039,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         help="run the campaign service: a stateless HTTP control plane that "
-        "accepts CampaignSpec documents on POST /v1/campaigns, executes "
-        "them on background threads, and recovers purely from its "
+        "accepts CampaignSpec documents on POST /v1/campaigns, runs each "
+        "one's coordinator in a child process, and recovers purely from its "
         "transport-backed state store after a restart",
     )
     serve.add_argument(
@@ -1114,8 +1115,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = subparsers.add_parser(
         "lint",
         help="run mutiny-lint, the AST checker that enforces the repo's "
-        "cross-layer contracts (informer immutability, transport purity, "
-        "determinism, lock discipline, swallowed exceptions)",
+        "cross-layer contracts (transport purity, lock discipline, "
+        "blocking under a lock, lock order, swallowed exceptions)",
     )
     lint.add_argument(
         "paths",

@@ -36,51 +36,27 @@ __getattr__ = lazy_exports(
     globals(),
     {
         "BaselineError": "repro.lint.baseline",
-        "BaselineResult": "repro.lint.baseline",
-        "ProjectGraph": "repro.lint.callgraph",
-        "Resolution": "repro.lint.callgraph",
-        "build_graph": "repro.lint.callgraph",
         "HYGIENE_CODE": "repro.lint.framework",
         "Diagnostic": "repro.lint.framework",
-        "LintFile": "repro.lint.framework",
-        "Suppression": "repro.lint.framework",
-        "is_suppressed": "repro.lint.framework",
-        "parse_suppressions": "repro.lint.framework",
         "EXPLANATIONS": "repro.lint.runner",
-        "GRAPH_CHECKERS": "repro.lint.runner",
         "JSON_SCHEMA_VERSION": "repro.lint.runner",
         "KNOWN_CODES": "repro.lint.runner",
         "TITLES": "repro.lint.runner",
-        "LintReport": "repro.lint.runner",
         "LintUsageError": "repro.lint.runner",
         "lint_paths": "repro.lint.runner",
         "select_codes": "repro.lint.runner",
-        "ModuleSummary": "repro.lint.symbols",
-        "index_module": "repro.lint.symbols",
     },
 )
 
 __all__ = [
     "BaselineError",
-    "BaselineResult",
     "Diagnostic",
     "EXPLANATIONS",
-    "GRAPH_CHECKERS",
     "HYGIENE_CODE",
     "JSON_SCHEMA_VERSION",
     "KNOWN_CODES",
-    "LintFile",
-    "LintReport",
     "LintUsageError",
-    "ModuleSummary",
-    "ProjectGraph",
-    "Resolution",
-    "Suppression",
     "TITLES",
-    "build_graph",
-    "index_module",
-    "is_suppressed",
     "lint_paths",
-    "parse_suppressions",
     "select_codes",
 ]

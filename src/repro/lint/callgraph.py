@@ -2,8 +2,12 @@
 
 Built from the :class:`~repro.lint.symbols.ModuleSummary` set of every file
 in a lint run, the graph answers one question for every recorded call site:
-*which function, if any, does this call enter?*  Resolution is deliberately
-conservative — an edge exists only when the target is unambiguous:
+*which function, if any, does this call enter?*  Every call is resolved
+once, when the graph is built, into :attr:`ProjectGraph.edges`; the
+checkers and :meth:`ProjectGraph.closure`, the one memoized traversal that
+MUT006, MUT007 and MUT008 share, read that table.  Resolution is
+deliberately conservative — an edge exists only when the target is
+unambiguous:
 
 * a bare name that is a ``def`` nested in the caller or in a scope
   enclosing it, a function/class of the same module, or an imported
@@ -26,7 +30,7 @@ to the chain itself before giving up on resolution).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from repro.lint.symbols import (
     LOCALS,
@@ -41,6 +45,8 @@ from repro.lint.symbols import (
 PROJECT = "project"  # a project function: target is its function id
 EXTERNAL = "external"  # an external callable: target is its dotted name
 UNKNOWN = "unknown"  # dynamic/unresolvable: no edge
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,8 @@ class FunctionRef:
 
 
 class ProjectGraph:
-    """Symbol table + call resolution over one lint run's modules."""
+    """Symbol table, resolved call edges and the memoized traversal over
+    one lint run's modules."""
 
     def __init__(self, summaries: Iterable[ModuleSummary]):
         self.modules: dict[str, ModuleSummary] = {}
@@ -79,6 +86,15 @@ class ProjectGraph:
             for klass in summary.classes.values():
                 for method in klass.methods.values():
                     self._add(summary, method)
+        #: Every function's call sites, in source order, each with its
+        #: resolution.
+        self.edges: dict[str, tuple[tuple[CallSite, Resolution], ...]] = {
+            fid: tuple(
+                (call, self.resolve(self.modules[ref.module], ref.summary, call))
+                for call in ref.summary.calls
+            )
+            for fid, ref in self.functions.items()
+        }
 
     def _add(self, summary: ModuleSummary, function: FunctionSummary) -> None:
         fid = f"{summary.module}:{function.qualname}"
@@ -95,6 +111,32 @@ class ProjectGraph:
     def all_functions(self) -> list[FunctionRef]:
         """Every project function, in deterministic (fid) order."""
         return [self.functions[fid] for fid in sorted(self.functions)]
+
+    def closure(
+        self, step: Callable[[FunctionRef, Callable[[str], Optional[T]]], T]
+    ) -> Callable[[str], Optional[T]]:
+        """The one memoized traversal: a fid → value lookup in which
+        ``step(ref, lookup)`` computes one function's value from its
+        callees'.  An unknown function, or one already on the stack, reads
+        ``None`` (a recursion cycle adds nothing of its own, so a value
+        computed mid-cycle may miss what lies through the cycle)."""
+        memo: dict[str, T] = {}
+        on_stack: set[str] = set()
+
+        def lookup(fid: str) -> Optional[T]:
+            if fid in memo:
+                return memo[fid]
+            ref = self.functions.get(fid)
+            if ref is None or fid in on_stack:
+                return None
+            on_stack.add(fid)
+            try:
+                memo[fid] = value = step(ref, lookup)
+            finally:
+                on_stack.discard(fid)
+            return value
+
+        return lookup
 
     # ------------------------------------------------------- class hierarchy
 
@@ -216,7 +258,3 @@ class ProjectGraph:
             # Not local, not imported: a builtin or a dynamically bound name.
             return Resolution(EXTERNAL, root)
         return Resolution(UNKNOWN, "call through an unresolved receiver")
-
-
-def build_graph(summaries: Iterable[ModuleSummary]) -> ProjectGraph:
-    return ProjectGraph(summaries)

@@ -5,7 +5,11 @@ All three consume the lock facts pass 1 records on every
 :class:`~repro.lint.symbols.FunctionSummary` — every ``self.<attr>`` access
 with whether ``self._lock`` is held, which locks are lexically held at each
 call site, and where locks are acquired while others are held — and
-MUT007/MUT008 extend them across function boundaries through the call graph.
+MUT007/MUT008 extend them across function boundaries through the call
+graph's one layer: both read the resolved ``edges`` table, MUT007's
+chains come from a :class:`~repro.lint.dataflow.Reachability` (a direct
+label, else ``via``), and MUT008's transitive lock set is one
+:meth:`~repro.lint.callgraph.ProjectGraph.closure`.
 
 The lock model is the lexical one the repo standardizes on:
 ``with self.<attr>:`` where the attribute names a lock, module-level
@@ -24,8 +28,7 @@ every recorded ``self.<attr>`` access of its methods is held to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.lint.callgraph import (
     EXTERNAL,
@@ -34,8 +37,8 @@ from repro.lint.callgraph import (
     ProjectGraph,
     Resolution,
 )
-from repro.lint.dataflow import Reachability, call_chain_message, site_suppressed
-from repro.lint.framework import Diagnostic
+from repro.lint.dataflow import Reachability, render_chain
+from repro.lint.framework import Diagnostic, is_suppressed
 from repro.lint.purity_graph import GraphChecker, SuppressionMap
 from repro.lint.symbols import SELF_LOCK, CallSite
 
@@ -215,8 +218,8 @@ inline suppression — that is a recorded decision, not a silent one.
 
         def banned(ref, call, resolution):
             label = blocking_label(call, resolution)
-            if label is not None and site_suppressed(
-                suppressions, ref.path, call.line, frozenset({"MUT007"})
+            if label is not None and is_suppressed(
+                suppressions.get(ref.path, ()), call.line, ("MUT007",)
             ):
                 # A justified suppression at the blocking site is a
                 # recorded design decision; chains reaching it inherit it.
@@ -232,50 +235,27 @@ inline suppression — that is a recorded decision, not a silent one.
             exempt=lambda ref: ref.summary.name.endswith("_locked"),
         )
         for ref in graph.all_functions():
-            module = graph.modules[ref.module]
-            for call in ref.summary.calls:
+            for call, resolution in graph.edges[ref.fid]:
                 if not call.held_locks:
                     continue
                 held = _display_lock(call.held_locks[-1])
-                resolution = graph.resolve(module, ref.summary, call)
                 label = blocking_label(call, resolution)
                 if label is not None:
-                    findings.append(
-                        Diagnostic(
-                            path=ref.path,
-                            line=call.line,
-                            column=call.col,
-                            code="MUT007",
-                            message=(
-                                f"blocking {label} while holding {held}; "
-                                "compute under the lock, do I/O outside it"
-                            ),
-                        )
+                    message = (
+                        f"blocking {label} while holding {held}; "
+                        "compute under the lock, do I/O outside it"
                     )
+                elif (found := reach.via(ref, call, resolution)) is not None:
+                    callee, chain = found
+                    message = (
+                        f"call into {callee.summary.qualname!r} while holding "
+                        f"{held} reaches blocking {chain[-1].description}; "
+                        f"call chain: {render_chain(chain)}"
+                    )
+                else:
                     continue
-                if resolution.kind != PROJECT:
-                    continue
-                callee = graph.functions[resolution.target]
-                if callee.summary.name.endswith("_locked"):
-                    continue  # its body self-reports (see exempt above)
-                downstream = reach.chain_from(resolution.target)
-                if downstream is None:
-                    continue
-                chain = call_chain_message(
-                    graph, ref, call, resolution.target, downstream
-                )
                 findings.append(
-                    Diagnostic(
-                        path=ref.path,
-                        line=call.line,
-                        column=call.col,
-                        code="MUT007",
-                        message=(
-                            f"call into {callee.summary.qualname!r} while "
-                            f"holding {held} reaches blocking "
-                            f"{downstream[-1].description}; call chain: {chain}"
-                        ),
-                    )
+                    Diagnostic(ref.path, call.line, call.col, "MUT007", message)
                 )
         return findings
 
@@ -283,15 +263,6 @@ inline suppression — that is a recorded decision, not a silent one.
 # ---------------------------------------------------------------------------
 # MUT008 — lock-order cycles
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Edge:
-    """First-seen acquisition site witnessing ``first -> second``."""
-
-    path: str
-    line: int
-    col: int
 
 
 def _qualify(token: str, ref: FunctionRef) -> str:
@@ -309,40 +280,6 @@ def _qualify(token: str, ref: FunctionRef) -> str:
 
 def _pretty(qualified: str) -> str:
     return qualified.rsplit(":", 1)[-1]
-
-
-class _AcquiredLocks:
-    """Memoized "which locks may this function acquire, transitively?"."""
-
-    def __init__(self, graph: ProjectGraph):
-        self.graph = graph
-        self._memo: dict[str, frozenset[str]] = {}
-        self._on_stack: set[str] = set()
-
-    def of(self, fid: str) -> frozenset[str]:
-        if fid in self._memo:
-            return self._memo[fid]
-        if fid in self._on_stack:
-            return frozenset()  # recursion adds no new acquisitions
-        ref = self.graph.functions.get(fid)
-        if ref is None:
-            return frozenset()
-        self._on_stack.add(fid)
-        try:
-            acquired = {
-                _qualify(acquire.lock, ref)
-                for acquire in ref.summary.lock_acquires
-            }
-            module = self.graph.modules[ref.module]
-            for call in ref.summary.calls:
-                resolution = self.graph.resolve(module, ref.summary, call)
-                if resolution.kind == PROJECT:
-                    acquired |= self.of(resolution.target)
-        finally:
-            self._on_stack.discard(fid)
-        result = frozenset(acquired)
-        self._memo[fid] = result
-        return result
 
 
 class LockOrderChecker(GraphChecker):
@@ -378,54 +315,51 @@ always a design smell in this codebase's size of critical sections.
     def run(
         self, graph: ProjectGraph, suppressions: SuppressionMap
     ) -> list[Diagnostic]:
-        edges: dict[tuple[str, str], _Edge] = {}
-        acquired = _AcquiredLocks(graph)
+        def locks(
+            ref: FunctionRef, acquired_by: Callable[[str], Optional[frozenset[str]]]
+        ) -> frozenset[str]:
+            """The locks ``ref`` may acquire, transitively."""
+            acquired = {_qualify(acquire.lock, ref) for acquire in ref.summary.lock_acquires}
+            for _, resolution in graph.edges[ref.fid]:
+                if resolution.kind == PROJECT:
+                    acquired |= acquired_by(resolution.target) or frozenset()
+            return frozenset(acquired)
 
-        def record(first: str, second: str, path: str, line: int, col: int) -> None:
-            if first == second:
-                return  # re-entry of one lock is not an ordering edge
-            edges.setdefault((first, second), _Edge(path, line, col))
+        acquired_by = graph.closure(locks)
+        #: ``(first, second)`` -> the first-seen site ``(path, line, col)``
+        #: acquiring ``second`` while ``first`` is held.
+        order: dict[tuple[str, str], tuple[str, int, int]] = {}
+
+        def record(
+            held: tuple[str, ...], lock: str, ref: FunctionRef, line: int, col: int
+        ) -> None:
+            for token in held:
+                first = _qualify(token, ref)
+                if first != lock:  # re-entry of one lock is not an ordering edge
+                    order.setdefault((first, lock), (ref.path, line, col))
 
         for ref in graph.all_functions():
-            module = graph.modules[ref.module]
             for acquire in ref.summary.lock_acquires:
                 lock = _qualify(acquire.lock, ref)
-                for held in acquire.held:
-                    record(
-                        _qualify(held, ref), lock,
-                        ref.path, acquire.line, acquire.col,
-                    )
-            for call in ref.summary.calls:
-                if not call.held_locks:
-                    continue
-                resolution = graph.resolve(module, ref.summary, call)
-                if resolution.kind != PROJECT:
-                    continue
-                for lock in sorted(acquired.of(resolution.target)):
-                    for held in call.held_locks:
-                        record(
-                            _qualify(held, ref), lock,
-                            ref.path, call.line, call.col,
-                        )
+                record(acquire.held, lock, ref, acquire.line, acquire.col)
+            for call, resolution in graph.edges[ref.fid]:
+                if call.held_locks and resolution.kind == PROJECT:
+                    for lock in sorted(acquired_by(resolution.target) or ()):
+                        record(call.held_locks, lock, ref, call.line, call.col)
 
         findings: list[Diagnostic] = []
-        for (first, second), edge in sorted(edges.items()):
-            reverse = edges.get((second, first))
+        for (first, second), (path, line, col) in sorted(order.items()):
+            reverse = order.get((second, first))
             if reverse is None:
                 continue
             findings.append(
                 Diagnostic(
-                    path=edge.path,
-                    line=edge.line,
-                    column=edge.col,
-                    code="MUT008",
-                    message=(
-                        f"lock-order cycle: {_pretty(second)} is acquired "
-                        f"while holding {_pretty(first)} here, but "
-                        f"{_pretty(first)} is acquired while holding "
-                        f"{_pretty(second)} at {reverse.path}:{reverse.line}; "
-                        "pick one global order for this lock pair"
-                    ),
+                    path, line, col, "MUT008",
+                    f"lock-order cycle: {_pretty(second)} is acquired "
+                    f"while holding {_pretty(first)} here, but "
+                    f"{_pretty(first)} is acquired while holding "
+                    f"{_pretty(second)} at {reverse[0]}:{reverse[1]}; "
+                    "pick one global order for this lock pair",
                 )
             )
         return findings

@@ -1,24 +1,24 @@
-"""Interprocedural dataflow over the project call graph.
+"""Banned-primitive reachability over the project call graph.
 
-**Banned-primitive reachability** (:class:`Reachability`), memoized so the
-whole-tree sweep stays cheap: from a given function, can execution reach a
-call site matching a predicate (raw-I/O primitives for MUT006, blocking
-primitives for MUT007) through any chain of resolvable project calls?  The
-answer carries the *chain* — every hop with its file:line — because a
-finding the developer cannot trace is a finding they will suppress instead
-of fix.  Recursion is handled with an on-stack guard (a cycle contributes
-no new reachability); functions in exempt modules (the transport
-implementations — the sanctioned floor of the storage contract) are never
-descended into.
+:class:`Reachability` answers, for MUT006 (raw-I/O primitives) and MUT007
+(blocking primitives): from a given function, can execution reach a call
+site matching a predicate through any chain of resolved project calls?
+It is one :meth:`~repro.lint.callgraph.ProjectGraph.closure` over the
+graph's resolved edges — memoized, with a recursion cycle contributing no
+reachability of its own — the same traversal MUT008's transitive lock set
+runs on.  The answer carries the *chain* — every hop with its file:line —
+because a finding the developer cannot trace is a finding they will
+suppress instead of fix.  Functions the checker exempts (the transport
+implementations — the sanctioned floor of the storage contract — for
+MUT006) are never descended into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.lint.callgraph import PROJECT, FunctionRef, ProjectGraph, Resolution
-from repro.lint.framework import Suppression
 from repro.lint.symbols import CallSite
 
 #: A predicate deciding whether one call site *is* a banned primitive:
@@ -30,24 +30,6 @@ from repro.lint.symbols import CallSite
 BanPredicate = Callable[[FunctionRef, CallSite, Resolution], Optional[str]]
 
 
-def site_suppressed(
-    suppressions: Mapping[str, Sequence[Suppression]],
-    path: str,
-    line: int,
-    codes: frozenset[str],
-) -> bool:
-    """Whether a justified suppression naming one of ``codes`` covers the
-    given site (used by graph checkers for terminal-primitive sites)."""
-    for suppression in suppressions.get(path, ()):
-        if not suppression.justification:
-            continue
-        if line in suppression.covered_lines and any(
-            code in suppression.codes for code in codes
-        ):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class ChainStep:
     """One hop of a printable call chain."""
@@ -57,7 +39,10 @@ class ChainStep:
     line: int
 
 
-def render_chain(steps: tuple[ChainStep, ...]) -> str:
+Chain = tuple[ChainStep, ...]
+
+
+def render_chain(steps: Chain) -> str:
     """``a (f.py:3) -> b (g.py:7) -> open() (g.py:9)``"""
     return " -> ".join(
         f"{step.description} ({'/'.join(_short_path(step.path))}:{step.line})"
@@ -77,7 +62,7 @@ class Reachability:
     """Memoized "does a banned primitive lie downstream of this function?"
 
     One instance per (graph, predicate, exemption) combination; checkers
-    construct their own.  ``chain_from(fid)`` returns the shortest-found
+    construct their own.  ``chain_from(fid)`` returns the first-found
     chain of :class:`ChainStep` from the function's first qualifying call
     to the banned primitive, or ``None``.
     """
@@ -91,62 +76,39 @@ class Reachability:
         self.graph = graph
         self.banned = banned
         self.exempt = exempt
-        self._memo: dict[str, Optional[tuple[ChainStep, ...]]] = {}
-        self._on_stack: set[str] = set()
+        self.chain_from: Callable[[str], Optional[Chain]] = graph.closure(self._step)
 
-    def chain_from(self, fid: str) -> Optional[tuple[ChainStep, ...]]:
-        """The banned-primitive chain starting *inside* ``fid``, if any."""
-        if fid in self._memo:
-            return self._memo[fid]
-        if fid in self._on_stack:
-            return None  # a recursion cycle adds no reachability of its own
-        ref = self.graph.functions.get(fid)
-        if ref is None or self.exempt(ref):
-            self._memo[fid] = None
+    def _step(
+        self, ref: FunctionRef, _chain_from: Callable[[str], Optional[Chain]]
+    ) -> Optional[Chain]:
+        # ``via`` descends through ``self.chain_from``, this same lookup.
+        if self.exempt(ref):
             return None
-        self._on_stack.add(fid)
-        try:
-            found: Optional[tuple[ChainStep, ...]] = None
-            module = self.graph.modules[ref.module]
-            for call in ref.summary.calls:
-                resolution = self.graph.resolve(module, ref.summary, call)
-                label = self.banned(ref, call, resolution)
-                if label is not None:
-                    found = (ChainStep(label, ref.path, call.line),)
-                    break
-                if resolution.kind == PROJECT:
-                    downstream = self.chain_from(resolution.target)
-                    if downstream is not None:
-                        callee = self.graph.functions[resolution.target]
-                        # Anchor the hop at the *call site* line in the
-                        # caller, then append the callee's own chain.
-                        hop = ChainStep(_qualified(callee), ref.path, call.line)
-                        found = (hop, *downstream)
-                        break
-        finally:
-            self._on_stack.discard(fid)
-        # A cycle participant's result computed while its callers are on
-        # the stack may be incomplete, but only in the direction of a
-        # *missed* chain through the cycle itself — conservative for a
-        # linter that reports chains, never for one that certifies purity.
-        self._memo[fid] = found
-        return found
+        for call, resolution in self.graph.edges[ref.fid]:
+            label = self.banned(ref, call, resolution)
+            if label is not None:
+                return (ChainStep(label, ref.path, call.line),)
+            found = self.via(ref, call, resolution)
+            if found is not None:
+                return found[1]
+        return None
 
-
-def _qualified(ref: FunctionRef) -> str:
-    module_leaf = ref.module.rsplit(".", 1)[-1]
-    return f"{module_leaf}.{ref.summary.qualname}"
-
-
-def call_chain_message(
-    graph: ProjectGraph,
-    caller: FunctionRef,
-    call: CallSite,
-    callee_fid: str,
-    downstream: tuple[ChainStep, ...],
-) -> str:
-    """The rendered chain for a finding at ``call`` inside ``caller``."""
-    callee = graph.functions[callee_fid]
-    first = ChainStep(_qualified(callee), caller.path, call.line)
-    return render_chain((first, *downstream))
-
+    def via(
+        self, caller: FunctionRef, call: CallSite, resolution: Resolution
+    ) -> Optional[tuple[FunctionRef, Chain]]:
+        """The project callee ``call`` enters and the chain from the call
+        site (the hop, anchored at ``call``'s line in ``caller``) to the
+        banned primitive, when one lies downstream."""
+        if resolution.kind != PROJECT:
+            return None
+        downstream = self.chain_from(resolution.target)
+        if downstream is None:
+            return None
+        callee = self.graph.functions[resolution.target]
+        module_leaf = callee.module.rsplit(".", 1)[-1]
+        # Anchor the hop at the *call site* line in the caller, then append
+        # the callee's own chain.
+        hop = ChainStep(
+            f"{module_leaf}.{callee.summary.qualname}", caller.path, call.line
+        )
+        return callee, (hop, *downstream)

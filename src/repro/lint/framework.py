@@ -41,7 +41,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 #: Code reserved for lint hygiene itself: malformed/unjustified suppressions,
 #: unknown codes in a disable comment, and files the parser cannot read.
@@ -52,6 +52,12 @@ HYGIENE_CODE = "MUT000"
 _DISABLE_RE = re.compile(
     r"mutiny-lint:\s*disable=(?P<codes>[A-Za-z0-9_,\s]+?)"
     r"(?:\s*--\s*(?P<why>.*?))?\s*$"
+)
+
+#: Token types that hold no code (an own-line suppression skips them).
+_NON_CODE_TOKENS = frozenset(
+    {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+     tokenize.DEDENT, tokenize.ENDMARKER}
 )
 
 
@@ -82,7 +88,6 @@ class Diagnostic:
 class Suppression:
     """One parsed ``disable=`` comment."""
 
-    line: int
     codes: tuple[str, ...]
     justification: str
     #: Lines this suppression covers (its own, plus the next code line when
@@ -96,53 +101,28 @@ class LintFile:
 
     path: str  # display path (as discovered)
     relparts: tuple[str, ...]  # parts relative to the repro package root
-    source: str
     tree: ast.Module
     suppressions: list[Suppression] = field(default_factory=list)
 
 
 def is_suppressed(
-    suppressions: Iterable[Suppression], diagnostic: Diagnostic
+    suppressions: Iterable[Suppression], line: int, codes: Collection[str]
 ) -> bool:
-    """Whether any justified suppression covers the diagnostic.
-
-    The runner applies each file's suppressions to whole-program findings,
-    which land on a line of a file long after its :class:`LintFile` is
-    gone."""
-    for suppression in suppressions:
-        if not suppression.justification:
-            continue  # unjustified suppressions never silence anything
-        if diagnostic.line in suppression.covered_lines and (
-            diagnostic.code in suppression.codes
-        ):
-            return True
-    return False
+    """Whether a justified suppression naming one of ``codes`` covers
+    ``line``: the runner asks it of every finding, and the graph checkers
+    of a terminal primitive's site (whose decision covers every chain
+    reaching it)."""
+    return any(
+        suppression.justification  # unjustified ones never silence anything
+        and line in suppression.covered_lines
+        and any(code in suppression.codes for code in codes)
+        for suppression in suppressions
+    )
 
 
 # --------------------------------------------------------------------------
 # Suppression parsing
 # --------------------------------------------------------------------------
-
-
-def _code_lines(source: str) -> set[int]:
-    """Line numbers that hold actual code (suppression targets)."""
-    lines = set()
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type in (
-                tokenize.COMMENT,
-                tokenize.NL,
-                tokenize.NEWLINE,
-                tokenize.INDENT,
-                tokenize.DEDENT,
-                tokenize.ENDMARKER,
-            ):
-                continue
-            for line in range(token.start[0], token.end[0] + 1):
-                lines.add(line)
-    except (tokenize.TokenError, IndentationError):
-        pass
-    return lines
 
 
 def parse_suppressions(
@@ -152,7 +132,6 @@ def parse_suppressions(
     known = set(known_codes)
     suppressions: list[Suppression] = []
     hygiene: list[Diagnostic] = []
-    code_lines = _code_lines(source)
     source_lines = source.splitlines()
 
     def hygiene_finding(line: int, column: int, message: str) -> None:
@@ -164,6 +143,15 @@ def parse_suppressions(
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError):
         return [], []
+    # Lines that hold actual code: what an own-line suppression covers.
+    code_lines = sorted(
+        {
+            line
+            for token in tokens
+            if token.type not in _NON_CODE_TOKENS
+            for line in range(token.start[0], token.end[0] + 1)
+        }
+    )
     for token in tokens:
         if token.type != tokenize.COMMENT:
             continue
@@ -201,19 +189,12 @@ def parse_suppressions(
                 "justification; write '# mutiny-lint: disable=MUTnnn -- why'",
             )
         covered = [line]
-        prefix = source_lines[line - 1][: token.start[1]] if line <= len(source_lines) else ""
-        if not prefix.strip():  # own-line comment: covers the next code line
-            following = sorted(candidate for candidate in code_lines if candidate > line)
-            if following:
-                covered.append(following[0])
-        suppressions.append(
-            Suppression(
-                line=line,
-                codes=codes,
-                justification=justification,
-                covered_lines=tuple(covered),
-            )
-        )
+        if not source_lines[line - 1][: token.start[1]].strip():
+            # An own-line comment also covers the next code line.
+            following = next((code for code in code_lines if code > line), None)
+            if following is not None:
+                covered.append(following)
+        suppressions.append(Suppression(codes, justification, tuple(covered)))
     return suppressions, hygiene
 
 
@@ -249,7 +230,4 @@ def load_lint_file(
             )
         ]
     suppressions, hygiene = parse_suppressions(path, source, known_codes)
-    lint_file = LintFile(
-        path=path, relparts=relparts, source=source, tree=tree, suppressions=suppressions
-    )
-    return lint_file, hygiene
+    return LintFile(path, relparts, tree, suppressions), hygiene

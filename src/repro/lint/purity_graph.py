@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro.lint.callgraph import EXTERNAL, PROJECT, ProjectGraph, Resolution
-from repro.lint.dataflow import Reachability, call_chain_message, site_suppressed
-from repro.lint.framework import Diagnostic, Suppression
+from repro.lint.callgraph import EXTERNAL, ProjectGraph, Resolution
+from repro.lint.dataflow import Reachability, render_chain
+from repro.lint.framework import Diagnostic, Suppression, is_suppressed
 from repro.lint.symbols import CallSite, ImportSite
 
 #: ``suppressions_by_path`` shape handed to every graph checker.
@@ -223,9 +223,8 @@ backends and the fault-injection proxy implement it once).
                 # own line; reporting every chain into it would double-count
                 # one defect.
                 return None
-            if site_suppressed(
-                suppressions, ref.path, call.line,
-                frozenset({"MUT002", "MUT006"}),
+            if is_suppressed(
+                suppressions.get(ref.path, ()), call.line, ("MUT002", "MUT006")
             ):
                 # The primitive site carries a recorded decision (the
                 # control-plane client's non-storage HTTP, say): the
@@ -247,9 +246,7 @@ backends and the fault-injection proxy implement it once).
         for ref in graph.all_functions():
             if not in_purity_scope(ref.relparts):
                 continue
-            module = graph.modules[ref.module]
-            for call in ref.summary.calls:
-                resolution = graph.resolve(module, ref.summary, call)
+            for call, resolution in graph.edges[ref.fid]:
                 label = raw_io_label(call, resolution)
                 if label is not None:
                     findings.append(
@@ -258,31 +255,16 @@ backends and the fault-injection proxy implement it once).
                             _direct_io_message(label),
                         )
                     )
-                    continue
-                if resolution.kind != PROJECT:
-                    continue
-                callee = graph.functions[resolution.target]
-                if _is_exempt(callee.relparts):
-                    continue
-                downstream = reach.chain_from(resolution.target)
-                if downstream is None:
-                    continue
-                chain = call_chain_message(
-                    graph, ref, call, resolution.target, downstream
-                )
-                findings.append(
-                    Diagnostic(
-                        path=ref.path,
-                        line=call.line,
-                        column=call.col,
-                        code="MUT006",
-                        message=(
+                elif (found := reach.via(ref, call, resolution)) is not None:
+                    callee, chain = found
+                    findings.append(
+                        Diagnostic(
+                            ref.path, call.line, call.col, "MUT006",
                             f"call into {callee.summary.qualname!r} reaches raw "
-                            f"storage I/O bypassing the ShardTransport contract; "
-                            f"call chain: {chain}"
-                        ),
+                            "storage I/O bypassing the ShardTransport contract; "
+                            f"call chain: {render_chain(chain)}",
+                        )
                     )
-                )
         return findings
 
 

@@ -9,8 +9,9 @@ two phases:
   findings it makes are MUT000's.
 
 * **Phase B (whole program)** — build the project call graph from the
-  summaries and run the *summary consumers* (MUT002, MUT004–MUT008).
-  Cheap relative to parsing, and for most of them inherently cross-file.
+  summaries (every call resolved once) and run the *summary consumers*
+  (MUT002, MUT004–MUT008).  Cheap relative to parsing, and for most of
+  them inherently cross-file.
 
 Inline suppressions apply to every finding (a graph finding lands on a
 concrete line like any other), and the optional findings baseline
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Type
 
 from repro.lint import baseline as baseline_mod
-from repro.lint.callgraph import build_graph
+from repro.lint.callgraph import ProjectGraph
 from repro.lint.concurrency import (
     BlockingUnderLockChecker,
     LockDisciplineChecker,
@@ -239,11 +240,13 @@ def lint_paths(
         if any(code in selected for code in checker.docs)
     ]
     if graph_checkers and summaries:  # phase B
-        graph = build_graph(summaries)
+        graph = ProjectGraph(summaries)
         for graph_checker in graph_checkers:
             for diagnostic in graph_checker().run(graph, suppressions_by_path):
                 if diagnostic.code in selected and not is_suppressed(
-                    suppressions_by_path.get(diagnostic.path, []), diagnostic
+                    suppressions_by_path.get(diagnostic.path, ()),
+                    diagnostic.line,
+                    (diagnostic.code,),
                 ):
                     collected.append(diagnostic)
     collected.sort()

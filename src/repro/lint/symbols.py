@@ -157,8 +157,6 @@ class FunctionSummary:
     #: ``function``, ``Class.method``, ``outer.<locals>.inner`` or
     #: :data:`MODULE_SCOPE`.
     qualname: str
-    line: int
-    col: int
     calls: tuple[CallSite, ...] = ()
     lock_acquires: tuple[LockAcquire, ...] = ()
     self_accesses: tuple[SelfAccess, ...] = ()
@@ -184,7 +182,6 @@ class FunctionSummary:
 @dataclass
 class ClassSummary:
     name: str  # qualname: ``Class``, ``Outer.Inner``, ``f.<locals>.Class``
-    line: int
     #: Base-class references: plain names (same module) or import-resolved
     #: dotted paths; unresolvable bases are kept verbatim and simply fail
     #: project resolution later (conservative).
@@ -472,7 +469,6 @@ class _ScopeIndexer:
             self._expression(expr, held)
         klass = ClassSummary(
             name=self._qualname_of(node.name, self._owner),
-            line=node.lineno,
             bases=tuple(
                 reference
                 for base in node.bases
@@ -586,7 +582,7 @@ class _ScopeIndexer:
             return f"{owner.name}.{name}"
         return f"{self._prefix}{name}"
 
-    def summarize(self, name: str, line: int, col: int) -> FunctionSummary:
+    def summarize(self, name: str) -> FunctionSummary:
         """The walked scope's summary; indexes the queued ``def``s first."""
         for node, owner in self._deferred:
             child_qualname = self._qualname_of(node.name, owner)
@@ -605,8 +601,6 @@ class _ScopeIndexer:
         return FunctionSummary(
             name=name,
             qualname=self.qualname,
-            line=line,
-            col=col,
             calls=tuple(self.calls),
             lock_acquires=tuple(self.acquires),
             self_accesses=tuple(self.accesses),
@@ -627,7 +621,7 @@ def _index_function(
     # (see MUT004): treat the whole method body as holding self._lock.
     held = (SELF_LOCK,) if is_method and node.name.endswith("_locked") else ()
     indexer.walk(node.body, held)
-    return indexer.summarize(node.name, node.lineno, node.col_offset + 1)
+    return indexer.summarize(node.name)
 
 
 def index_module(lint_file: LintFile) -> ModuleSummary:
@@ -639,5 +633,5 @@ def index_module(lint_file: LintFile) -> ModuleSummary:
     )
     indexer = _ScopeIndexer(summary, summary.imports, MODULE_SCOPE, None)
     indexer.walk(lint_file.tree.body, ())
-    summary.functions[MODULE_SCOPE] = indexer.summarize(MODULE_SCOPE, 1, 1)
+    summary.functions[MODULE_SCOPE] = indexer.summarize(MODULE_SCOPE)
     return summary

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.lint import KNOWN_CODES, lint_paths
-from repro.lint.callgraph import EXTERNAL, PROJECT, UNKNOWN, build_graph
+from repro.lint.callgraph import EXTERNAL, PROJECT, UNKNOWN, ProjectGraph
 from repro.lint.dataflow import Reachability, render_chain
 from repro.lint.framework import load_lint_file
 from repro.lint.runner import _relparts
@@ -36,7 +36,7 @@ def graph_of(tmp_path, files: dict[str, str]):
         )
         assert lint_file is not None, hygiene
         summaries.append(index_module(lint_file))
-    return build_graph(summaries)
+    return ProjectGraph(summaries)
 
 
 def resolve(graph, fid, index=0):
@@ -187,6 +187,53 @@ class TestResolution:
         first = [ref.fid for ref in graph_of(tmp_path / "x", files).all_functions()]
         second = [ref.fid for ref in graph_of(tmp_path / "y", files).all_functions()]
         assert first == second == sorted(first)
+
+    def test_edges_hold_every_call_with_its_resolution(self, tmp_path):
+        """The edge table built with the graph is ``resolve`` applied to
+        every recorded call, in source order, for every function."""
+        graph = graph_of(
+            tmp_path,
+            {
+                "core/util.py": """\
+                def helper():
+                    return 1
+                """,
+                "core/mix.py": """\
+                import os
+                from repro.core.util import helper
+
+                class Widget:
+                    def __init__(self):
+                        self.size = helper()
+
+                    def grow(self, table):
+                        self.shrink()
+                        self.obj.method()
+                        table["k"]()
+
+                    def shrink(self):
+                        def inner():
+                            return Widget()
+
+                        inner()
+                        os.remove("x")
+                        open("x")
+
+                LOADED = helper()
+                """,
+            },
+        )
+        assert set(graph.edges) == set(graph.functions)
+        calls = 0
+        for fid, ref in graph.functions.items():
+            module = graph.modules[ref.module]
+            expected = tuple(
+                (call, graph.resolve(module, ref.summary, call))
+                for call in ref.summary.calls
+            )
+            assert graph.edges[fid] == expected
+            calls += len(expected)
+        assert calls == 9
 
 
 class TestReachability:

@@ -9,6 +9,7 @@ shipped tree lints clean, so the CI gate stays green by construction.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import textwrap
@@ -30,6 +31,8 @@ from repro.lint import (
     select_codes,
 )
 from repro.lint import baseline as lint_baseline
+from repro.lint import runner as lint_runner
+from repro.lint.framework import load_lint_file
 
 REPRO_PACKAGE = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -932,6 +935,66 @@ class TestLockOrder:
         )
         assert report.ok
 
+    def test_lock_acquired_two_calls_below_the_with_is_a_cycle(self, tmp_path):
+        report = lint_tree(
+            tmp_path,
+            {
+                "service/deep.py": """\
+                class TwoLocks:
+                    def snapshot(self):
+                        with self._read_lock:
+                            with self._write_lock:
+                                pass
+
+                    def publish(self):
+                        with self._write_lock:
+                            self._middle()
+
+                    def _middle(self):
+                        self._bottom()
+
+                    def _bottom(self):
+                        with self._read_lock:
+                            pass
+                """,
+            },
+        )
+        assert codes_of(report) == ["MUT008", "MUT008"]
+        assert sorted(d.line for d in report.diagnostics) == [4, 9]
+
+    def test_lock_acquired_through_a_self_recursive_helper_is_a_cycle(
+        self, tmp_path
+    ):
+        # The helper's recursive call reads nothing (it is on the stack);
+        # the lock its other callee acquires still reaches the caller.
+        report = lint_tree(
+            tmp_path,
+            {
+                "service/recursive.py": """\
+                class TwoLocks:
+                    def snapshot(self):
+                        with self._read_lock:
+                            with self._write_lock:
+                                pass
+
+                    def publish(self):
+                        with self._write_lock:
+                            self._walk(3)
+
+                    def _walk(self, depth):
+                        if depth:
+                            self._walk(depth - 1)
+                        self._grab()
+
+                    def _grab(self):
+                        with self._read_lock:
+                            pass
+                """,
+            },
+        )
+        assert codes_of(report) == ["MUT008", "MUT008"]
+        assert sorted(d.line for d in report.diagnostics) == [4, 9]
+
     def test_reentry_of_one_lock_is_not_an_ordering_edge(self, tmp_path):
         report = lint_tree(
             tmp_path,
@@ -1167,3 +1230,36 @@ class TestRepoIsClean:
         assert report.ok, "\n".join(
             diagnostic.render() for diagnostic in report.diagnostics
         )
+
+    def test_every_shipped_suppression_still_silences_a_finding(self, monkeypatch):
+        """A suppression whose finding is gone is a stale decision: lint the
+        package with every suppression ignored, and each one's covered
+        line must carry a finding of a code it names."""
+        shipped = {}
+
+        def without_suppressions(path, relparts, known_codes):
+            lint_file, hygiene = load_lint_file(path, relparts, known_codes)
+            if lint_file is not None:
+                shipped[path] = lint_file.suppressions
+                lint_file = dataclasses.replace(lint_file, suppressions=[])
+            return lint_file, hygiene
+
+        monkeypatch.setattr(lint_runner, "load_lint_file", without_suppressions)
+        report = lint_paths([REPRO_PACKAGE], baseline_entries=None)
+        found = {(d.path, d.line, d.code) for d in report.diagnostics}
+        suppressions = [
+            (path, suppression)
+            for path, listed in shipped.items()
+            for suppression in listed
+        ]
+        assert suppressions
+        dead = [
+            f"{path}:{suppression.covered_lines} {suppression.codes}"
+            for path, suppression in suppressions
+            if not any(
+                (path, line, code) in found
+                for line in suppression.covered_lines
+                for code in suppression.codes
+            )
+        ]
+        assert not dead, "suppressions that silence nothing:\n" + "\n".join(dead)
